@@ -66,8 +66,6 @@ void fill_workload(trace::TraceRecorder& rec, trace::MetricsRegistry& m,
   for (int i = 0; i < 256; ++i) s.add(10.0 + (i % 13));
   auto& series = m.series("rtt_us");
   for (int i = 0; i < 256; ++i) series.add(800.0 + (i % 37));
-  auto& h = m.histogram("lat_us", 0.0, 1000.0, 64);
-  for (int i = 0; i < 512; ++i) h.add(static_cast<double>((i * 97) % 1000));
 }
 
 std::vector<std::uint8_t> build_artifact(const trace::TraceRecorder& rec,

@@ -55,7 +55,7 @@ void run_point(std::size_t index, trace::MetricsRegistry& m) {
     opts.link = pil::PilSession::LinkKind::kSpi;
   }
   const auto pil = servo.run_pil(opts);
-  m.gauge("rtt_us") = pil.report.round_trip_us.mean();
+  m.gauge("rtt_us") = pil.report.round_trip_us().mean();
   m.gauge("comm_us") = pil.report.comm_time_per_step_us;
   m.gauge("overhead") = pil.report.comm_overhead_ratio;
   m.gauge("misses") = static_cast<double>(pil.report.deadline_misses);
@@ -150,7 +150,7 @@ void print_table() {
                          opts.baud = 115200;
                          opts.batch = kBatchFactors[index];
                          const auto pil = servo.run_pil(opts);
-                         m.gauge("rtt_us") = pil.report.round_trip_us.mean();
+                         m.gauge("rtt_us") = pil.report.round_trip_us().mean();
                          m.gauge("misses") =
                              static_cast<double>(pil.report.deadline_misses);
                          m.gauge("iae") = pil.iae;

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   const auto hil = servo.run_hil();
   print_quality("HIL", hil.metrics, hil.iae, hil.speed.last_value());
   std::printf("\n  controller exec %0.2f us mean / %0.2f us max, "
-              "jitter %0.2f us, CPU %0.1f %%\n",
+              "jitter %0.2f us peak, CPU %0.1f %%\n",
               hil.exec_us_mean, hil.exec_us_max, hil.jitter_us,
               hil.cpu_utilisation * 100.0);
   std::printf("  memory: %u B data, %u B code, stack observed %u B\n",

@@ -1,8 +1,8 @@
 // Trace tour: the observability subsystem on the DC-servo case study.
 //
 // Runs the PIL co-simulation with the unified tracer active, then:
-//   1. prints the MetricsRegistry views (the PIL report's and the target
-//      profiler's) — the one-source-of-truth numbers,
+//   1. prints the PIL report's MetricsRegistry — the one-source-of-truth
+//      numbers,
 //   2. exports the cross-layer timeline as Chrome trace-event JSON
 //      (open servo_trace.json in https://ui.perfetto.dev or
 //      chrome://tracing: one process row per component — event queue,

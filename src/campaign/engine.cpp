@@ -1,69 +1,12 @@
 #include "campaign/engine.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <filesystem>
-#include <memory>
 #include <utility>
 
 #include "evidence/writer.hpp"
 
 namespace iecd::campaign {
-
-namespace {
-
-/// Per-lane campaign execution, identical to fault::CampaignRunner's
-/// scalar path: seeded injector, scenario, shared bookkeeping.
-StreamRunner::GroupFn make_group_fn(const fault::CampaignOptions& opts,
-                                    const fault::CampaignScenario& scenario) {
-  return [&opts, &scenario](std::size_t first,
-                            std::span<trace::MetricsRegistry> metrics,
-                            std::span<obs::HealthReport> health) {
-    for (std::size_t k = 0; k < metrics.size(); ++k) {
-      const std::size_t index = first + k;
-      fault::FaultInjector injector(
-          fault::CampaignRunner::run_seed(opts.seed, index), opts.plan);
-      fault::RunContext ctx{index, injector.seed(), injector, metrics[k],
-                            health[k]};
-      const bool recovered = scenario(ctx);
-      fault::finalize_run_bookkeeping(injector, recovered, metrics[k]);
-    }
-  };
-}
-
-/// Batched variant, identical to fault::CampaignRunner's batch path.
-StreamRunner::GroupFn make_group_fn(
-    const fault::CampaignOptions& opts,
-    const fault::BatchCampaignScenario& scenario) {
-  return [&opts, &scenario](std::size_t first,
-                            std::span<trace::MetricsRegistry> metrics,
-                            std::span<obs::HealthReport> health) {
-    const std::size_t width = metrics.size();
-    // FaultInjector is pinned in place (non-copyable, non-movable): a
-    // deque grows without relocating the lanes already built.
-    std::deque<fault::FaultInjector> injectors;
-    std::vector<fault::RunContext> lanes;
-    lanes.reserve(width);
-    for (std::size_t k = 0; k < width; ++k) {
-      const std::size_t index = first + k;
-      injectors.emplace_back(
-          fault::CampaignRunner::run_seed(opts.seed, index), opts.plan);
-      lanes.push_back(fault::RunContext{index, injectors.back().seed(),
-                                        injectors.back(), metrics[k],
-                                        health[k]});
-    }
-    // std::vector<bool> is a proxy type, unusable as span<bool>.
-    auto rec = std::make_unique<bool[]>(width);
-    for (std::size_t k = 0; k < width; ++k) rec[k] = true;
-    scenario(std::span<fault::RunContext>(lanes),
-             std::span<bool>(rec.get(), width));
-    for (std::size_t k = 0; k < width; ++k) {
-      fault::finalize_run_bookkeeping(injectors[k], rec[k], metrics[k]);
-    }
-  };
-}
-
-}  // namespace
 
 CampaignEngine::CampaignEngine(EngineOptions options)
     : options_(std::move(options)) {}
@@ -78,12 +21,22 @@ std::string CampaignEngine::checkpoint_path() const {
 
 EngineResult CampaignEngine::run(
     const fault::CampaignScenario& scenario) const {
-  return execute(make_group_fn(options_.campaign, scenario));
+  return execute([this, &scenario](std::size_t first,
+                                   std::span<trace::MetricsRegistry> metrics,
+                                   std::span<obs::HealthReport> health) {
+    fault::run_campaign_group(options_.campaign, scenario, first, metrics,
+                              health);
+  });
 }
 
 EngineResult CampaignEngine::run(
     const fault::BatchCampaignScenario& scenario) const {
-  return execute(make_group_fn(options_.campaign, scenario));
+  return execute([this, &scenario](std::size_t first,
+                                   std::span<trace::MetricsRegistry> metrics,
+                                   std::span<obs::HealthReport> health) {
+    fault::run_campaign_group(options_.campaign, scenario, first, metrics,
+                              health);
+  });
 }
 
 EngineResult CampaignEngine::execute(

@@ -31,9 +31,8 @@ namespace iecd::campaign {
 
 struct EngineOptions {
   /// Campaign identity + fault plan + threads/batch (fault layer options;
-  /// the engine reuses fault::CampaignRunner::run_seed and
-  /// fault::finalize_run_bookkeeping so per-run registries are
-  /// byte-identical to the retained runner's).
+  /// the engine runs its lane groups through fault::run_campaign_group,
+  /// so per-run registries are byte-identical to the retained runner's).
   fault::CampaignOptions campaign;
   /// Evidence directory: run_<index>.evd artifacts stream in as runs
   /// complete, CHECKPOINT.evd lives here between seals, merged.evd and

@@ -306,16 +306,13 @@ ServoSystem::HilResult ServoSystem::run_hil(const HilOptions& options) {
   result.metrics = model::analyze_step(result.speed, config_.setpoint,
                                        config_.setpoint_time);
   result.iae = model::integral_absolute_error(result.speed, config_.setpoint);
-  if (const auto* prof =
-          runtime.profiler().task(runtime.periodic_profile_key())) {
-    result.exec_us_mean = prof->exec_time_us.mean();
-    result.exec_us_max = prof->exec_time_us.max();
-    result.response_us_max = prof->response_time_us.max();
-    result.jitter_us = prof->period_jitter_stddev_us();
-    result.activations = prof->activations;
-    result.start_s = prof->start_times_s;
-    result.exec_us = prof->exec_time_us;
-    result.wait_us = prof->response_time_us;
+  if (const obs::TimingMonitor* step =
+          runtime.monitor(runtime.periodic_profile_key())) {
+    result.exec_us_mean = step->exec_us().mean();
+    result.exec_us_max = step->exec_us().max();
+    result.response_us_max = step->worst_response_us();
+    result.jitter_us = step->jitter_us().max();
+    result.activations = step->activations();
   }
   result.cpu_utilisation =
       static_cast<double>(mcu.cpu().busy_time()) /
@@ -323,7 +320,9 @@ ServoSystem::HilResult ServoSystem::run_hil(const HilOptions& options) {
   result.observed_stack_bytes = mcu.cpu().max_stack_bytes();
   result.overruns = mcu.intc().overruns();
   result.memory = build.app.memory;
-  result.profile_report = runtime.profiler().report(config_.period_s);
+  for (const auto& [task, monitor] : runtime.monitors().timings()) {
+    result.profile_report += monitor.state_line(task) + "\n";
+  }
   return result;
 }
 

@@ -106,7 +106,8 @@ class ServoSystem {
     /// per-task TimingMonitors in this hub, the hub's poll (one per control
     /// period) tracks event-queue depth, and deadline misses trigger the
     /// flight recorder.  Passive — attaching a hub does not change the
-    /// simulated trajectory.
+    /// simulated trajectory or the HilResult timing fields, which are read
+    /// from the same monitors (so give each run a fresh hub).
     obs::MonitorHub* monitors = nullptr;
     /// Fault injection (see src/fault/): wires interrupt-latency spikes,
     /// task overruns, encoder glitches and load-torque disturbance pulses
@@ -118,6 +119,10 @@ class ServoSystem {
     model::SampleLog speed;
     model::StepMetrics metrics;
     double iae = 0.0;
+    /// Periodic step timing, read off its TimingMonitor: ISR execution
+    /// mean/max [us], worst response completion - release [us] (the
+    /// schedulability-analysis convention) and worst |activation interval
+    /// - period| [us].
     double exec_us_mean = 0.0;
     double exec_us_max = 0.0;
     double response_us_max = 0.0;
@@ -127,14 +132,8 @@ class ServoSystem {
     std::uint64_t activations = 0;
     std::uint64_t overruns = 0;
     codegen::MemoryEstimate memory;
+    /// One TimingMonitor::state_line() per monitored task.
     std::string profile_report;
-    /// Per-activation copies of the periodic task's profile series:
-    /// activation start instants [s], ISR body execution [us] and dispatch
-    /// wait raise->start [us].  Reference data for cross-checking the
-    /// online histograms against exact sorted-sample statistics.
-    util::SampleSeries start_s;
-    util::SampleSeries exec_us;
-    util::SampleSeries wait_us;
   };
   /// Hardware-in-the-loop: generated code on the simulated MCU, plant
   /// coupled at the peripheral level (PWM duty -> motor, encoder -> QDEC).

@@ -64,7 +64,7 @@ enum : std::uint16_t {
   kSchemaMetricGauge = 4,    ///< MetricsRegistry gauge
   kSchemaMetricStats = 5,    ///< RunningStats raw state
   kSchemaMetricSeries = 6,   ///< SampleSeries samples
-  kSchemaMetricHistogram = 7,///< fixed-bin histogram raw counts
+  kSchemaMetricHistogram = 7,///< retired: fixed-bin histogram raw counts
   kSchemaBuildInfo = 8,      ///< git sha / compiler / flags / build type
   kSchemaRunMeta = 9,        ///< run name, sweep index, seed
   kSchemaHealthSummary = 10, ///< HealthReport headline + full JSON

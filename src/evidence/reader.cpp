@@ -247,12 +247,8 @@ bool EvidenceReader::decode_record(std::uint16_t schema_id,
       const std::uint8_t* raw = nullptr;
       if (!cur.read_bytes(raw, byte_len)) return false;
       if (!(hi > lo)) return false;
-      std::vector<std::uint64_t> counts(byte_len / 8);
-      for (std::size_t i = 0; i < counts.size(); ++i) {
-        counts[i] = load_le<std::uint64_t>(raw + 8 * i);
-      }
-      metrics_.histogram(name, lo, hi, counts.size()) =
-          util::Histogram::from_raw(lo, hi, counts);
+      // Retired kind: validated like any record, its content dropped.
+      ++retired_records_;
       return true;
     }
     case kSchemaBuildInfo: {

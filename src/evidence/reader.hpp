@@ -127,6 +127,10 @@ class EvidenceReader {
   /// Records whose schema id the reader's registry does not know
   /// (skipped, per the evolution rules).
   std::uint64_t unknown_records() const { return unknown_records_; }
+  /// Records of a retired schema the registry still lists so old
+  /// artifacts verify (id 7, metric_histogram: no registry fills that
+  /// kind any more).  Parsed with full bounds checks, then skipped.
+  std::uint64_t retired_records() const { return retired_records_; }
 
   /// Rebuilds a TraceRecorder holding the artifact's events (capacity
   /// sized to fit), for re-export through trace::write_chrome_trace /
@@ -156,6 +160,7 @@ class EvidenceReader {
   std::uint64_t chain_hash_ = 0;
   std::string sha256_hex_;
   std::uint64_t unknown_records_ = 0;
+  std::uint64_t retired_records_ = 0;
 };
 
 }  // namespace iecd::evidence

@@ -91,6 +91,9 @@ const SchemaRegistry& SchemaRegistry::builtin() {
             {FT::kF64, "max"}}});
     r.add({kSchemaMetricSeries, 1, "metric_series",
            {{FT::kString, "name"}, {FT::kBytes, "samples_f64"}}});
+    // Retired (no registry fills histograms any more), still registered:
+    // the embedded schema section, and so every artifact's sha256, stays
+    // unchanged, and old artifacts carrying the kind still verify.
     r.add({kSchemaMetricHistogram, 1, "metric_histogram",
            {{FT::kString, "name"},
             {FT::kF64, "lo"},

@@ -8,20 +8,13 @@
 #include "evidence/reader.hpp"
 #include "evidence/verify.hpp"
 #include "trace/export.hpp"
+#include "util/json.hpp"
 
 namespace iecd::evidence {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out;
-}
+using util::json_escape;
 
 std::string build_line() {
   return "{\"kind\":\"build\",\"build\":" + util::build_info_json() + "}";

@@ -4,20 +4,13 @@
 #include <fstream>
 
 #include "evidence/hash.hpp"
+#include "util/json.hpp"
 
 namespace iecd::evidence {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out;
-}
+using util::json_escape;
 
 /// Minimal extraction of a string value from one JSONL line written by
 /// this tree's own emitters (no escapes inside the values we look for).

@@ -99,17 +99,6 @@ void EvidenceWriter::record_metrics(const trace::MetricsRegistry& metrics) {
     for (double x : series.samples()) store_f64(p, x);
     append_record(kSchemaMetricSeries, 1, p);
   }
-  for (const auto& [name, hist] : metrics.histograms()) {
-    std::vector<std::uint8_t> p;
-    store_str(p, name);
-    store_f64(p, hist.lo());
-    store_f64(p, hist.hi());
-    store_le<std::uint32_t>(p, static_cast<std::uint32_t>(hist.bins() * 8));
-    for (std::size_t i = 0; i < hist.bins(); ++i) {
-      store_le<std::uint64_t>(p, hist.bin_count(i));
-    }
-    append_record(kSchemaMetricHistogram, 1, p);
-  }
 }
 
 void EvidenceWriter::record_health(const obs::HealthReport& health) {

@@ -40,7 +40,7 @@ class EvidenceWriter {
   void record_run_meta(const std::string& name, std::uint64_t index,
                        std::uint64_t seed);
   /// Every registry entry in deterministic (map) order: counters, gauges,
-  /// stats, series, histograms.
+  /// stats, series.
   void record_metrics(const trace::MetricsRegistry& metrics);
   /// Headline numbers + the full JSON document.
   void record_health(const obs::HealthReport& health);

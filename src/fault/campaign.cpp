@@ -1,51 +1,25 @@
 #include "fault/campaign.hpp"
 
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <memory>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace iecd::fault {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
+using util::json_escape;
+using util::json_number;
 
 void json_histogram(std::ostream& os, const obs::LatencyHistogram& h) {
-  os << "{\"n\":" << h.count() << ",\"min\":" << num(h.min())
-     << ",\"mean\":" << num(h.mean()) << ",\"p50\":" << num(h.p50())
-     << ",\"p90\":" << num(h.p90()) << ",\"p99\":" << num(h.p99())
-     << ",\"p999\":" << num(h.p999()) << ",\"max\":" << num(h.max()) << "}";
+  os << "{\"n\":" << h.count() << ",\"min\":" << json_number(h.min())
+     << ",\"mean\":" << json_number(h.mean()) << ",\"p50\":" << json_number(h.p50())
+     << ",\"p90\":" << json_number(h.p90()) << ",\"p99\":" << json_number(h.p99())
+     << ",\"p999\":" << json_number(h.p999()) << ",\"max\":" << json_number(h.max()) << "}";
 }
 
 constexpr const char kSitePrefix[] = "fault.";
@@ -83,8 +57,7 @@ CampaignReport assemble_report(const CampaignOptions& opts,
   return report;
 }
 
-}  // namespace
-
+/// Campaign bookkeeping of one finished run.
 void finalize_run_bookkeeping(const FaultInjector& injector, bool recovered,
                               trace::MetricsRegistry& metrics) {
   injector.export_metrics(metrics);
@@ -98,6 +71,49 @@ void finalize_run_bookkeeping(const FaultInjector& injector, bool recovered,
       injector.total_opportunities();
 }
 
+}  // namespace
+
+void run_campaign_group(const CampaignOptions& opts,
+                        const CampaignScenario& scenario, std::size_t first,
+                        std::span<trace::MetricsRegistry> metrics,
+                        std::span<obs::HealthReport> health) {
+  for (std::size_t k = 0; k < metrics.size(); ++k) {
+    const std::size_t index = first + k;
+    FaultInjector injector(CampaignRunner::run_seed(opts.seed, index),
+                           opts.plan);
+    RunContext ctx{index, injector.seed(), injector, metrics[k], health[k]};
+    const bool recovered = scenario(ctx);
+    finalize_run_bookkeeping(injector, recovered, metrics[k]);
+  }
+}
+
+void run_campaign_group(const CampaignOptions& opts,
+                        const BatchCampaignScenario& scenario,
+                        std::size_t first,
+                        std::span<trace::MetricsRegistry> metrics,
+                        std::span<obs::HealthReport> health) {
+  const std::size_t width = metrics.size();
+  // FaultInjector is pinned in place (non-copyable, non-movable): a deque
+  // grows without relocating the lanes already built.
+  std::deque<FaultInjector> injectors;
+  std::vector<RunContext> lanes;
+  lanes.reserve(width);
+  for (std::size_t k = 0; k < width; ++k) {
+    const std::size_t index = first + k;
+    injectors.emplace_back(CampaignRunner::run_seed(opts.seed, index),
+                           opts.plan);
+    lanes.push_back(RunContext{index, injectors.back().seed(),
+                               injectors.back(), metrics[k], health[k]});
+  }
+  // std::vector<bool> is a proxy type, unusable as span<bool>.
+  auto rec = std::make_unique<bool[]>(width);
+  for (std::size_t k = 0; k < width; ++k) rec[k] = true;
+  scenario(std::span<RunContext>(lanes), std::span<bool>(rec.get(), width));
+  for (std::size_t k = 0; k < width; ++k) {
+    finalize_run_bookkeeping(injectors[k], rec[k], metrics[k]);
+  }
+}
+
 CampaignReport CampaignRunner::run(const CampaignScenario& scenario) const {
   exec::SweepRunner runner({options_.threads});
   const CampaignOptions& opts = options_;
@@ -107,10 +123,8 @@ CampaignReport CampaignRunner::run(const CampaignScenario& scenario) const {
           [&opts, &scenario](std::size_t index,
                              trace::MetricsRegistry& metrics,
                              obs::HealthReport& health) {
-            FaultInjector injector(run_seed(opts.seed, index), opts.plan);
-            RunContext ctx{index, injector.seed(), injector, metrics, health};
-            const bool recovered = scenario(ctx);
-            finalize_run_bookkeeping(injector, recovered, metrics);
+            run_campaign_group(opts, scenario, index, {&metrics, 1},
+                               {&health, 1});
           }));
   return assemble_report(opts, result);
 }
@@ -125,27 +139,7 @@ CampaignReport CampaignRunner::run(
           [&opts, &scenario](std::size_t first,
                              std::span<trace::MetricsRegistry> metrics,
                              std::span<obs::HealthReport> health) {
-            const std::size_t width = metrics.size();
-            // FaultInjector is pinned in place (non-copyable, non-movable):
-            // a deque grows without relocating the lanes already built.
-            std::deque<FaultInjector> injectors;
-            std::vector<RunContext> lanes;
-            lanes.reserve(width);
-            for (std::size_t k = 0; k < width; ++k) {
-              const std::size_t index = first + k;
-              injectors.emplace_back(run_seed(opts.seed, index), opts.plan);
-              lanes.push_back(RunContext{index, injectors.back().seed(),
-                                         injectors.back(), metrics[k],
-                                         health[k]});
-            }
-            // std::vector<bool> is a proxy type, unusable as span<bool>.
-            auto rec = std::make_unique<bool[]>(width);
-            for (std::size_t k = 0; k < width; ++k) rec[k] = true;
-            scenario(std::span<RunContext>(lanes),
-                     std::span<bool>(rec.get(), width));
-            for (std::size_t k = 0; k < width; ++k) {
-              finalize_run_bookkeeping(injectors[k], rec[k], metrics[k]);
-            }
+            run_campaign_group(opts, scenario, first, metrics, health);
           }));
   return assemble_report(opts, result);
 }
@@ -207,15 +201,15 @@ std::string CampaignReport::to_json() const {
     if (metric.compare(0, 9, "campaign.") != 0) continue;
     if (!first) os << ",";
     first = false;
-    os << "\"" << json_escape(metric) << "\":" << num(value);
+    os << "\"" << json_escape(metric) << "\":" << json_number(value);
   }
   for (const auto& [metric, stats] : merged.all_stats()) {
     if (metric.compare(0, 9, "campaign.") != 0) continue;
     if (!first) os << ",";
     first = false;
     os << "\"" << json_escape(metric) << "\":{\"n\":" << stats.count()
-       << ",\"mean\":" << num(stats.mean()) << ",\"min\":" << num(stats.min())
-       << ",\"max\":" << num(stats.max()) << "}";
+       << ",\"mean\":" << json_number(stats.mean()) << ",\"min\":" << json_number(stats.min())
+       << ",\"max\":" << json_number(stats.max()) << "}";
   }
   os << "}";
 
@@ -251,7 +245,7 @@ std::string CampaignReport::to_json() const {
       os << "\n{\"run\":" << index << ",\"trigger\":\""
          << json_escape(dump.trigger) << "\",\"detail\":\""
          << json_escape(dump.detail)
-         << "\",\"time_s\":" << num(sim::to_seconds(dump.time))
+         << "\",\"time_s\":" << json_number(sim::to_seconds(dump.time))
          << ",\"events\":" << dump.events.size() << "}";
     }
   }

@@ -64,14 +64,25 @@ using CampaignScenario = std::function<bool(RunContext&)>;
 using BatchCampaignScenario =
     std::function<void(std::span<RunContext> lanes, std::span<bool> recovered)>;
 
-/// Campaign bookkeeping of one finished run: exports the injector's
-/// per-site counters and records the campaign.* markers
-/// (runs/unrecovered/faults_injected/fault_opportunities) into \p metrics.
-/// Every execution path — scalar, batched, streaming engine — funnels
-/// through this one function so per-run registries are byte-identical
-/// across all of them.
-void finalize_run_bookkeeping(const FaultInjector& injector, bool recovered,
-                              trace::MetricsRegistry& metrics);
+/// Executes campaign runs first .. first + metrics.size() - 1 of \p opts,
+/// one lane per run: a FaultInjector seeded with
+/// CampaignRunner::run_seed(opts.seed, index), the scenario, then the
+/// campaign bookkeeping (the injector's per-site counters and the
+/// campaign.* runs/unrecovered/faults_injected/fault_opportunities
+/// markers) into metrics[k].  Every execution path — CampaignRunner's
+/// scalar and batched fan-outs and the streaming campaign::CampaignEngine
+/// — runs its lane groups through these two functions, so per-run
+/// registries are byte-identical across all of them.
+void run_campaign_group(const CampaignOptions& opts,
+                        const CampaignScenario& scenario, std::size_t first,
+                        std::span<trace::MetricsRegistry> metrics,
+                        std::span<obs::HealthReport> health);
+/// Batched form: the scenario advances the whole lane group in one call.
+void run_campaign_group(const CampaignOptions& opts,
+                        const BatchCampaignScenario& scenario,
+                        std::size_t first,
+                        std::span<trace::MetricsRegistry> metrics,
+                        std::span<obs::HealthReport> health);
 
 struct CampaignReport {
   std::string name;

@@ -17,7 +17,7 @@
 
 namespace iecd::mcu {
 
-/// One retired ISR dispatch, for profilers.
+/// One retired ISR dispatch, for timing monitors.
 struct DispatchRecord {
   IrqVector vec = -1;
   std::string_view name;

@@ -1,51 +1,25 @@
 #include "obs/health_report.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "util/build_info.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace iecd::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
+using util::json_escape;
+using util::json_number;
 
 void json_histogram(std::ostream& os, const char* key,
                     const LatencyHistogram& h) {
-  os << "\"" << key << "\":{\"n\":" << h.count() << ",\"min\":" << num(h.min())
-     << ",\"mean\":" << num(h.mean()) << ",\"p50\":" << num(h.p50())
-     << ",\"p90\":" << num(h.p90()) << ",\"p99\":" << num(h.p99())
-     << ",\"p999\":" << num(h.p999()) << ",\"max\":" << num(h.max()) << "}";
+  os << "\"" << key << "\":{\"n\":" << h.count() << ",\"min\":" << json_number(h.min())
+     << ",\"mean\":" << json_number(h.mean()) << ",\"p50\":" << json_number(h.p50())
+     << ",\"p90\":" << json_number(h.p90()) << ",\"p99\":" << json_number(h.p99())
+     << ",\"p999\":" << json_number(h.p999()) << ",\"max\":" << json_number(h.max()) << "}";
 }
 
 }  // namespace
@@ -142,8 +116,8 @@ std::string HealthReport::to_json() const {
     os << "\n\"" << json_escape(name) << "\":{"
        << "\"activations\":" << mon.activations()
        << ",\"deadline_misses\":" << mon.deadline_misses()
-       << ",\"period_s\":" << num(mon.config().period_s)
-       << ",\"deadline_s\":" << num(mon.config().deadline_s) << ",";
+       << ",\"period_s\":" << json_number(mon.config().period_s)
+       << ",\"deadline_s\":" << json_number(mon.config().deadline_s) << ",";
     json_histogram(os, "response_us", mon.response_us());
     os << ",";
     json_histogram(os, "exec_us", mon.exec_us());
@@ -159,8 +133,8 @@ std::string HealthReport::to_json() const {
     if (!first) os << ",";
     first = false;
     os << "\n\"" << json_escape(name) << "\":{\"current\":"
-       << num(mon.current()) << ",\"peak\":" << num(mon.peak())
-       << ",\"low\":" << num(mon.low()) << ",\"mean\":" << num(mon.mean())
+       << json_number(mon.current()) << ",\"peak\":" << json_number(mon.peak())
+       << ",\"low\":" << json_number(mon.low()) << ",\"mean\":" << json_number(mon.mean())
        << ",\"samples\":" << mon.samples() << "}";
   }
   os << "}";
@@ -181,7 +155,7 @@ std::string HealthReport::to_json() const {
     first = false;
     os << "\n{\"trigger\":\"" << json_escape(dump.trigger) << "\",\"detail\":\""
        << json_escape(dump.detail) << "\",\"time_s\":"
-       << num(sim::to_seconds(dump.time)) << ",\"ordinal\":" << dump.ordinal
+       << json_number(sim::to_seconds(dump.time)) << ",\"ordinal\":" << dump.ordinal
        << ",\"events\":[";
     bool first_ev = true;
     for (const auto& ev : dump.events) {
@@ -190,7 +164,7 @@ std::string HealthReport::to_json() const {
       os << "{\"seq\":" << ev.seq << ",\"cat\":\"" << json_escape(ev.category)
          << "\",\"name\":\"" << json_escape(ev.name) << "\",\"track\":\""
          << json_escape(ev.track) << "\",\"time_ns\":" << ev.time
-         << ",\"dur_ns\":" << ev.duration << ",\"value\":" << num(ev.value)
+         << ",\"dur_ns\":" << ev.duration << ",\"value\":" << json_number(ev.value)
          << "}";
     }
     os << "],\"monitor_state\":[";

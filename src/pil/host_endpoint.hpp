@@ -81,7 +81,17 @@ class HostEndpoint {
   void start();
   void stop() { running_ = false; }
 
-  const util::SampleSeries& round_trip_us() const { return rtt_us_; }
+  /// Where the latency samples land, in microseconds: every matched
+  /// response appends its round trip (send -> decoded arrival) to
+  /// \p round_trip_us, every recovered exchange its outage (original send
+  /// -> matched response) to \p recovery_us.  The series belong to the
+  /// caller (PilSession points them at its report's "pil.round_trip_us" /
+  /// "pil.recovery_us"); null drops the samples.
+  void set_latency_series(util::SampleSeries* round_trip_us,
+                          util::SampleSeries* recovery_us) {
+    rtt_us_ = round_trip_us;
+    recovery_us_ = recovery_us;
+  }
   std::uint64_t exchanges() const { return exchanges_; }
   std::uint64_t deadline_misses() const { return deadline_misses_; }
   std::uint64_t crc_errors() const { return decoder_.crc_errors(); }
@@ -91,10 +101,6 @@ class HostEndpoint {
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t recovered_exchanges() const { return recoveries_; }
   std::uint64_t exchanges_abandoned() const { return abandoned_; }
-  /// Latency of each recovered exchange: original send -> matched
-  /// response, in microseconds (only exchanges that needed >= 1
-  /// retransmit contribute).
-  const util::SampleSeries& recovery_us() const { return recovery_us_; }
 
   /// Online observability: when set, every matched response feeds its
   /// per-sequence round trip (send instant -> decoded arrival) into
@@ -141,7 +147,7 @@ class HostEndpoint {
   sim::EventId exchange_event_ = 0;
   bool awaiting_response_ = false;
   std::uint8_t seq_ = 0;
-  util::SampleSeries rtt_us_;
+  util::SampleSeries* rtt_us_ = nullptr;
   std::uint64_t exchanges_ = 0;
   std::uint64_t deadline_misses_ = 0;
   obs::TimingMonitor* rtt_monitor_ = nullptr;
@@ -150,7 +156,7 @@ class HostEndpoint {
   std::uint64_t retransmits_ = 0;
   std::uint64_t recoveries_ = 0;
   std::uint64_t abandoned_ = 0;
-  util::SampleSeries recovery_us_;
+  util::SampleSeries* recovery_us_ = nullptr;
   obs::TimingMonitor* recovery_monitor_ = nullptr;
   TxFaultHook tx_fault_hook_;
   std::uint8_t pending_seq_ = 0;        ///< seq the timeout watches

@@ -4,6 +4,12 @@
 
 namespace iecd::pil {
 
+const util::SampleSeries& PilReport::round_trip_us() const {
+  static const util::SampleSeries kEmpty;
+  const util::SampleSeries* s = metrics.find_series("pil.round_trip_us");
+  return s != nullptr ? *s : kEmpty;
+}
+
 void PilReport::set_observed_stack_bytes(std::uint32_t bytes) {
   metrics.gauge("pil.observed_stack_bytes") = bytes;
   observed_stack_bytes = bytes;
@@ -16,7 +22,7 @@ std::string PilReport::to_string() const {
                       static_cast<unsigned long long>(deadline_misses),
                       static_cast<unsigned long long>(crc_errors));
   out += util::format("round trip          %.1f us mean, %.1f us p99\n",
-                      round_trip_us.mean(), round_trip_us.percentile(99));
+                      round_trip_us().mean(), round_trip_us().percentile(99));
   out += util::format("comm per step       %.1f us (%.1f%% of the period)\n",
                       comm_time_per_step_us, comm_overhead_ratio * 100.0);
   out += util::format("controller exec     %.2f us mean, %.2f us max\n",
@@ -121,25 +127,27 @@ void PilSession::set_monitors(obs::MonitorHub* hub) {
 }
 
 PilReport PilSession::run() {
+  // The registry is the report's source of truth: the host appends its
+  // latency samples straight into the report's series during the run; the
+  // counters and gauges follow, then the scalar convenience mirrors.
+  PilReport report;
+  trace::MetricsRegistry& m = report.metrics;
+  host_->set_latency_series(&m.series("pil.round_trip_us"),
+                            &m.series("pil.recovery_us"));
   runtime_.start();
   agent_->start();
   host_->start();
   const std::uint64_t events_before = world_.queue().events_executed();
   world_.run_for(sim::from_seconds(options_.duration_s));
   host_->stop();
+  host_->set_latency_series(nullptr, nullptr);
   const std::uint64_t events_run = world_.queue().events_executed() - events_before;
 
-  // The registry is the report's source of truth: fill it first, then
-  // mirror the scalar convenience fields from it.
-  PilReport report;
-  trace::MetricsRegistry& m = report.metrics;
   m.counter("pil.exchanges").value = host_->exchanges();
   m.counter("pil.frames_processed").value = agent_->frames_processed();
   m.counter("pil.deadline_misses").value = host_->deadline_misses();
   m.counter("pil.crc_errors").value =
       host_->crc_errors() + agent_->crc_errors();
-  util::SampleSeries& rtt = m.series("pil.round_trip_us");
-  for (double x : host_->round_trip_us().samples()) rtt.add(x);
 
   // Robustness counters (all zero in clean runs with recovery disabled —
   // present unconditionally so reports compare structurally).
@@ -147,8 +155,6 @@ PilReport PilSession::run() {
   m.counter("pil.recovered_exchanges").value = host_->recovered_exchanges();
   m.counter("pil.exchanges_abandoned").value = host_->exchanges_abandoned();
   m.counter("pil.duplicate_frames").value = agent_->duplicate_frames();
-  util::SampleSeries& rec = m.series("pil.recovery_us");
-  for (double x : host_->recovery_us().samples()) rec.add(x);
   if (serial_ && serial_->peripheral()) {
     m.counter("uart.overruns").value = serial_->peripheral()->overruns();
   }
@@ -181,17 +187,17 @@ PilReport PilSession::run() {
         static_cast<double>(events_run) /
         static_cast<double>(host_->exchanges());
   }
-  if (const auto* prof = runtime_.profiler().task(rx_profile_key_)) {
+  const obs::TimingMonitor* rx = runtime_.monitor(rx_profile_key_);
+  if (rx != nullptr && rx->activations() > 0) {
     // Execution time of the frame-completing ISR (which embeds the step).
-    m.gauge("pil.controller_exec_us_mean") = prof->exec_time_us.mean();
-    m.gauge("pil.controller_exec_us_max") = prof->exec_time_us.max();
+    m.gauge("pil.controller_exec_us_mean") = rx->exec_us().mean();
+    m.gauge("pil.controller_exec_us_max") = rx->exec_us().max();
   }
 
   report.exchanges = m.counter("pil.exchanges").value;
   report.frames_processed = m.counter("pil.frames_processed").value;
   report.deadline_misses = m.counter("pil.deadline_misses").value;
   report.crc_errors = m.counter("pil.crc_errors").value;
-  report.round_trip_us = rtt;
   if (const double* g = m.find_gauge("pil.comm_time_per_step_us")) {
     report.comm_time_per_step_us = *g;
   }

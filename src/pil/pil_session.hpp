@@ -30,12 +30,16 @@ struct PilReport {
   std::uint64_t frames_processed = 0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t crc_errors = 0;
-  util::SampleSeries round_trip_us;
   double comm_time_per_step_us = 0.0;  ///< wire time of one exchange
   double comm_overhead_ratio = 0.0;    ///< wire time / control period
   double controller_exec_us_mean = 0.0;
   double controller_exec_us_max = 0.0;
   std::uint32_t observed_stack_bytes = 0;
+
+  /// Per-exchange round trip [us]: a view of the "pil.round_trip_us"
+  /// series in `metrics`, the one place the samples are stored (empty
+  /// when the series is absent).
+  const util::SampleSeries& round_trip_us() const;
 
   /// Records the observed stack in both the registry and the mirror field.
   void set_observed_stack_bytes(std::uint32_t bytes);

@@ -140,6 +140,12 @@ void Runtime::attach_monitors(obs::MonitorHub& hub) {
   }
 }
 
+const obs::TimingMonitor* Runtime::monitor(
+    std::string_view dispatch_key) const {
+  const auto it = monitor_cache_.find(dispatch_key);
+  return it == monitor_cache_.end() ? nullptr : it->second.monitor;
+}
+
 void Runtime::set_overrun_hook(std::function<std::uint64_t()> hook) {
   overrun_hook_ = std::move(hook);
 }
@@ -152,9 +158,10 @@ void Runtime::set_background_task(std::function<std::uint64_t()> chunk) {
 void Runtime::start() {
   if (started_) return;
   started_ = true;
+  // No caller hub: the runtime's own hub is the timing store.
+  if (monitors_ == &own_monitors_) attach_monitors(own_monitors_);
 
   mcu_.cpu().set_dispatch_observer([this](const mcu::DispatchRecord& rec) {
-    profiler_.record(rec);
     if (auto* tr = trace::recorder()) {
       // Scheduling decision record: per-task execution time on the rt
       // track (the Cpu track already carries the dispatch slice itself).
@@ -162,21 +169,19 @@ void Runtime::start() {
                   rec.end_time,
                   sim::to_microseconds(rec.end_time - rec.start_time));
     }
-    if (monitors_) {
-      auto it = monitor_cache_.find(rec.name);
-      if (it == monitor_cache_.end()) {
-        // ISR not declared as a task (e.g. a bean's own service interrupt):
-        // create its monitor lazily, aperiodic and deadline-free.
-        std::string name(rec.name);
-        it = monitor_cache_
-                 .emplace(name, MonitorEntry{&monitors_->timing(name), name})
-                 .first;
-      }
-      if (it->second.monitor->record(rec.raise_time, rec.start_time,
-                                     rec.end_time)) {
-        monitors_->flight().trigger("deadline_miss", rec.end_time,
-                                    it->second.task);
-      }
+    auto it = monitor_cache_.find(rec.name);
+    if (it == monitor_cache_.end()) {
+      // ISR not declared as a task (e.g. a bean's own service interrupt):
+      // create its monitor lazily, aperiodic and deadline-free.
+      std::string name(rec.name);
+      it = monitor_cache_
+               .emplace(name, MonitorEntry{&monitors_->timing(name), name})
+               .first;
+    }
+    if (it->second.monitor->record(rec.raise_time, rec.start_time,
+                                   rec.end_time)) {
+      monitors_->flight().trigger("deadline_miss", rec.end_time,
+                                  it->second.task);
     }
   });
 

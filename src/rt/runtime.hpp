@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "beans/bean_project.hpp"
 #include "beans/timer_int_bean.hpp"
@@ -17,7 +18,6 @@
 #include "codegen/generated_app.hpp"
 #include "mcu/mcu.hpp"
 #include "obs/monitor.hpp"
-#include "rt/profiler.hpp"
 
 namespace iecd::rt {
 
@@ -54,27 +54,37 @@ class Runtime {
     return overrun_hook_ ? overrun_hook_() : 0;
   }
 
-  Profiler& profiler() { return profiler_; }
-
-  /// Wires online timing monitors into the dispatch path: every task in the
-  /// application gets a TimingMonitor in \p hub (periodic tasks with their
-  /// period as implicit deadline), fed per activation with release/start/
-  /// completion times; a deadline miss fires the hub's flight recorder with
-  /// the offending task's name.  Call before or after start(); monitoring
-  /// is passive and does not perturb the simulation.
+  /// Re-points the dispatch path at \p hub.  Every retired dispatch is
+  /// recorded exactly once, into the TimingMonitor of its task: release
+  /// (raise), service start and completion, so execution time, response
+  /// time (completion - release), activation jitter and deadline misses
+  /// all come from that one store.  Every task in the application gets its
+  /// monitor up front (periodic tasks with their period as implicit
+  /// deadline); an ISR that is not a task gets an aperiodic one at its
+  /// first dispatch; a deadline miss fires the hub's flight recorder with
+  /// the offending task's name.  Without a caller hub, start() attaches a
+  /// hub the runtime owns, so the figures exist either way.  Call before
+  /// start() to keep a run's dispatches in one hub; monitoring is passive
+  /// and does not perturb the simulation.
   void attach_monitors(obs::MonitorHub& hub);
-  obs::MonitorHub* monitors() const { return monitors_; }
+  /// The hub the dispatch path currently records into.
+  const obs::MonitorHub& monitors() const { return *monitors_; }
+  /// The monitor fed by dispatches named \p dispatch_key (see
+  /// periodic_profile_key() / profile_key()); null until a hub is attached
+  /// (by the caller or by start()) and before an undeclared ISR's first
+  /// dispatch.
+  const obs::TimingMonitor* monitor(std::string_view dispatch_key) const;
   /// The project's watchdog bean, if any (the kernel services it from the
   /// periodic task; a stuck or chronically overrunning step gets caught).
   beans::WatchdogBean* watchdog() { return watchdog_; }
   /// Current target time in seconds (the MCU's world clock).
   double now_seconds() const { return sim::to_seconds(mcu_.now()); }
 
-  /// Profiler key of the periodic model step.  Dispatch records carry the
-  /// ISR trampoline name "<bean>.<event>", so the periodic task profiles
+  /// Dispatch key of the periodic model step.  Dispatch records carry the
+  /// ISR trampoline name "<bean>.<event>", so the periodic task is timed
   /// under the timer bean's interrupt.
   std::string periodic_profile_key() const;
-  /// Profiler key for a bean-event ISR.
+  /// Dispatch key of a bean-event ISR.
   static std::string profile_key(const std::string& bean,
                                  const std::string& event) {
     return bean + "." + event;
@@ -102,13 +112,13 @@ class Runtime {
   mcu::Mcu& mcu_;
   beans::BeanProject& project_;
   codegen::GeneratedApplication& app_;
-  Profiler profiler_;
   beans::TimerIntBean* timer_ = nullptr;
   beans::WatchdogBean* watchdog_ = nullptr;
   std::uint64_t periodic_activations_ = 0;
   bool started_ = false;
   std::function<std::uint64_t()> overrun_hook_;
-  obs::MonitorHub* monitors_ = nullptr;
+  obs::MonitorHub own_monitors_;  ///< the store when no hub is attached
+  obs::MonitorHub* monitors_ = &own_monitors_;
   /// Dispatch-name ("<bean>.<event>") -> monitor + task label.  Transparent
   /// comparator: the dispatch observer looks up by the record's string_view
   /// without materializing a key string per activation.

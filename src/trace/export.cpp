@@ -6,43 +6,19 @@
 #include <sstream>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace iecd::trace {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::json_escape;
+using util::json_number;
 
 /// Microseconds with nanosecond precision — deterministic formatting.
 std::string ts_us(sim::SimTime t) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(t) * 1e-3);
-  return buf;
-}
-
-std::string num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
   return buf;
 }
 
@@ -104,9 +80,9 @@ std::uint64_t write_chrome_trace(const TraceRecorder& recorder,
     os << ",\"pid\":" << pids.at(e.track) << ",\"tid\":0";
     if (e.type == EventType::kInstant) os << ",\"s\":\"p\"";
     if (e.type == EventType::kCounter) {
-      os << ",\"args\":{\"value\":" << num(e.value) << "}";
+      os << ",\"args\":{\"value\":" << json_number(e.value) << "}";
     } else if (e.value != 0.0) {
-      os << ",\"args\":{\"v\":" << num(e.value) << "}";
+      os << ",\"args\":{\"v\":" << json_number(e.value) << "}";
     }
     os << "}";
   });
@@ -136,14 +112,11 @@ std::uint64_t write_csv(const TraceRecorder& recorder, std::ostream& os) {
       case EventType::kCounter: type = "counter"; break;
       case EventType::kInstant: type = "instant"; break;
     }
-    char buf[64];
     os << e.seq << ',' << type << ','
        << recorder.string_at(e.category) << ','
        << recorder.string_at(e.name) << ','
        << recorder.string_at(e.track) << ','
-       << e.time << ',' << e.duration << ',';
-    std::snprintf(buf, sizeof buf, "%.9g", e.value);
-    os << buf << '\n';
+       << e.time << ',' << e.duration << ',' << json_number(e.value) << '\n';
   });
   return dropped;
 }

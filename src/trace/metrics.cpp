@@ -22,14 +22,6 @@ util::SampleSeries& MetricsRegistry::series(const std::string& name) {
   return series_[name];
 }
 
-util::Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
-                                            double hi, std::size_t bins) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, util::Histogram(lo, hi, bins))
-      .first->second;
-}
-
 const MetricsRegistry::Counter* MetricsRegistry::find_counter(
     const std::string& name) const {
   const auto it = counters_.find(name);
@@ -53,15 +45,9 @@ const util::SampleSeries* MetricsRegistry::find_series(
   return it == series_.end() ? nullptr : &it->second;
 }
 
-const util::Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 bool MetricsRegistry::empty() const {
   return counters_.empty() && gauges_.empty() && stats_.empty() &&
-         series_.empty() && histograms_.empty();
+         series_.empty();
 }
 
 void MetricsRegistry::clear() {
@@ -69,7 +55,6 @@ void MetricsRegistry::clear() {
   gauges_.clear();
   stats_.clear();
   series_.clear();
-  histograms_.clear();
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {
@@ -81,14 +66,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   for (const auto& [name, s] : other.series_) {
     auto& mine = series_[name];
     for (double x : s.samples()) mine.add(x);
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    const auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      histograms_.emplace(name, h);
-    } else {
-      it->second.merge(h);  // no-op if shapes differ
-    }
   }
 }
 
@@ -111,11 +88,6 @@ std::string MetricsRegistry::report() const {
         "%-36s n=%-7zu mean %.4g  p50 %.4g  p99 %.4g  max %.4g\n",
         name.c_str(), s.count(), s.mean(), s.percentile(50), s.percentile(99),
         s.max());
-  }
-  for (const auto& [name, h] : histograms_) {
-    out += util::format("%-36s histogram, %zu bins, %llu samples\n",
-                        name.c_str(), h.bins(),
-                        static_cast<unsigned long long>(h.total()));
   }
   return out;
 }
@@ -145,11 +117,6 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
                   "%s,series,%zu,,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n",
                   name.c_str(), s.count(), s.mean(), s.stddev(), s.min(),
                   s.max(), s.percentile(50), s.percentile(99));
-    os << line;
-  }
-  for (const auto& [name, h] : histograms_) {
-    std::snprintf(line, sizeof line, "%s,histogram,%llu,,,,,,,\n",
-                  name.c_str(), static_cast<unsigned long long>(h.total()));
     os << line;
   }
 }

@@ -1,7 +1,7 @@
 /// \file metrics.hpp
-/// MetricsRegistry: one named home for the counters, gauges, sample series
-/// and histograms that `rt::Profiler`, `pil::PilReport` and the benches
-/// each used to reinvent.  Storage is `std::map`-backed so references
+/// MetricsRegistry: one named home for the counters, gauges, running stats
+/// and sample series that `pil::PilReport`, the campaigns and the benches
+/// record.  Per-dispatch timing lives in obs::TimingMonitor instead.  Storage is `std::map`-backed so references
 /// handed out stay stable and every rendering (text report, CSV) iterates
 /// in deterministic name order.
 #pragma once
@@ -29,22 +29,18 @@ class MetricsRegistry {
   double& gauge(const std::string& name);
   util::RunningStats& stats(const std::string& name);
   util::SampleSeries& series(const std::string& name);
-  util::Histogram& histogram(const std::string& name, double lo, double hi,
-                             std::size_t bins);
 
   // ------------------------------------------------------- const lookups
   const Counter* find_counter(const std::string& name) const;
   const double* find_gauge(const std::string& name) const;
   const util::RunningStats* find_stats(const std::string& name) const;
   const util::SampleSeries* find_series(const std::string& name) const;
-  const util::Histogram* find_histogram(const std::string& name) const;
 
   bool empty() const;
   void clear();
 
   /// Folds another registry in (parallel or phase-wise collection).
-  /// Counters add, gauges overwrite, stats merge, series concatenate;
-  /// histograms are merged bin-wise when shapes match (else kept as-is).
+  /// Counters add, gauges overwrite, stats merge, series concatenate.
   void merge(const MetricsRegistry& other);
 
   /// Deterministic human-readable report, one line per metric, sorted.
@@ -62,16 +58,12 @@ class MetricsRegistry {
   const std::map<std::string, util::SampleSeries>& all_series() const {
     return series_;
   }
-  const std::map<std::string, util::Histogram>& histograms() const {
-    return histograms_;
-  }
 
  private:
   std::map<std::string, Counter> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, util::RunningStats> stats_;
   std::map<std::string, util::SampleSeries> series_;
-  std::map<std::string, util::Histogram> histograms_;
 };
 
 }  // namespace iecd::trace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace iecd::util {
 
@@ -105,70 +104,6 @@ double SampleSeries::peak_deviation() const {
   double peak = 0.0;
   for (double x : samples_) peak = std::max(peak, std::abs(x - m));
   return peak;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: bins must be > 0");
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must be > lo");
-}
-
-void Histogram::add(double x) {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::int64_t>(std::floor((x - lo_) / w));
-  idx = std::clamp<std::int64_t>(idx, 0,
-                                 static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-bool Histogram::merge(const Histogram& other) {
-  if (other.lo_ != lo_ || other.hi_ != hi_ ||
-      other.counts_.size() != counts_.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  total_ += other.total_;
-  return true;
-}
-
-Histogram Histogram::from_raw(double lo, double hi,
-                              const std::vector<std::uint64_t>& counts) {
-  Histogram h(lo, hi, counts.empty() ? 1 : counts.size());
-  if (counts.empty()) return h;
-  h.counts_ = counts;
-  h.total_ = 0;
-  for (auto c : counts) h.total_ += c;
-  return h;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::string Histogram::to_ascii(std::size_t width) const {
-  std::uint64_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char buf[96];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        peak == 0 ? std::size_t{0}
-                  : static_cast<std::size_t>(static_cast<double>(counts_[i]) /
-                                             static_cast<double>(peak) *
-                                             static_cast<double>(width));
-    std::snprintf(buf, sizeof buf, "[%12.4g, %12.4g) %8llu ", bin_lo(i),
-                  bin_hi(i), static_cast<unsigned long long>(counts_[i]));
-    out += buf;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace iecd::util

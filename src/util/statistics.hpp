@@ -1,13 +1,11 @@
 /// \file statistics.hpp
-/// Streaming and batch statistics used by the profiler, the PIL report and
-/// every benchmark: running mean/stddev (Welford), min/max, percentiles and
-/// fixed-width histograms.
+/// Streaming and batch statistics used by the PIL report, the campaigns and
+/// every benchmark: running mean/stddev (Welford), min/max and percentiles.
+/// Online latency histograms live in obs::LatencyHistogram.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace iecd::util {
@@ -80,40 +78,6 @@ class SampleSeries {
   mutable bool sorted_valid_ = false;
 
   const std::vector<double>& sorted() const;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples land in
-/// saturating edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bins() const { return counts_.size(); }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-
-  /// Renders a compact ASCII bar chart (for bench output).
-  std::string to_ascii(std::size_t width = 40) const;
-
-  /// Rebuilds a histogram from its raw bin counts (evidence round-trip).
-  static Histogram from_raw(double lo, double hi,
-                            const std::vector<std::uint64_t>& counts);
-
-  /// Adds \p other bin-wise.  Returns false (and leaves this histogram
-  /// untouched) if the ranges or bin counts differ.
-  bool merge(const Histogram& other);
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace iecd::util

@@ -329,8 +329,6 @@ CheckpointState populated_state() {
   s.merged.gauge("campaign.last") = 0.875;
   s.merged.series("campaign.lat").add(1.5);
   s.merged.series("campaign.lat").add(-2.25);
-  auto& hist = s.merged.histogram("campaign.hist", 0.0, 10.0, 8);
-  for (int i = 0; i < 20; ++i) hist.add(0.6 * i);
   s.health = populated_health();
   s.unrecovered_runs = {11, 37};
   s.unrecovered_health[11] = populated_health();
@@ -369,7 +367,6 @@ TEST(Checkpoint, SaveLoadRoundTripsExactly) {
   ASSERT_NE(loaded.merged.find_series("campaign.lat"), nullptr);
   EXPECT_EQ(loaded.merged.find_series("campaign.lat")->samples(),
             original.merged.find_series("campaign.lat")->samples());
-  ASSERT_NE(loaded.merged.find_histogram("campaign.hist"), nullptr);
 
   // The strongest exactness check: saving the LOADED state must produce a
   // byte-identical checkpoint file (build info is deterministic).

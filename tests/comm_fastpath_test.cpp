@@ -440,7 +440,7 @@ TEST(PilRoundTrip, FasterLineReportsShorterRoundTrip) {
     core::ServoSystem servo(cfg);
     core::ServoSystem::PilRunOptions opts;
     opts.baud = baud;
-    return servo.run_pil(opts).report.round_trip_us.mean();
+    return servo.run_pil(opts).report.round_trip_us().mean();
   };
   const double at_115200 = rtt(115200);
   const double at_230400 = rtt(230400);

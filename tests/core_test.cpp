@@ -250,7 +250,7 @@ TEST_F(ServoFixture, PilTracksMilThroughSerialLoop) {
   EXPECT_TRUE(pil.metrics.settled)
       << "final speed " << pil.speed.last_value();
   EXPECT_NEAR(pil.speed.last_value(), mil.speed.last_value(), 8.0);
-  EXPECT_GT(pil.report.round_trip_us.mean(), 0.0);
+  EXPECT_GT(pil.report.round_trip_us().mean(), 0.0);
 }
 
 TEST_F(ServoFixture, PilSlowBaudDegradesOrMissesDeadlines) {

@@ -23,17 +23,6 @@
 namespace iecd {
 namespace {
 
-TEST(HistogramAscii, RendersBarsAndCounts) {
-  util::Histogram h(0.0, 4.0, 4);
-  for (int i = 0; i < 8; ++i) h.add(0.5);
-  h.add(2.5);
-  const std::string ascii = h.to_ascii(10);
-  EXPECT_NE(ascii.find("##########"), std::string::npos);  // full bar
-  EXPECT_NE(ascii.find("8"), std::string::npos);
-  // Four lines, one per bin.
-  EXPECT_EQ(std::count(ascii.begin(), ascii.end(), '\n'), 4);
-}
-
 TEST(ValueToString, NamesTypeAndValue) {
   const auto v = model::Value::of_int(model::DataType::kInt16, -42);
   EXPECT_NE(v.to_string().find("int16"), std::string::npos);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -66,12 +67,23 @@ void fill_workload(trace::TraceRecorder& rec, trace::MetricsRegistry& m) {
   for (int i = 0; i < 32; ++i) s.add(10.0 + (i % 5));
   auto& series = m.series("rtt_us");
   for (int i = 0; i < 16; ++i) series.add(800.0 + i);
-  auto& h = m.histogram("lat_us", 0.0, 100.0, 8);
-  for (int i = 0; i < 40; ++i) h.add(static_cast<double>((i * 13) % 100));
 }
 
-/// One fully loaded sealed artifact (build info, run meta, metrics,
-/// health, trace).
+/// Payload of a retired id-7 metric_histogram record (name, lo, hi, u64
+/// bin counts), exactly as writers emitted it before the kind was retired.
+std::vector<std::uint8_t> legacy_histogram_payload(double lo = 0.0,
+                                                   double hi = 100.0) {
+  std::vector<std::uint8_t> p;
+  store_str(p, "lat_us");
+  store_f64(p, lo);
+  store_f64(p, hi);
+  store_le<std::uint32_t>(p, 8 * 8);
+  for (std::uint64_t i = 0; i < 8; ++i) store_le<std::uint64_t>(p, 5 + i);
+  return p;
+}
+
+/// One fully loaded sealed artifact (build info, run meta, metrics, a
+/// retired histogram record, health, trace).
 std::vector<std::uint8_t> build_full_artifact() {
   trace::TraceRecorder rec(128);
   trace::MetricsRegistry m;
@@ -82,6 +94,7 @@ std::vector<std::uint8_t> build_full_artifact() {
   w.record_build_info();
   w.record_run_meta("evidence_test", 3, 42);
   w.record_metrics(m);
+  w.append_record(kSchemaMetricHistogram, 1, legacy_histogram_payload());
   w.record_health(health);
   w.record_trace(rec);
   w.finish();
@@ -213,6 +226,7 @@ TEST(EvidenceRoundTrip, EverythingDecodesExactly) {
   w.record_build_info();
   w.record_run_meta("evidence_test", 3, 42);
   w.record_metrics(m);
+  w.append_record(kSchemaMetricHistogram, 1, legacy_histogram_payload());
   w.record_health(health);
   w.record_trace(rec);
   w.finish();
@@ -223,6 +237,7 @@ TEST(EvidenceRoundTrip, EverythingDecodesExactly) {
   EXPECT_EQ(r.chain_hash(), w.chain_hash());
   EXPECT_EQ(r.sha256_hex(), w.sha256_hex());
   EXPECT_EQ(r.unknown_records(), 0u);
+  EXPECT_EQ(r.retired_records(), 1u);
 
   // Run meta + build info.
   ASSERT_EQ(r.run_metas().size(), 1u);
@@ -248,13 +263,6 @@ TEST(EvidenceRoundTrip, EverythingDecodesExactly) {
   const auto* series = rm.find_series("rtt_us");
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->samples(), m.series("rtt_us").samples());
-  const auto* hist = rm.find_histogram("lat_us");
-  ASSERT_NE(hist, nullptr);
-  ASSERT_EQ(hist->bins(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(hist->bin_count(i),
-              m.histogram("lat_us", 0.0, 100.0, 8).bin_count(i));
-  }
 
   // Health summary headline.
   ASSERT_EQ(r.health_summaries().size(), 1u);
@@ -333,6 +341,39 @@ TEST(EvidenceEvolution, UnknownSchemaRecordsAreSkippedAndCounted) {
   EXPECT_EQ(r.unknown_records(), 1u);
   ASSERT_EQ(r.run_metas().size(), 2u);  // records around it still decode
   EXPECT_EQ(r.run_metas()[1].seed, 2u);
+}
+
+TEST(EvidenceEvolution, RetiredHistogramRecordStillVerifies) {
+  // Id 7 (metric_histogram) has no writer any more but stays registered,
+  // so the embedded schema section is unchanged and old artifacts that
+  // carry the kind still verify: parsed, bounds-checked, then skipped.
+  EvidenceWriter w;
+  w.record_run_meta("legacy", 0, 1);
+  w.append_record(kSchemaMetricHistogram, 1, legacy_histogram_payload());
+  w.record_run_meta("legacy", 1, 2);
+  w.finish();
+
+  EvidenceReader r;
+  ASSERT_EQ(r.parse(w.bytes()), Status::kOk) << r.error();
+  EXPECT_EQ(r.retired_records(), 1u);
+  EXPECT_EQ(r.unknown_records(), 0u);
+  EXPECT_TRUE(r.metrics().empty());
+  ASSERT_EQ(r.run_metas().size(), 2u);  // records around it still decode
+  EXPECT_EQ(r.run_metas()[1].seed, 2u);
+
+  const fs::path path = scratch_dir("retired") / "legacy.evd";
+  ASSERT_TRUE(w.write_file(path.string()));
+  const auto vr = verify_artifact_file(path.string());
+  EXPECT_TRUE(vr.ok) << vr.summary();
+  EXPECT_EQ(vr.sha256_hex, w.sha256_hex());
+
+  // Its payload is still validated: an inverted bin range is corrupt.
+  EvidenceWriter bad;
+  bad.append_record(kSchemaMetricHistogram, 1,
+                    legacy_histogram_payload(100.0, 0.0));
+  bad.finish();
+  EvidenceReader rb;
+  EXPECT_EQ(rb.parse(bad.bytes()), Status::kCorruptRecord);
 }
 
 TEST(EvidenceEvolution, OldArtifactNewReaderAndViceVersa) {
@@ -423,6 +464,7 @@ TEST(EvidenceTamper, EveryTruncationFailsGracefully) {
   EvidenceWriter w;
   w.record_run_meta("trunc", 0, 1);
   w.record_metrics(m);
+  w.append_record(kSchemaMetricHistogram, 1, legacy_histogram_payload());
   w.record_trace(rec);
   w.finish();
   const auto& bytes = w.bytes();
@@ -445,6 +487,7 @@ TEST(EvidenceTamper, EveryByteFlipIsDetected) {
   EvidenceWriter w;
   w.record_run_meta("flip", 0, 1);
   w.record_metrics(m);
+  w.append_record(kSchemaMetricHistogram, 1, legacy_histogram_payload());
   w.record_trace(rec);
   w.finish();
 
@@ -575,6 +618,24 @@ TEST(EvidenceCampaign, ManifestDetectsTamperedArtifact) {
   std::size_t failed = 0;
   for (const auto& entry : mv.entries) failed += entry.verified ? 0 : 1;
   EXPECT_EQ(failed, 1u);  // only the tampered artifact fails
+}
+
+TEST(EvidenceCampaign, ManifestEscapesControlCharactersInNames) {
+  // A tab in the campaign name reaches MANIFEST.jsonl as the JSON escape
+  // \t — not stripped, not raw.
+  const fs::path dir = scratch_dir("escaped_name");
+  auto opts = campaign_options(1);
+  opts.name = "tab\tname";
+  const auto report = fault::CampaignRunner(opts).run(synthetic_scenario);
+  const auto ev = write_campaign_evidence(dir.string(), opts, report);
+  std::ifstream in(ev.manifest_path, std::ios::binary);
+  const std::string manifest((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(manifest, ev.manifest);
+  EXPECT_NE(manifest.find("\"name\":\"tab\\tname\""), std::string::npos)
+      << manifest;
+  EXPECT_EQ(manifest.find('\t'), std::string::npos);
+  EXPECT_TRUE(verify_manifest(ev.manifest_path).ok);
 }
 
 // ---------------------------------------------------------------- sidecar

@@ -463,28 +463,125 @@ TEST(ObsEndToEnd, InjectedOverloadProducesFlightDumpAndUnhealthyReport) {
 }
 
 TEST(ObsEndToEnd, MonitorsArePassiveTrajectoryIsUnchanged) {
+  // With or without a caller hub the runtime records every dispatch once
+  // (into the caller's hub, else its own), so trajectories AND the timing
+  // fields read back from those monitors are identical.
   core::ServoConfig cfg;
   cfg.duration_s = 0.1;
-  const auto bare = [&] {
+  const auto hil = [&](obs::MonitorHub* hub) {
     core::ServoSystem servo(cfg);
     core::ServoSystem::HilOptions options;
+    options.monitors = hub;
     return servo.run_hil(options);
-  }();
-  obs::MonitorHub hub;
-  const auto monitored = [&] {
-    core::ServoSystem servo(cfg);
-    core::ServoSystem::HilOptions options;
-    options.monitors = &hub;
-    return servo.run_hil(options);
-  }();
+  };
+  obs::MonitorHub hil_hub;
+  const auto bare = hil(nullptr);
+  const auto monitored = hil(&hil_hub);
   EXPECT_EQ(bare.iae, monitored.iae);
+  EXPECT_EQ(bare.speed.values(), monitored.speed.values());
   EXPECT_EQ(bare.activations, monitored.activations);
+  EXPECT_EQ(bare.exec_us_mean, monitored.exec_us_mean);
   EXPECT_EQ(bare.exec_us_max, monitored.exec_us_max);
-  // The monitored run's exact per-activation stats agree with the profiler.
-  const obs::TimingMonitor* step = hub.find_timing("servo_hil_step");
+  EXPECT_EQ(bare.response_us_max, monitored.response_us_max);
+  EXPECT_EQ(bare.jitter_us, monitored.jitter_us);
+  EXPECT_EQ(bare.profile_report, monitored.profile_report);
+  // The monitored run's fields come straight off the caller's monitor.
+  const obs::TimingMonitor* step = hil_hub.find_timing("servo_hil_step");
   ASSERT_NE(step, nullptr);
   EXPECT_EQ(step->activations(), monitored.activations);
-  EXPECT_DOUBLE_EQ(step->exec_us().max(), monitored.exec_us.max());
+  EXPECT_EQ(step->exec_us().max(), monitored.exec_us_max);
+  EXPECT_EQ(step->worst_response_us(), monitored.response_us_max);
+  EXPECT_NE(monitored.profile_report.find(step->state_line("servo_hil_step")),
+            std::string::npos);
+
+  const auto pil = [&](obs::MonitorHub* hub) {
+    core::ServoSystem servo(cfg);
+    core::ServoSystem::PilRunOptions options;
+    options.duration_s = 0.1;
+    options.monitors = hub;
+    return servo.run_pil(options);
+  };
+  obs::MonitorHub pil_hub;
+  const auto pil_bare = pil(nullptr);
+  const auto pil_monitored = pil(&pil_hub);
+  EXPECT_EQ(pil_bare.iae, pil_monitored.iae);
+  EXPECT_EQ(pil_bare.speed.values(), pil_monitored.speed.values());
+  const pil::PilReport& a = pil_bare.report;
+  const pil::PilReport& b = pil_monitored.report;
+  EXPECT_EQ(a.exchanges, b.exchanges);
+  EXPECT_EQ(a.round_trip_us().samples(), b.round_trip_us().samples());
+  EXPECT_EQ(a.metrics.find_series("pil.recovery_us")->samples(),
+            b.metrics.find_series("pil.recovery_us")->samples());
+  EXPECT_EQ(a.controller_exec_us_mean, b.controller_exec_us_mean);
+  EXPECT_EQ(a.controller_exec_us_max, b.controller_exec_us_max);
+  EXPECT_GT(b.controller_exec_us_max, 0.0);
+  const obs::TimingMonitor* rx = pil_hub.find_timing("AS1.OnRxChar");
+  ASSERT_NE(rx, nullptr);
+  EXPECT_EQ(rx->exec_us().max(), b.controller_exec_us_max);
+}
+
+TEST(ObsEndToEnd, ExecHistogramMatchesTracedDispatchSeries) {
+  // The online exec histograms against an exact per-activation reference:
+  // the rt layer's "<dispatch>.exec_us" counter events, one per retired
+  // dispatch, captured under a trace session.  Counts equal, max exact,
+  // interpolated p50/p99 within twice the histogram's error bound.  The
+  // PIL receive ISR is bimodal (byte ISRs vs the frame-completing one
+  // that embeds the step); the jittered HIL step is the E6 sweep shape.
+  const auto check = [](const trace::TraceRecorder& rec,
+                        const std::string& dispatch,
+                        const obs::TimingMonitor& mon) {
+    ASSERT_EQ(rec.dropped(), 0u);
+    util::SampleSeries exact;
+    const std::string counter = dispatch + ".exec_us";
+    rec.for_each([&](const trace::Event& e) {
+      if (e.type == trace::EventType::kCounter &&
+          rec.string_at(e.name) == counter) {
+        exact.add(e.value);
+      }
+    });
+    ASSERT_GT(exact.count(), 1u);
+    EXPECT_EQ(mon.exec_us().count(), exact.count());
+    EXPECT_EQ(mon.exec_us().max(), exact.max());
+    const double bound = 2.0 * mon.exec_us().relative_error_bound();
+    for (double p : {50.0, 99.0}) {
+      const double ref = exact.percentile(p);
+      EXPECT_LE(std::fabs(mon.exec_us().percentile(p) - ref),
+                bound * ref + 1e-9)
+          << dispatch << " p" << p;
+    }
+  };
+
+  core::ServoConfig cfg;
+  cfg.duration_s = 0.05;
+  {
+    trace::TraceRecorder rec(1 << 17);
+    trace::TraceSession session(rec);
+    core::ServoSystem servo(cfg);
+    obs::MonitorHub hub;
+    core::ServoSystem::PilRunOptions options;
+    options.duration_s = 0.05;
+    options.monitors = &hub;
+    servo.run_pil(options);
+    const obs::TimingMonitor* rx = hub.find_timing("AS1.OnRxChar");
+    ASSERT_NE(rx, nullptr);
+    check(rec, "AS1.OnRxChar", *rx);
+  }
+  {
+    trace::TraceRecorder rec(1 << 17);
+    trace::TraceSession session(rec);
+    core::ServoSystem servo(cfg);
+    obs::MonitorHub hub;
+    core::ServoSystem::HilOptions options;
+    options.monitors = &hub;
+    options.timer_jitter = [](std::uint64_t k) {
+      return (k % 2 == 0) ? sim::microseconds(200) : -sim::microseconds(200);
+    };
+    options.extra_latency_cycles = 6000;
+    servo.run_hil(options);
+    const obs::TimingMonitor* step = hub.find_timing("servo_hil_step");
+    ASSERT_NE(step, nullptr);
+    check(rec, "TI1.OnInterrupt", *step);
+  }
 }
 
 TEST(ObsEndToEnd, PilSessionFeedsRttMonitorAndFifoWatermark) {
@@ -502,7 +599,7 @@ TEST(ObsEndToEnd, PilSessionFeedsRttMonitorAndFifoWatermark) {
   EXPECT_GT(rtt->activations(), 0u);
   // Monitor max is exact: matches the session's own RTT series.
   EXPECT_DOUBLE_EQ(rtt->worst_response_us(),
-                   result.report.round_trip_us.max());
+                   result.report.round_trip_us().max());
   const obs::WatermarkMonitor* fifo = hub.find_watermark("AS1.tx_fifo");
   ASSERT_NE(fifo, nullptr);
   EXPECT_GT(fifo->samples(), 0u);

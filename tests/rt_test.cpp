@@ -11,59 +11,12 @@
 #include "core/pe_blocks.hpp"
 #include "mcu/derivative.hpp"
 #include "model/subsystem.hpp"
-#include "rt/profiler.hpp"
+#include "obs/monitor.hpp"
 #include "rt/runtime.hpp"
 #include "sim/world.hpp"
 
 namespace iecd::rt {
 namespace {
-
-TEST(Profiler, RecordsPerTaskStatistics) {
-  Profiler profiler;
-  mcu::DispatchRecord rec;
-  rec.name = "taskA";
-  for (int i = 0; i < 10; ++i) {
-    rec.raise_time = sim::milliseconds(i);
-    rec.start_time = rec.raise_time + sim::microseconds(5);
-    rec.end_time = rec.start_time + sim::microseconds(50);
-    profiler.record(rec);
-  }
-  const TaskProfile* p = profiler.task("taskA");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->activations, 10u);
-  EXPECT_NEAR(p->exec_time_us.mean(), 50.0, 1e-9);
-  EXPECT_NEAR(p->response_time_us.mean(), 5.0, 1e-9);
-  EXPECT_NEAR(p->period_jitter_stddev_us(), 0.0, 1e-9);
-  EXPECT_EQ(profiler.task("unknown"), nullptr);
-}
-
-TEST(Profiler, JitterMetricsDetectIrregularActivations) {
-  Profiler profiler;
-  mcu::DispatchRecord rec;
-  rec.name = "t";
-  // Periods: 1 ms, 1.2 ms, 0.8 ms, 1.2 ms ...
-  sim::SimTime t = 0;
-  for (int i = 0; i < 20; ++i) {
-    t += (i % 2 == 0) ? sim::microseconds(1200) : sim::microseconds(800);
-    rec.raise_time = rec.start_time = t;
-    rec.end_time = t + sim::microseconds(10);
-    profiler.record(rec);
-  }
-  const TaskProfile* p = profiler.task("t");
-  EXPECT_NEAR(p->period_jitter_stddev_us(), 200.0, 15.0);
-  EXPECT_NEAR(p->period_jitter_peak_us(0.001), 200.0, 1.0);
-}
-
-TEST(Profiler, ReportContainsTaskLines) {
-  Profiler profiler;
-  mcu::DispatchRecord rec;
-  rec.name = "TI1.OnInterrupt";
-  rec.end_time = sim::microseconds(40);
-  profiler.record(rec);
-  const std::string report = profiler.report(0.001);
-  EXPECT_NE(report.find("TI1.OnInterrupt"), std::string::npos);
-  EXPECT_NE(report.find("jitter"), std::string::npos);
-}
 
 /// Minimal runnable application for runtime tests: counter through a gain.
 struct RtApp {
@@ -111,10 +64,10 @@ TEST(Runtime, PeriodicTaskRunsAtConfiguredRate) {
   // Forward-Euler integrator: the latched output trails the state by one
   // update, so after n activations it reads (n-1) * T.
   EXPECT_NEAR(rig.counter->out(0).as_double(), 0.001 * 99, 1e-6);
-  const auto* prof = runtime.profiler().task(runtime.periodic_profile_key());
-  ASSERT_NE(prof, nullptr);
-  EXPECT_EQ(prof->activations, 100u);
-  EXPECT_GT(prof->exec_time_us.mean(), 0.0);
+  const auto* step = runtime.monitor(runtime.periodic_profile_key());
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->activations(), 100u);
+  EXPECT_GT(step->exec_us().mean(), 0.0);
 }
 
 TEST(Runtime, StepCyclesMatchAppEstimate) {
@@ -131,13 +84,31 @@ TEST(Runtime, ExecTimeMatchesCostModel) {
   Runtime runtime(rig.mcu, rig.project, rig.app);
   runtime.start();
   rig.world.run_for(sim::milliseconds(10));
-  const auto* prof = runtime.profiler().task(runtime.periodic_profile_key());
-  ASSERT_NE(prof, nullptr);
+  const auto* step = runtime.monitor(runtime.periodic_profile_key());
+  ASSERT_NE(step, nullptr);
   const auto cycles = runtime.step_cycles() + rig.mcu.spec().costs.isr_entry +
                       rig.mcu.spec().costs.isr_exit;
   const double expected_us =
       static_cast<double>(cycles) / rig.mcu.spec().clock_hz * 1e6;
-  EXPECT_NEAR(prof->exec_time_us.mean(), expected_us, 0.05);
+  EXPECT_NEAR(step->exec_us().mean(), expected_us, 0.05);
+}
+
+TEST(Runtime, AttachedHubIsTheOnlyTimingStore) {
+  // Each retired dispatch is recorded once: after attach_monitors() the
+  // runtime's monitor for a dispatch IS the caller hub's task monitor.
+  RtApp rig;
+  Runtime runtime(rig.mcu, rig.project, rig.app);
+  obs::MonitorHub hub;
+  runtime.attach_monitors(hub);
+  EXPECT_EQ(&runtime.monitors(), &hub);
+  runtime.start();
+  rig.world.run_for(sim::milliseconds(10) + sim::microseconds(500));
+  const obs::TimingMonitor* step =
+      runtime.monitor(runtime.periodic_profile_key());
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step, hub.find_timing(rig.app.tasks[0].name));
+  EXPECT_EQ(step->activations(), 10u);
+  EXPECT_EQ(runtime.monitor("Unknown.OnInterrupt"), nullptr);
 }
 
 TEST(Runtime, PilVariantDoesNotEnableTimer) {
@@ -212,9 +183,9 @@ TEST(Runtime, EventTaskRunsOnBeanEvent) {
   });
   world.run_for(sim::milliseconds(20));
   EXPECT_EQ(fc.activations(), 1u);
-  const auto* prof = runtime.profiler().task("Key.OnInterrupt");
-  ASSERT_NE(prof, nullptr);
-  EXPECT_EQ(prof->activations, 1u);
+  const auto* key_task = runtime.monitor("Key.OnInterrupt");
+  ASSERT_NE(key_task, nullptr);
+  EXPECT_EQ(key_task->activations(), 1u);
 }
 
 TEST(Runtime, MemoryReportCombinesEstimateAndObservation) {

@@ -139,13 +139,11 @@ TEST(MetricsRegistry, HandlesAllMetricKinds) {
   m.stats("exec").add(3.0);
   m.series("rtt").add(10.0);
   m.series("rtt").add(20.0);
-  m.histogram("jitter", 0.0, 10.0, 5).add(2.5);
 
   EXPECT_EQ(m.find_counter("frames")->value, 5u);
   EXPECT_DOUBLE_EQ(*m.find_gauge("ratio"), 0.25);
   EXPECT_DOUBLE_EQ(m.find_stats("exec")->mean(), 2.0);
   EXPECT_DOUBLE_EQ(m.find_series("rtt")->percentile(50), 15.0);
-  EXPECT_EQ(m.find_histogram("jitter")->total(), 1u);
   EXPECT_EQ(m.find_counter("missing"), nullptr);
 
   const std::string report = m.report();
@@ -164,13 +162,10 @@ TEST(MetricsRegistry, MergeCombines) {
   b.series("s").add(3.0);
   a.stats("w").add(10.0);
   b.stats("w").add(20.0);
-  a.histogram("h", 0.0, 1.0, 4).add(0.1);
-  b.histogram("h", 0.0, 1.0, 4).add(0.9);
   a.merge(b);
   EXPECT_EQ(a.find_counter("n")->value, 5u);
   EXPECT_EQ(a.find_series("s")->count(), 2u);
   EXPECT_DOUBLE_EQ(a.find_stats("w")->mean(), 15.0);
-  EXPECT_EQ(a.find_histogram("h")->total(), 2u);
 }
 
 TEST(TraceExport, ChromeTraceIsStructurallyValidJson) {
@@ -291,29 +286,6 @@ TEST(TraceIntegration, PilRunIsCrossLayerAndDeterministic) {
   EXPECT_TRUE(span_cats.count("pil"));
 }
 
-TEST(TraceIntegration, ProfilerIsBackedByMetricsRegistry) {
-  rt::Profiler profiler;
-  mcu::DispatchRecord rec;
-  rec.name = "Tick.OnInterrupt";
-  rec.raise_time = sim::microseconds(0);
-  rec.start_time = sim::microseconds(5);
-  rec.end_time = sim::microseconds(55);
-  profiler.record(rec);
-  profiler.record(rec);
-
-  const auto* p = profiler.task("Tick.OnInterrupt");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->activations, 2u);
-  // One source of truth: the task's series ARE the registry's series.
-  const auto* series =
-      profiler.metrics().find_series("Tick.OnInterrupt.exec_us");
-  ASSERT_NE(series, nullptr);
-  EXPECT_EQ(series, &p->exec_time_us);
-  EXPECT_EQ(
-      profiler.metrics().find_counter("Tick.OnInterrupt.activations")->value,
-      2u);
-}
-
 TEST(TraceIntegration, PilReportCarriesMetricsRegistry) {
   core::ServoConfig cfg;
   cfg.duration_s = 0.05;
@@ -322,9 +294,11 @@ TEST(TraceIntegration, PilReportCarriesMetricsRegistry) {
   const auto& m = pil.report.metrics;
   ASSERT_NE(m.find_counter("pil.exchanges"), nullptr);
   EXPECT_EQ(m.find_counter("pil.exchanges")->value, pil.report.exchanges);
+  // The round-trip samples live once, in the registry series; the
+  // report's accessor is a view of it.
   ASSERT_NE(m.find_series("pil.round_trip_us"), nullptr);
-  EXPECT_DOUBLE_EQ(m.find_series("pil.round_trip_us")->mean(),
-                   pil.report.round_trip_us.mean());
+  EXPECT_EQ(&pil.report.round_trip_us(), m.find_series("pil.round_trip_us"));
+  EXPECT_GT(pil.report.round_trip_us().count(), 0u);
   ASSERT_NE(m.find_gauge("pil.observed_stack_bytes"), nullptr);
   EXPECT_DOUBLE_EQ(*m.find_gauge("pil.observed_stack_bytes"),
                    pil.report.observed_stack_bytes);

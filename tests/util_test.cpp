@@ -120,24 +120,6 @@ TEST(SampleSeries, PeakDeviationIsMaxAbsOffset) {
   EXPECT_NEAR(s.peak_deviation(), 4.0, 1e-12);
 }
 
-TEST(Histogram, BinsAndSaturation) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-5.0);   // saturates into bin 0
-  h.add(100.0);  // saturates into last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(9), 10.0);
-}
-
-TEST(Histogram, RejectsDegenerateConstruction) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(Crc16, KnownVector) {
   // CRC-16/CCITT-FALSE("123456789") == 0x29B1.
   const std::uint8_t msg[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};

@@ -11,6 +11,7 @@
 #include "fixpt/autoscale.hpp"
 #include "mcu/mcu.hpp"
 #include "sim/world.hpp"
+#include "util/strings.hpp"
 
 namespace iecd::core {
 
@@ -24,6 +25,36 @@ using blocks::StepBlock;
 using blocks::SumBlock;
 using blocks::SwitchBlock;
 using blocks::UnitDelayBlock;
+
+util::DiagnosticList validate(const ServoConfig& config) {
+  util::DiagnosticList d;
+  const auto require = [&d](bool ok, const char* field, const char* rule,
+                            double value) {
+    if (!ok) {
+      d.error(std::string("servo.") + field,
+              util::format("must be %s (got %g)", rule, value));
+    }
+  };
+  const auto positive = [](double v) { return v > 0 && std::isfinite(v); };
+  const auto& m = config.motor;
+  require(config.encoder_lines > 0, "encoder_lines", "positive",
+          config.encoder_lines);
+  require(positive(config.period_s), "period_s", "positive", config.period_s);
+  require(positive(config.pwm_frequency_hz), "pwm_frequency_hz", "positive",
+          config.pwm_frequency_hz);
+  require(config.duration_s >= 0 && std::isfinite(config.duration_s),
+          "duration_s", ">= 0", config.duration_s);
+  require(std::isfinite(config.setpoint), "setpoint", "finite",
+          config.setpoint);
+  require(std::isfinite(config.kp), "kp", "finite", config.kp);
+  require(std::isfinite(config.ki), "ki", "finite", config.ki);
+  require(positive(m.inertia), "motor.inertia", "positive", m.inertia);
+  require(positive(m.inductance), "motor.inductance", "positive",
+          m.inductance);
+  require(positive(m.resistance), "motor.resistance", "positive",
+          m.resistance);
+  return d;
+}
 
 ServoSystem::ServoSystem(ServoConfig config)
     : config_(std::move(config)),
@@ -207,7 +238,17 @@ void ServoSystem::apply_fixed_point_types() {
   m.find("mode_sw")->set_output_type(0, model::DataType::kFixed, duty_fmt);
 }
 
+util::DiagnosticList ServoSystem::validate() {
+  util::DiagnosticList d = core::validate(config_);
+  d.merge(project_.validate());
+  return d;
+}
+
 ServoSystem::MilResult ServoSystem::run_mil() {
+  if (const auto d = core::validate(config_); d.has_errors()) {
+    throw std::invalid_argument("ServoSystem: invalid config:\n" +
+                                d.to_string());
+  }
   codegen::Generator::restore_mil_mode(*controller_);
   model::EngineOptions options;
   options.stop_time = config_.duration_s;

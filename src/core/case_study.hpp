@@ -53,6 +53,12 @@ struct ServoConfig {
   plant::DcMotorParams motor;
 };
 
+/// Numeric checks of a ServoConfig: counts, periods, frequencies and motor
+/// parameters a run divides by must be positive, gains and set-point
+/// finite, the duration non-negative.  No bean solving happens here; the
+/// bean project checks achievability.
+util::DiagnosticList validate(const ServoConfig& config);
+
 /// The assembled single-model application plus its bean project.
 class ServoSystem {
  public:
@@ -76,8 +82,9 @@ class ServoSystem {
   model::FunctionCallSubsystem& setpoint_bump() { return *sp_up_; }
   blocks::DiscretePidBlock& pid() { return *pid_; }
 
-  /// Expert-system pass over the bean project.
-  util::DiagnosticList validate() { return project_.validate(); }
+  /// core::validate(config()) plus the expert-system pass over the bean
+  /// project.
+  util::DiagnosticList validate();
 
   // ------------------------------------------------------------- phases
 
@@ -88,6 +95,8 @@ class ServoSystem {
     double iae = 0.0;
   };
   /// Model-in-the-loop: the closed loop entirely inside the engine.
+  /// Throws std::invalid_argument when core::validate(config()) reports an
+  /// error.
   MilResult run_mil();
 
   /// Code generation through the PEERT target.

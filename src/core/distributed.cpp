@@ -221,13 +221,15 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   // --- Probe + run ----------------------------------------------------
   DistributedResult result;
   const sim::SimTime period = sim::from_seconds(config.period_s);
-  auto probe = std::make_shared<std::function<void()>>();
-  *probe = [&rig_world, &motor, &result, period, probe] {
+  // The probe reschedules copies of itself that refer back to this local,
+  // which outlives every event run by master.run_until() below.
+  std::function<void()> probe = [&rig_world, &motor, &result, period,
+                                 &probe] {
     result.speed.record(sim::to_seconds(rig_world.now()),
                         motor.speed_at(rig_world.now()));
-    rig_world.queue().schedule_in(period, *probe);
+    rig_world.queue().schedule_in(period, probe);
   };
-  rig_world.queue().schedule_in(period, *probe);
+  rig_world.queue().schedule_in(period, probe);
 
   timer.Enable();
 

@@ -34,12 +34,18 @@ void PeBlock::pil_output(double value) const {
 AdcPeBlock::AdcPeBlock(std::string name, beans::AdcBean& bean)
     : PeBlock(std::move(name), 1, 1, bean), adc_(&bean) {
   set_output_type(0, model::DataType::kUint16);
+  initialize({});
 }
 
-std::uint16_t AdcPeBlock::quantize_volts(double volts) const {
-  const auto bits = adc_->properties().get_int("resolution_bits");
-  const double vref = adc_->properties().get_real("vref_high");
-  const double max_code = std::ldexp(1.0, static_cast<int>(bits)) - 1.0;
+void AdcPeBlock::initialize(const model::SimContext&) {
+  bits_ = static_cast<int>(adc_->properties().get_int("resolution_bits"));
+  vref_ = adc_->properties().get_real("vref_high");
+  on_end_ = &events_["OnEnd"];
+}
+
+std::uint16_t AdcPeBlock::quantize_volts(double volts, int bits,
+                                         double vref) {
+  const double max_code = std::ldexp(1.0, bits) - 1.0;
   const double code =
       std::clamp(std::round(volts / vref * max_code), 0.0, max_code);
   // Left-justified to 16 bits: application code is resolution-independent.
@@ -52,15 +58,13 @@ void AdcPeBlock::output(const model::SimContext& ctx) {
     case IoMode::kMil:
       if (!hw_fidelity_) {
         // Ablation: ideal pass-through scaling, no quantization/clamping.
-        const double vref = adc_->properties().get_real("vref_high");
-        set_out(0, in(0) / vref * 65535.0);
-        if (!ctx.minor) events_["OnEnd"].fire(ctx);
-        break;
+        set_out(0, in(0) / vref_ * 65535.0);
+      } else {
+        // Simulate the converter: genuine N-bit resolution and clamping.
+        if (!ctx.minor) latched_ = quantize_volts(in(0), bits_, vref_);
+        set_out(0, static_cast<double>(latched_));
       }
-      // Simulate the converter: genuine N-bit resolution and clamping.
-      if (!ctx.minor) latched_ = quantize_volts(in(0));
-      set_out(0, static_cast<double>(latched_));
-      if (!ctx.minor) events_["OnEnd"].fire(ctx);
+      if (!ctx.minor) on_end_->fire(ctx);
       break;
     case IoMode::kTarget:
     case IoMode::kPil:
@@ -73,7 +77,7 @@ void AdcPeBlock::target_read(const model::SimContext& ctx) {
   if (mode_ == IoMode::kPil) {
     // PIL: the value arrives over the communication line (plant units);
     // the conversion quantization still applies.
-    latched_ = quantize_volts(pil_input());
+    latched_ = quantize_volts(pil_input(), bits_, vref_);
     return;
   }
   auto* periph = adc_->peripheral();
@@ -117,10 +121,15 @@ std::string AdcPeBlock::emit_target_c(bool pil, const std::string& var) const {
 // ------------------------------------------------------------------ PWM
 
 PwmPeBlock::PwmPeBlock(std::string name, beans::PwmBean& bean)
-    : PeBlock(std::move(name), 1, 1, bean), pwm_(&bean) {}
+    : PeBlock(std::move(name), 1, 1, bean), pwm_(&bean) {
+  initialize({});
+}
 
-double PwmPeBlock::quantize_duty(double ratio) const {
-  const auto modulo = pwm_->properties().get_int("modulo");
+void PwmPeBlock::initialize(const model::SimContext&) {
+  modulo_ = pwm_->properties().get_int("modulo");
+}
+
+double PwmPeBlock::quantize_duty(double ratio, std::int64_t modulo) {
   const double clamped = std::clamp(ratio, 0.0, 1.0);
   if (modulo <= 0) return clamped;  // not validated yet: pass through
   const double steps = static_cast<double>(modulo);
@@ -134,7 +143,7 @@ void PwmPeBlock::output(const model::SimContext& ctx) {
     return;
   }
   // MIL: the plant sees the duty at the counter's true granularity.
-  set_out(0, quantize_duty(in(0)));
+  set_out(0, quantize_duty(in(0), modulo_));
 }
 
 void PwmPeBlock::target_init(const model::SimContext&) { pwm_->Enable(); }
@@ -175,10 +184,14 @@ std::string PwmPeBlock::emit_target_c(bool pil, const std::string& var) const {
 QuadDecPeBlock::QuadDecPeBlock(std::string name, beans::QuadDecBean& bean)
     : PeBlock(std::move(name), 1, 1, bean), qdec_(&bean) {
   set_output_type(0, model::DataType::kInt16);
+  initialize({});
 }
 
-std::int16_t QuadDecPeBlock::angle_to_counts(double angle_rad) const {
-  const double cpr = static_cast<double>(qdec_->counts_per_rev());
+void QuadDecPeBlock::initialize(const model::SimContext&) {
+  cpr_ = static_cast<double>(qdec_->counts_per_rev());
+}
+
+std::int16_t QuadDecPeBlock::angle_to_counts(double angle_rad, double cpr) {
   const double counts =
       std::floor(angle_rad / (2.0 * std::numbers::pi) * cpr);
   // 16-bit wraparound exactly like the hardware position register.
@@ -191,11 +204,10 @@ void QuadDecPeBlock::output(const model::SimContext& ctx) {
     case IoMode::kMil:
       if (!hw_fidelity_) {
         // Ablation: exact fractional counts, no wrap, no quantization.
-        const double cpr = static_cast<double>(qdec_->counts_per_rev());
-        set_out(0, in(0) / (2.0 * std::numbers::pi) * cpr);
+        set_out(0, in(0) / (2.0 * std::numbers::pi) * cpr_);
         break;
       }
-      if (!ctx.minor) latched_ = angle_to_counts(in(0));
+      if (!ctx.minor) latched_ = angle_to_counts(in(0), cpr_);
       set_out(0, static_cast<double>(latched_));
       break;
     case IoMode::kTarget:
@@ -207,7 +219,7 @@ void QuadDecPeBlock::output(const model::SimContext& ctx) {
 
 void QuadDecPeBlock::target_read(const model::SimContext&) {
   if (mode_ == IoMode::kPil) {
-    latched_ = angle_to_counts(pil_input());
+    latched_ = angle_to_counts(pil_input(), cpr_);
     return;
   }
   latched_ = qdec_->GetPosition();
@@ -239,6 +251,15 @@ std::string QuadDecPeBlock::emit_target_c(bool pil,
 BitIoPeBlock::BitIoPeBlock(std::string name, beans::BitIoBean& bean)
     : PeBlock(std::move(name), 1, 1, bean), bit_(&bean) {
   set_output_type(0, model::DataType::kBool);
+  initialize({});
+}
+
+void BitIoPeBlock::initialize(const model::SimContext&) {
+  is_output_ = is_output();
+  const std::string& edge = bit_->properties().get_string("edge");
+  fire_rising_ = edge == "both" || edge == "rising";
+  fire_falling_ = edge == "both" || edge == "falling";
+  on_interrupt_ = &events_["OnInterrupt"];
 }
 
 bool BitIoPeBlock::is_output() const {
@@ -250,7 +271,7 @@ IoDirection BitIoPeBlock::io_direction() const {
 }
 
 void BitIoPeBlock::output(const model::SimContext& ctx) {
-  if (is_output()) {
+  if (is_output_) {
     set_out(0, in_bool(0) ? 1.0 : 0.0);  // echo for scopes
     return;
   }
@@ -258,11 +279,8 @@ void BitIoPeBlock::output(const model::SimContext& ctx) {
     case IoMode::kMil: {
       const bool level = in_bool(0);
       if (!ctx.minor && level != prev_in_) {
-        const std::string& edge = bit_->properties().get_string("edge");
         const bool rising = !prev_in_ && level;
-        const bool fire = edge == "both" || (edge == "rising" && rising) ||
-                          (edge == "falling" && !rising);
-        if (fire) events_["OnInterrupt"].fire(ctx);
+        if (rising ? fire_rising_ : fire_falling_) on_interrupt_->fire(ctx);
         prev_in_ = level;
       }
       latched_ = level;
@@ -277,12 +295,12 @@ void BitIoPeBlock::output(const model::SimContext& ctx) {
 }
 
 void BitIoPeBlock::target_read(const model::SimContext&) {
-  if (is_output()) return;
+  if (is_output_) return;
   latched_ = mode_ == IoMode::kPil ? (pil_input() != 0.0) : bit_->GetVal();
 }
 
 void BitIoPeBlock::target_write(const model::SimContext&) {
-  if (!is_output()) return;
+  if (!is_output_) return;
   const bool level = in_bool(0);
   if (mode_ == IoMode::kPil) {
     pil_output(level ? 1.0 : 0.0);
@@ -324,13 +342,17 @@ std::string BitIoPeBlock::emit_target_c(bool pil,
 // ------------------------------------------------------------- TimerInt
 
 TimerIntPeBlock::TimerIntPeBlock(std::string name, beans::TimerIntBean& bean)
-    : PeBlock(std::move(name), 0, 0, bean), timer_(&bean) {}
+    : PeBlock(std::move(name), 0, 0, bean), timer_(&bean) {
+  initialize({});
+}
+
+void TimerIntPeBlock::initialize(const model::SimContext&) {
+  on_interrupt_ = &events_["OnInterrupt"];
+}
 
 void TimerIntPeBlock::output(const model::SimContext& ctx) {
   // MIL: the periodic interrupt "fires" at every sample hit of this block.
-  if (mode_ == IoMode::kMil && !ctx.minor) {
-    events_["OnInterrupt"].fire(ctx);
-  }
+  if (mode_ == IoMode::kMil && !ctx.minor) on_interrupt_->fire(ctx);
 }
 
 void TimerIntPeBlock::target_init(const model::SimContext&) {

@@ -31,7 +31,10 @@ using codegen::IoDirection;
 using codegen::IoMode;
 
 /// Common PE block machinery: bean back-reference, mode, PIL buffer and
-/// event sources/bindings.
+/// event sources/bindings.  Each PE block's initialize() caches the bean
+/// properties and event sources its per-step paths read; its constructor
+/// calls it once, so a block driven by hand sees the properties it was
+/// created with.
 class PeBlock : public model::Block, public codegen::TargetIo {
  public:
   PeBlock(std::string name, int inputs, int outputs, beans::Bean& bean);
@@ -90,6 +93,7 @@ class AdcPeBlock : public PeBlock {
   const char* type_name() const override { return "PE_ADC"; }
   IoDirection io_direction() const override { return IoDirection::kInput; }
 
+  void initialize(const model::SimContext& ctx) override;
   void output(const model::SimContext& ctx) override;
   void target_init(const model::SimContext&) override {}
   void target_read(const model::SimContext& ctx) override;
@@ -99,8 +103,9 @@ class AdcPeBlock : public PeBlock {
   std::vector<std::string> required_methods() const override;
   std::string emit_target_c(bool pil, const std::string& var) const override;
 
-  /// Quantization the converter applies (shared MIL / PIL path).
-  std::uint16_t quantize_volts(double volts) const;
+  /// Quantization the converter applies (shared MIL / PIL path) at
+  /// \p bits resolution against \p vref.
+  static std::uint16_t quantize_volts(double volts, int bits, double vref);
 
  protected:
   void on_fidelity_changed() override {
@@ -111,6 +116,9 @@ class AdcPeBlock : public PeBlock {
  private:
   beans::AdcBean* adc_;
   std::uint16_t latched_ = 0;
+  int bits_ = 0;
+  double vref_ = 0.0;
+  model::EventSource* on_end_ = nullptr;
 };
 
 /// PWM block: in0 = duty ratio [0,1]; MIL out0 = duty quantized to the
@@ -121,6 +129,7 @@ class PwmPeBlock : public PeBlock {
   const char* type_name() const override { return "PE_PWM"; }
   IoDirection io_direction() const override { return IoDirection::kOutput; }
 
+  void initialize(const model::SimContext& ctx) override;
   void output(const model::SimContext& ctx) override;
   void target_init(const model::SimContext& ctx) override;
   void target_read(const model::SimContext&) override {}
@@ -129,11 +138,13 @@ class PwmPeBlock : public PeBlock {
   std::vector<std::string> required_methods() const override;
   std::string emit_target_c(bool pil, const std::string& var) const override;
 
-  /// Duty granularity quantization (MIL fidelity).
-  double quantize_duty(double ratio) const;
+  /// Duty granularity quantization (MIL fidelity) for a counter with
+  /// \p modulo steps.
+  static double quantize_duty(double ratio, std::int64_t modulo);
 
  private:
   beans::PwmBean* pwm_;
+  std::int64_t modulo_ = 0;
 };
 
 /// Quadrature decoder block: in0 = shaft angle [rad]; out0 = int16
@@ -144,6 +155,7 @@ class QuadDecPeBlock : public PeBlock {
   const char* type_name() const override { return "PE_QuadDec"; }
   IoDirection io_direction() const override { return IoDirection::kInput; }
 
+  void initialize(const model::SimContext& ctx) override;
   void output(const model::SimContext& ctx) override;
   void target_init(const model::SimContext&) override {}
   void target_read(const model::SimContext& ctx) override;
@@ -152,8 +164,9 @@ class QuadDecPeBlock : public PeBlock {
   std::vector<std::string> required_methods() const override;
   std::string emit_target_c(bool pil, const std::string& var) const override;
 
-  /// Angle -> wrapped int16 counts (MIL / PIL quantization).
-  std::int16_t angle_to_counts(double angle_rad) const;
+  /// Angle -> wrapped int16 counts (MIL / PIL quantization) at \p cpr
+  /// counts per revolution.
+  static std::int16_t angle_to_counts(double angle_rad, double cpr);
 
  protected:
   void on_fidelity_changed() override {
@@ -164,6 +177,7 @@ class QuadDecPeBlock : public PeBlock {
  private:
   beans::QuadDecBean* qdec_;
   std::int16_t latched_ = 0;
+  double cpr_ = 0.0;  ///< counts per revolution
 };
 
 /// Single-pin digital I/O block.  Direction follows the bean's property:
@@ -175,6 +189,7 @@ class BitIoPeBlock : public PeBlock {
   const char* type_name() const override { return "PE_BitIO"; }
   IoDirection io_direction() const override;
 
+  void initialize(const model::SimContext& ctx) override;
   void output(const model::SimContext& ctx) override;
   void target_init(const model::SimContext&) override {}
   void target_read(const model::SimContext& ctx) override;
@@ -184,11 +199,16 @@ class BitIoPeBlock : public PeBlock {
   std::string emit_target_c(bool pil, const std::string& var) const override;
 
  private:
+  /// The bean's direction now; is_output_ is the copy initialize() took.
   bool is_output() const;
 
   beans::BitIoBean* bit_;
   bool latched_ = false;
   bool prev_in_ = false;
+  bool is_output_ = false;
+  bool fire_rising_ = false;
+  bool fire_falling_ = false;
+  model::EventSource* on_interrupt_ = nullptr;
 };
 
 /// Periodic-interrupt block: declares the model's sample-rate source and
@@ -201,6 +221,7 @@ class TimerIntPeBlock : public PeBlock {
   const char* type_name() const override { return "PE_TimerInt"; }
   IoDirection io_direction() const override { return IoDirection::kEvent; }
 
+  void initialize(const model::SimContext& ctx) override;
   void output(const model::SimContext& ctx) override;
   void target_init(const model::SimContext& ctx) override;
   void target_read(const model::SimContext&) override {}
@@ -211,6 +232,7 @@ class TimerIntPeBlock : public PeBlock {
 
  private:
   beans::TimerIntBean* timer_;
+  model::EventSource* on_interrupt_ = nullptr;
 };
 
 }  // namespace iecd::core

@@ -65,15 +65,6 @@ const Block::Connection& Block::input(int port) const {
   return inputs_.at(static_cast<std::size_t>(port));
 }
 
-void Block::set_out_value(int port, const Value& v) {
-  const DataType want = out_types_.at(static_cast<std::size_t>(port));
-  if (v.type() == want) {
-    slots_[static_cast<std::size_t>(port)] = v;
-  } else {
-    set_out(port, v.as_double());
-  }
-}
-
 mcu::OpCounts Block::step_ops(bool fixed_point) const {
   // Conservative default: one ALU op + one store per output.
   mcu::OpCounts ops;

@@ -20,6 +20,7 @@
 namespace iecd::model {
 
 class Block;
+class Model;
 
 /// Context handed to every execution hook.
 struct SimContext {
@@ -93,6 +94,9 @@ class Block {
   virtual void initialize(const SimContext& ctx);
   virtual void output(const SimContext& ctx) = 0;
   virtual void update(const SimContext& ctx) { (void)ctx; }
+  /// The model the engine splices into its flat program in place of this
+  /// block (an atomic subsystem's interior); nullptr for every other block.
+  virtual const Model* spliced_interior() const { return nullptr; }
 
   // --- Continuous states ---
   virtual int continuous_state_count() const { return 0; }
@@ -151,7 +155,17 @@ class Block {
       slots_[p] = Value::quantize(real, out_types_[p], out_fmts_[p]);
     }
   }
-  void set_out_value(int port, const Value& v);
+  /// Writes a whole value: a plain copy when it already has the port's
+  /// type, a conversion through double otherwise.
+  void set_out_value(int port, const Value& v) {
+    const auto p = static_cast<std::size_t>(port);
+    if (p >= outputs_.size()) throw_bad_port(port, /*output=*/true);
+    if (v.type() == out_types_[p]) {
+      slots_[p] = v;
+    } else {
+      set_out(port, v.as_double());
+    }
+  }
   /// Reference to the value feeding input \p port: a resolved slot pointer
   /// when the owning model is compiled, a connection walk otherwise.
   const Value& in_ref(int port) const {

@@ -1,12 +1,16 @@
 #include "model/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
 
+// No subsystem header here: the engine finds interiors through
+// Block::spliced_interior().  With the Subsystem overrides of update() in
+// view, GCC stops speculating that a block's update() is Block's no-op and
+// calls every one, which cost ~10 % on a flat 64-block chain.
 #include "trace/trace.hpp"
 #include "util/rk4.hpp"
-#include "util/strings.hpp"
 
 namespace iecd::model {
 
@@ -14,6 +18,24 @@ namespace {
 
 std::int64_t to_ns(double seconds) {
   return static_cast<std::int64_t>(std::llround(seconds * 1e9));
+}
+
+/// gcd of every explicit discrete period and offset in \p model and the
+/// interiors spliced into it.
+void gcd_of_rates(const Model& model, std::int64_t& gcd_ns) {
+  for (const auto& b : model.blocks()) {
+    const SampleTime st = b->sample_time();
+    if (st.kind == SampleTime::Kind::kDiscrete) {
+      if (!(st.period > 0)) {
+        throw std::logic_error(b->name() + ": discrete period must be > 0");
+      }
+      gcd_ns = std::gcd(gcd_ns, to_ns(st.period));
+      if (st.offset > 0) gcd_ns = std::gcd(gcd_ns, to_ns(st.offset));
+    }
+    if (const Model* inner = b->spliced_interior()) {
+      gcd_of_rates(*inner, gcd_ns);
+    }
+  }
 }
 
 }  // namespace
@@ -26,19 +48,10 @@ Engine::Engine(Model& model, EngineOptions options)
 }
 
 void Engine::resolve_sample_times() {
-  // Base period: gcd of the explicit discrete rates, else the option, else
-  // 1 ms.
+  // Base period: gcd of the explicit discrete rates anywhere in the flat
+  // program, else the option, else 1 ms.
   std::int64_t gcd_ns = 0;
-  for (const auto& b : model_.blocks()) {
-    const SampleTime st = b->sample_time();
-    if (st.kind == SampleTime::Kind::kDiscrete) {
-      if (!(st.period > 0)) {
-        throw std::logic_error(b->name() + ": discrete period must be > 0");
-      }
-      gcd_ns = std::gcd(gcd_ns, to_ns(st.period));
-      if (st.offset > 0) gcd_ns = std::gcd(gcd_ns, to_ns(st.offset));
-    }
-  }
+  gcd_of_rates(model_, gcd_ns);
   if (options_.base_period > 0) {
     const std::int64_t opt_ns = to_ns(options_.base_period);
     if (gcd_ns != 0 && gcd_ns % opt_ns != 0 && opt_ns % gcd_ns != 0) {
@@ -53,7 +66,8 @@ void Engine::resolve_sample_times() {
 
   // Inheritance propagation in sorted order: a block with an inherited rate
   // becomes continuous if any of its drivers is continuous, otherwise it
-  // runs at the base rate.
+  // runs at the base rate.  Subsystem::initialize() hands the result on to
+  // each interior.
   for (Block* b : model_.sorted()) {
     const SampleTime st = b->sample_time();
     switch (st.kind) {
@@ -78,75 +92,79 @@ void Engine::resolve_sample_times() {
         break;
       }
     }
-    if (!b->resolved_continuous()) {
-      const std::int64_t p_ns = to_ns(b->resolved_period());
-      if (p_ns % base_period_ns_ != 0) {
-        throw std::logic_error(util::format(
-            "%s: period %.9g s is not a multiple of the base period %.9g s",
-            b->name().c_str(), b->resolved_period(), base_period_));
-      }
-    }
   }
 }
 
 void Engine::initialize() {
   resolve_sample_times();
-
-  continuous_blocks_.clear();
-  state_offsets_.clear();
-  total_states_ = 0;
-  for (Block* b : model_.sorted()) {
-    const auto n = static_cast<std::size_t>(b->continuous_state_count());
-    if (b->resolved_continuous() || n > 0) {
-      continuous_blocks_.push_back(b);
-      state_offsets_.push_back(total_states_);
-      total_states_ += n;
-    }
-  }
-  states_.assign(total_states_, 0.0);
-  k1_.assign(total_states_, 0.0);
-  k2_.assign(total_states_, 0.0);
-  k3_.assign(total_states_, 0.0);
-  k4_.assign(total_states_, 0.0);
-  scratch_.assign(total_states_, 0.0);
-
   SimContext ctx{0.0, base_period_, false};
   for (Block* b : model_.sorted()) b->initialize(ctx);
-
-  // Collect initial continuous states set by the blocks themselves.
-  for (std::size_t i = 0; i < continuous_blocks_.size(); ++i) {
-    Block* b = continuous_blocks_[i];
-    const auto n = static_cast<std::size_t>(b->continuous_state_count());
-    if (n) {
-      b->read_states(std::span<double>(states_).subspan(state_offsets_[i], n));
-    }
-  }
-
-  build_exec_list();
-
+  build_program();
   major_index_ = 0;
   initialized_ = true;
 }
 
-void Engine::build_exec_list() {
+void Engine::build_program() {
   exec_.clear();
-  exec_.reserve(model_.sorted().size());
-  for (Block* b : model_.sorted()) {
+  stages_.clear();
+  layout_.clear();
+  epochs_.clear();
+  splice(model_, 0);
+
+  const std::size_t total =
+      layout_.empty() ? 0 : layout_.back().offset + layout_.back().count;
+  for (auto* v : {&states_, &k1_, &k2_, &k3_, &k4_, &scratch_}) {
+    v->assign(total, 0.0);
+  }
+  // The blocks hold the current states: the initial ones after
+  // initialize(), the integrated ones after every step.
+  for (const StateSlice& s : layout_) {
+    s.block->read_states(std::span<double>(states_).subspan(s.offset, s.count));
+  }
+}
+
+void Engine::splice(const Model& model, std::uint64_t parent_offset_ticks) {
+  // A model is recorded before its interiors, so program_stale() meets a
+  // removed subsystem's edited parent before the removed model itself.
+  epochs_.emplace_back(&model, model.order_epoch());
+  for (Block* b : model.sorted()) {
     ExecEntry e{b, 0, 0};
     if (!b->resolved_continuous()) {
-      // Divisibility was validated in resolve_sample_times(); a block whose
-      // rate was never resolved (graph edited mid-run) runs at base rate.
+      // A block whose rate was never resolved (added mid-run) runs at the
+      // base rate.  Inherited rates carry the enclosing subsystem's offset.
       const std::int64_t p_ns = to_ns(b->resolved_period());
       e.period_ticks =
-          p_ns > 0 ? static_cast<std::uint64_t>(p_ns / base_period_ns_) : 1;
-      if (e.period_ticks == 0) e.period_ticks = 1;
-      const std::int64_t o_ns = to_ns(b->sample_time().offset);
-      e.offset_ticks =
-          o_ns > 0 ? static_cast<std::uint64_t>(o_ns / base_period_ns_) : 0;
+          p_ns > 0 ? std::max<std::uint64_t>(
+                         1, static_cast<std::uint64_t>(p_ns / base_period_ns_))
+                   : 1;
+      if (b->sample_time().kind == SampleTime::Kind::kDiscrete) {
+        const std::int64_t o_ns = to_ns(b->sample_time().offset);
+        e.offset_ticks =
+            o_ns > 0 ? static_cast<std::uint64_t>(o_ns / base_period_ns_) : 0;
+      } else {
+        e.offset_ticks = parent_offset_ticks;
+      }
+    }
+    if (const Model* inner = b->spliced_interior()) {
+      splice(*inner, e.offset_ticks);
+      continue;
     }
     exec_.push_back(e);
+    const auto n = static_cast<std::size_t>(b->continuous_state_count());
+    if (b->resolved_continuous() || n > 0) stages_.push_back(b);
+    if (n) {
+      const std::size_t offset =
+          layout_.empty() ? 0 : layout_.back().offset + layout_.back().count;
+      layout_.push_back({b, offset, n});
+    }
   }
-  model_epoch_ = model_.order_epoch();
+}
+
+bool Engine::program_stale() const {
+  for (const auto& [model, epoch] : epochs_) {
+    if (model->order_epoch() != epoch) return true;
+  }
+  return false;
 }
 
 double Engine::time() const {
@@ -157,33 +175,25 @@ double Engine::time() const {
 void Engine::eval_derivatives(double t, std::vector<double>& candidate,
                               std::vector<double>& dx) {
   SimContext ctx{t, base_period_, true};
-  for (std::size_t i = 0; i < continuous_blocks_.size(); ++i) {
-    Block* b = continuous_blocks_[i];
-    const auto n = static_cast<std::size_t>(b->continuous_state_count());
-    if (n) {
-      b->write_states(
-          std::span<const double>(candidate).subspan(state_offsets_[i], n));
-    }
+  for (const StateSlice& s : layout_) {
+    s.block->write_states(
+        std::span<const double>(candidate).subspan(s.offset, s.count));
   }
-  for (Block* b : continuous_blocks_) b->output(ctx);
-  for (std::size_t i = 0; i < continuous_blocks_.size(); ++i) {
-    Block* b = continuous_blocks_[i];
-    const auto n = static_cast<std::size_t>(b->continuous_state_count());
-    if (n) {
-      b->derivatives(ctx, std::span<double>(dx).subspan(state_offsets_[i], n));
-    }
+  for (Block* b : stages_) b->output(ctx);
+  for (const StateSlice& s : layout_) {
+    s.block->derivatives(ctx, std::span<double>(dx).subspan(s.offset, s.count));
   }
 }
 
 void Engine::integrate(double t0) {
-  if (total_states_ == 0) return;
+  if (states_.empty()) return;
   const double h =
       base_period_ / static_cast<double>(options_.minor_steps);
   for (int m = 0; m < options_.minor_steps; ++m) {
     const double t = t0 + h * m;
     // Classic RK4 (stage/combination loops shared via util/rk4.hpp; the
     // derivative evaluations stay here because they re-run the continuous
-    // blocks' output methods between stages).
+    // entries' outputs between stages).
     eval_derivatives(t, states_, k1_);
     util::rk4_stage(states_, k1_, 0.5 * h, scratch_);
     eval_derivatives(t + 0.5 * h, scratch_, k2_);
@@ -194,22 +204,16 @@ void Engine::integrate(double t0) {
     util::rk4_combine(states_, h, k1_, k2_, k3_, k4_);
   }
   // Leave the blocks holding the integrated states.
-  for (std::size_t i = 0; i < continuous_blocks_.size(); ++i) {
-    Block* b = continuous_blocks_[i];
-    const auto n = static_cast<std::size_t>(b->continuous_state_count());
-    if (n) {
-      b->write_states(
-          std::span<const double>(states_).subspan(state_offsets_[i], n));
-    }
+  for (const StateSlice& s : layout_) {
+    s.block->write_states(
+        std::span<const double>(states_).subspan(s.offset, s.count));
   }
 }
 
 bool Engine::step() {
   if (!initialized_) initialize();
-  if (model_epoch_ != model_.order_epoch()) {
-    // Graph edited mid-run (rare): refresh the flattened dispatch list.
-    build_exec_list();
-  }
+  // A graph edited mid-run (rare) recompiles the program.
+  if (program_stale()) build_program();
   const double t = time();
   if (t >= options_.stop_time - 1e-12) return false;
   const std::uint64_t major = major_index_;

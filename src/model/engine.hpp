@@ -3,9 +3,18 @@
 /// solver for continuous states.  This is the MIL (model-in-the-loop)
 /// executor of the development cycle — the whole closed loop, plant and
 /// controller, runs here before any code generation happens.
+///
+/// initialize() compiles the whole model hierarchy into one flat program:
+/// every atomic Subsystem's interior, Inport and Outport boundary blocks
+/// included, is spliced into its parent's sorted order at the subsystem's
+/// position.  Function-call subsystems stay single triggered entries.  The
+/// blocks holding continuous states get fixed offsets in one state vector,
+/// so an RK4 stage is one state write, one output pass over the continuous
+/// entries in global sorted order and one derivatives pass.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "model/model.hpp"
@@ -22,7 +31,7 @@ class Engine {
  public:
   Engine(Model& model, EngineOptions options);
 
-  /// Resolves sample times, initializes blocks, gathers continuous states.
+  /// Resolves sample times, initializes blocks, compiles the flat program.
   /// Throws std::logic_error on inconsistent rates or algebraic loops.
   void initialize();
 
@@ -39,21 +48,22 @@ class Engine {
   double time() const;
   double base_period() const { return base_period_; }
   std::uint64_t major_steps() const { return major_index_; }
-  bool initialized() const { return initialized_; }
-
-  /// Blocks resolved as continuous (for tests / diagnostics).
-  const std::vector<Block*>& continuous_blocks() const {
-    return continuous_blocks_;
-  }
 
  private:
-  /// Flattened dispatch entry, precomputed at initialize(): rate checks on
-  /// the major-step path are pure integer arithmetic (no double->ns
-  /// conversions, no sample-time struct reads).
+  /// One entry of the flat program.  Rate checks on the major-step path
+  /// are pure integer arithmetic (no double->ns conversions, no
+  /// sample-time struct reads).
   struct ExecEntry {
     Block* block = nullptr;
     std::uint64_t period_ticks = 0;  ///< 0 = continuous (runs every step)
     std::uint64_t offset_ticks = 0;
+  };
+
+  /// A block's continuous states inside the engine's state vector.
+  struct StateSlice {
+    Block* block = nullptr;
+    std::size_t offset = 0;
+    std::size_t count = 0;
   };
 
   static bool due(const ExecEntry& e, std::uint64_t major) {
@@ -64,8 +74,10 @@ class Engine {
   }
 
   void resolve_sample_times();
-  void build_exec_list();
-  void eval_derivatives(double t, std::vector<double>& scratch_states,
+  void build_program();
+  void splice(const Model& model, std::uint64_t parent_offset_ticks);
+  bool program_stale() const;
+  void eval_derivatives(double t, std::vector<double>& candidate,
                         std::vector<double>& dx);
   void integrate(double t0);
 
@@ -76,11 +88,14 @@ class Engine {
   std::uint64_t major_index_ = 0;
   bool initialized_ = false;
 
-  std::vector<ExecEntry> exec_;  ///< sorted order, integer-rate annotated
-  std::uint64_t model_epoch_ = 0;
-  std::vector<Block*> continuous_blocks_;
-  std::vector<std::size_t> state_offsets_;  ///< per continuous block
-  std::size_t total_states_ = 0;
+  std::vector<ExecEntry> exec_;    ///< the flat program, global sorted order
+  /// The blocks that also run in every RK4 stage (continuous or holding
+  /// states), in the same order.
+  std::vector<Block*> stages_;
+  std::vector<StateSlice> layout_;
+  /// Every model spliced into the program with the order epoch it had; a
+  /// mismatch on any of them rebuilds the program.
+  std::vector<std::pair<const Model*, std::uint64_t>> epochs_;
   std::vector<double> states_;
   std::vector<double> k1_, k2_, k3_, k4_, scratch_;
 };

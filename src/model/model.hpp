@@ -65,11 +65,6 @@ class Model {
   /// cached dispatch lists on it.
   std::uint64_t order_epoch() const { return order_epoch_; }
 
-  /// True while the signal-slot arena backs block outputs.
-  bool compiled() const { return compiled_; }
-  /// Total output slots in the compiled arena (0 when decompiled).
-  std::size_t signal_slot_count() const { return arena_.size(); }
-
  private:
   void ensure_unique(const std::string& block_name) const;
   void invalidate();

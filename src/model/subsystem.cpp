@@ -4,6 +4,15 @@
 
 namespace iecd::model {
 
+void Inport::output(const SimContext&) {
+  if (owner_) set_out_value(0, owner_->in_value(port_));
+}
+
+void Outport::output(const SimContext&) {
+  set_out_value(0, in_ref(0));
+  if (owner_) owner_->set_out_value(port_, out(0));
+}
+
 Subsystem::Subsystem(std::string name, int inputs, int outputs)
     : Block(std::move(name), inputs, outputs), inner_(this->name() + "/inner") {}
 
@@ -14,8 +23,14 @@ void Subsystem::bind_ports(std::vector<Inport*> inports,
     throw std::invalid_argument(name() +
                                 ": port binding does not match port counts");
   }
-  inports_ = std::move(inports);
-  outports_ = std::move(outports);
+  for (std::size_t i = 0; i < inports.size(); ++i) {
+    inports[i]->owner_ = this;
+    inports[i]->port_ = static_cast<int>(i);
+  }
+  for (std::size_t i = 0; i < outports.size(); ++i) {
+    outports[i]->owner_ = this;
+    outports[i]->port_ = static_cast<int>(i);
+  }
   ports_bound_ = true;
 }
 
@@ -39,57 +54,12 @@ void Subsystem::initialize(const SimContext& ctx) {
   }
 }
 
-void Subsystem::run_outputs(const SimContext& ctx) {
-  for (int i = 0; i < input_count(); ++i) {
-    inports_[static_cast<std::size_t>(i)]->inject(in_value(i));
-  }
+void Subsystem::output(const SimContext& ctx) {
   for (Block* b : inner_.sorted()) b->output(ctx);
-  for (int i = 0; i < output_count(); ++i) {
-    set_out_value(i, outports_[static_cast<std::size_t>(i)]->out(0));
-  }
 }
-
-void Subsystem::output(const SimContext& ctx) { run_outputs(ctx); }
 
 void Subsystem::update(const SimContext& ctx) {
   for (Block* b : inner_.sorted()) b->update(ctx);
-}
-
-int Subsystem::continuous_state_count() const {
-  int n = 0;
-  for (const auto& b : inner_.blocks()) n += b->continuous_state_count();
-  return n;
-}
-
-void Subsystem::read_states(std::span<double> into) const {
-  std::size_t offset = 0;
-  for (const auto& b : inner_.blocks()) {
-    const auto n = static_cast<std::size_t>(b->continuous_state_count());
-    if (n) b->read_states(into.subspan(offset, n));
-    offset += n;
-  }
-}
-
-void Subsystem::write_states(std::span<const double> from) {
-  std::size_t offset = 0;
-  for (const auto& b : inner_.blocks()) {
-    const auto n = static_cast<std::size_t>(b->continuous_state_count());
-    if (n) b->write_states(from.subspan(offset, n));
-    offset += n;
-  }
-}
-
-void Subsystem::derivatives(const SimContext& ctx,
-                            std::span<double> dx) const {
-  // Re-propagate interior outputs at the candidate state before collecting
-  // slopes (the parent engine already injected fresh boundary inputs).
-  const_cast<Subsystem*>(this)->run_outputs(ctx);
-  std::size_t offset = 0;
-  for (const auto& b : inner_.blocks()) {
-    const auto n = static_cast<std::size_t>(b->continuous_state_count());
-    if (n) b->derivatives(ctx, dx.subspan(offset, n));
-    offset += n;
-  }
 }
 
 mcu::OpCounts Subsystem::step_ops(bool fixed_point) const {
@@ -108,13 +78,9 @@ FunctionCallSubsystem::FunctionCallSubsystem(std::string name, int inputs,
                                              int outputs)
     : Subsystem(std::move(name), inputs, outputs) {}
 
-void FunctionCallSubsystem::output(const SimContext& ctx) {
-  (void)ctx;  // outputs hold their last triggered values
-}
-
 void FunctionCallSubsystem::trigger(const SimContext& ctx) {
-  run_outputs(ctx);
-  for (Block* b : inner_.sorted()) b->update(ctx);
+  Subsystem::output(ctx);
+  Subsystem::update(ctx);
   ++activations_;
 }
 

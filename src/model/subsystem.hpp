@@ -16,25 +16,44 @@
 
 namespace iecd::model {
 
+class Subsystem;
+
 /// Boundary block: presents a subsystem input inside the nested model.
+/// Once bound, each output() copies that input, converted to this port's
+/// type.
 class Inport : public Block {
  public:
   explicit Inport(std::string name) : Block(std::move(name), 0, 1) {}
   const char* type_name() const override { return "Inport"; }
-  void output(const SimContext&) override {}  // value injected by the parent
-  void inject(const Value& v) { set_out_value(0, v); }
+  void output(const SimContext& ctx) override;
+
+ private:
+  friend class Subsystem;
+  const Subsystem* owner_ = nullptr;
+  int port_ = 0;
 };
 
-/// Boundary block: exposes a value as a subsystem output.
+/// Boundary block: exposes a value as a subsystem output.  Each output()
+/// copies its input into its own port and, once bound, on into the
+/// subsystem's output port, each converted to the receiving type.
 class Outport : public Block {
  public:
   explicit Outport(std::string name) : Block(std::move(name), 1, 1) {}
   const char* type_name() const override { return "Outport"; }
-  void output(const SimContext&) override { set_out_value(0, in_value(0)); }
+  void output(const SimContext& ctx) override;
+
+ private:
+  friend class Subsystem;
+  Subsystem* owner_ = nullptr;
+  int port_ = 0;
 };
 
-/// An atomic subsystem: executes its whole interior when the parent engine
-/// executes it.  Interior blocks run at the subsystem's resolved rate.
+/// An atomic subsystem.  The engine splices its interior, boundary blocks
+/// included, into the flat program at the subsystem's position (see
+/// model/engine.hpp); interior blocks run at the rates initialize()
+/// resolves for them.  Callers that walk a model one level deep (a
+/// function-call subsystem, the generated controller's step task) reach
+/// the interior through output() and update() instead.
 class Subsystem : public Block {
  public:
   Subsystem(std::string name, int inputs, int outputs);
@@ -52,29 +71,27 @@ class Subsystem : public Block {
   }
   bool has_direct_feedthrough() const override { return feedthrough_; }
 
-  /// Declares which interior blocks are the boundary ports, in port order.
-  /// Must be called once the interior is fully built.
+  /// Declares which interior blocks are the boundary ports, in port order,
+  /// and binds them to this block's ports.  Must be called once the
+  /// interior is fully built.
   void bind_ports(std::vector<Inport*> inports, std::vector<Outport*> outports);
 
+  /// Resolves the interior rates (inherited blocks take this subsystem's,
+  /// explicit ones keep their own) and initializes the interior blocks.
   void initialize(const SimContext& ctx) override;
+  /// Runs every interior block's output(); the Inports and Outports copy
+  /// the values across the boundary.
   void output(const SimContext& ctx) override;
   void update(const SimContext& ctx) override;
-
-  // Continuous states aggregate over the interior.
-  int continuous_state_count() const override;
-  void read_states(std::span<double> into) const override;
-  void write_states(std::span<const double> from) override;
-  void derivatives(const SimContext& ctx, std::span<double> dx) const override;
+  const Model* spliced_interior() const override { return &inner_; }
 
   mcu::OpCounts step_ops(bool fixed_point) const override;
   std::uint32_t state_bytes() const override;
 
  protected:
-  void run_outputs(const SimContext& ctx);
+  friend class Outport;
 
   Model inner_;
-  std::vector<Inport*> inports_;
-  std::vector<Outport*> outports_;
   bool ports_bound_ = false;
   bool feedthrough_ = true;
 };
@@ -88,10 +105,13 @@ class FunctionCallSubsystem : public Subsystem {
   const char* type_name() const override { return "FunctionCallSubSystem"; }
 
   /// Periodic execution does nothing; only trigger() runs the interior.
-  void output(const SimContext& ctx) override;
+  void output(const SimContext& ctx) override { (void)ctx; }
   void update(const SimContext& ctx) override { (void)ctx; }
+  /// Triggered, so never spliced.
+  const Model* spliced_interior() const override { return nullptr; }
 
-  /// Executes one activation (outputs + updates of the interior).
+  /// Executes one activation (outputs + updates of the interior); between
+  /// activations the outputs hold their last values.
   void trigger(const SimContext& ctx);
 
   std::uint64_t activations() const { return activations_; }
@@ -108,7 +128,6 @@ class EventSource {
   void attach(FunctionCallSubsystem& subsystem);
   void attach(std::function<void(const SimContext&)> listener);
   void fire(const SimContext& ctx);
-  std::size_t listener_count() const { return listeners_.size(); }
 
  private:
   std::vector<std::function<void(const SimContext&)>> listeners_;

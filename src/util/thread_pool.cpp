@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace iecd::util {
 
@@ -65,7 +66,17 @@ void ThreadPool::parallel_for(std::size_t n,
       }
     }));
   }
-  for (auto& f : futures) f.get();
+  // Every task reads the stack-local next and fn: wait for all of them
+  // before rethrowing the first failure.
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace iecd::util

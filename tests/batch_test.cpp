@@ -362,7 +362,6 @@ TEST(PlantBatch, ThermalLanesMatchEngine) {
 TEST(PlantBatch, LatchKernelsMatchPeBlocks) {
   beans::BeanProject project("p");
   auto& adc_bean = project.add<beans::AdcBean>("AD1");
-  core::AdcPeBlock adc("AD1", adc_bean);
   const auto bits_prop = adc_bean.properties().get_int("resolution_bits");
   const double vref = adc_bean.properties().get_real("vref_high");
 
@@ -384,18 +383,20 @@ TEST(PlantBatch, LatchKernelsMatchPeBlocks) {
   batch::adc_latch_lanes(volts, static_cast<int>(bits_prop), vref, codes);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(counts[i], static_cast<double>(
-                             servo.qdec_block().angle_to_counts(angles[i])));
-    EXPECT_EQ(codes[i], adc.quantize_volts(volts[i]));
+                             core::QuadDecPeBlock::angle_to_counts(angles[i],
+                                                                   cpr)));
+    EXPECT_EQ(codes[i], core::AdcPeBlock::quantize_volts(
+                            volts[i], static_cast<int>(bits_prop), vref));
   }
 
-  // Solved-modulo path against the real PWM block (the servo constructor
-  // derives the modulo from pwm_frequency_hz).
+  // Solved-modulo path (the servo constructor derives the modulo from
+  // pwm_frequency_hz).
   const auto modulo = pwm_modulo_of(servo);
   ASSERT_GT(modulo, 0);
   batch::pwm_latch_lanes(ratios, modulo, duty);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(bits(duty[i]),
-              bits(servo.pwm_block().quantize_duty(ratios[i])));
+              bits(core::PwmPeBlock::quantize_duty(ratios[i], modulo)));
   }
 
   // Unsolved bean (modulo 0): clamp-only pass-through.

@@ -80,6 +80,29 @@ TEST(Generator, ProducesPeriodicTaskWithCosts) {
   EXPECT_LT(app.estimated_utilisation(dsc.costs, dsc.clock_hz), 1.0);
 }
 
+TEST(Generator, StepTaskRunsNestedAtomicSubsystems) {
+  // ctrl gains one -> nested(accumulator); the step task walks the
+  // controller's interior, and the nested interior must run with it.
+  MiniController mc;
+  model::Model& inner = mc.sub->inner();
+  auto& nested = inner.add<model::Subsystem>("nested", 1, 1);
+  auto& n_in = nested.inner().add<model::Inport>("in");
+  auto& n_out = nested.inner().add<model::Outport>("out");
+  auto& acc =
+      nested.inner().add<blocks::DiscreteIntegratorBlock>("acc", 1.0);
+  nested.inner().connect(n_in, 0, acc, 0);
+  nested.inner().connect(acc, 0, n_out, 0);
+  nested.bind_ports({&n_in}, {&n_out});
+  auto& one = inner.add<blocks::ConstantBlock>("one", 1.0);
+  inner.connect(one, 0, nested, 0);
+  Generator gen;
+  auto app = gen.generate(*mc.sub, mc.project, {});
+  ASSERT_GE(app.tasks.size(), 1u);
+  const model::SimContext ctx{0.0, 0.001, false};
+  for (int i = 0; i < 3; ++i) app.tasks[0].compute(ctx);
+  EXPECT_DOUBLE_EQ(nested.out(0).as_double(), 0.002);
+}
+
 TEST(Generator, HookEnablesExactlyRequiredMethods) {
   MiniController mc;
   Generator gen;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "core/case_study.hpp"
 #include "core/model_sync.hpp"
@@ -8,6 +13,8 @@
 #include "core/peert.hpp"
 #include "mcu/derivative.hpp"
 #include "rt/runtime.hpp"
+
+#include "golden/run_mil_default.inc"
 
 namespace iecd::core {
 namespace {
@@ -337,6 +344,94 @@ TEST_F(ServoFixture, PortToColdFireRevalidatesAndRuns) {
   const auto hil = servo.run_hil();
   EXPECT_TRUE(hil.metrics.settled);
 }
+
+// ------------------------------------------------------- MIL bit golden
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+template <std::size_t N>
+void expect_log_bits(const model::SampleLog& log,
+                     const std::uint64_t (&golden)[N], const char* what) {
+  ASSERT_EQ(log.size(), N) << what;
+  for (std::size_t i = 0; i < N; ++i) {
+    const double t = static_cast<double>(i) * 1e6 * 1e-9;  // engine grid
+    if (bits_of(log.time_at(i)) != bits_of(t) ||
+        bits_of(log.value_at(i)) != golden[i]) {
+      ADD_FAILURE() << what << " leaves the golden at sample " << i
+                    << ": t=" << log.time_at(i) << " value=" << std::hexfloat
+                    << log.value_at(i);
+      return;
+    }
+  }
+}
+
+TEST(ServoMilGolden, DefaultConfigRunIsBitExact) {
+  ServoSystem servo{ServoConfig{}};
+  const auto r = servo.run_mil();
+  EXPECT_EQ(bits_of(r.iae), golden::kIaeBits) << std::hexfloat << r.iae;
+  expect_log_bits(r.speed, golden::kSpeedBits, "speed");
+  expect_log_bits(r.duty, golden::kDutyBits, "duty");
+}
+
+// ------------------------------------------------- ServoConfig validation
+
+TEST(ServoConfigValidation, DefaultConfigValidatesClean) {
+  const auto diags = validate(ServoConfig{});
+  EXPECT_TRUE(diags.empty()) << diags.to_string();
+}
+
+struct BadField {
+  const char* component;
+  std::function<void(ServoConfig&)> spoil;
+};
+
+class ServoConfigRejects : public ::testing::TestWithParam<BadField> {};
+
+TEST_P(ServoConfigRejects, WithOneDiagnosticAndRunMilThrows) {
+  ServoConfig cfg;
+  GetParam().spoil(cfg);
+  const auto diags = validate(cfg);
+  ASSERT_EQ(diags.size(), 1u) << diags.to_string();
+  EXPECT_EQ(diags.items()[0].severity, util::Severity::kError);
+  EXPECT_EQ(diags.items()[0].component, GetParam().component);
+  cfg.duration_s = std::min(cfg.duration_s, 0.01);  // keep a bad run short
+  ServoSystem servo(cfg);
+  EXPECT_THROW(servo.run_mil(), std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, ServoConfigRejects,
+    ::testing::Values(
+        BadField{"servo.encoder_lines",
+                 [](ServoConfig& c) { c.encoder_lines = 0; }},
+        BadField{"servo.period_s", [](ServoConfig& c) { c.period_s = 0.0; }},
+        BadField{"servo.pwm_frequency_hz",
+                 [](ServoConfig& c) { c.pwm_frequency_hz = -1.0; }},
+        BadField{"servo.duration_s",
+                 [](ServoConfig& c) { c.duration_s = -0.5; }},
+        BadField{"servo.setpoint", [](ServoConfig& c) { c.setpoint = kNaN; }},
+        BadField{"servo.kp", [](ServoConfig& c) { c.kp = kInf; }},
+        BadField{"servo.ki", [](ServoConfig& c) { c.ki = kNaN; }},
+        BadField{"servo.motor.inertia",
+                 [](ServoConfig& c) { c.motor.inertia = 0.0; }},
+        BadField{"servo.motor.inductance",
+                 [](ServoConfig& c) { c.motor.inductance = kNaN; }},
+        BadField{"servo.motor.resistance",
+                 [](ServoConfig& c) { c.motor.resistance = -2.0; }}),
+    [](const ::testing::TestParamInfo<BadField>& info) {
+      std::string name = info.param.component + std::strlen("servo.");
+      for (char& ch : name) {
+        if (ch == '.') ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace iecd::core

@@ -55,9 +55,23 @@ TEST(SubsystemEdge, TwoLevelNestingExecutes) {
   auto& scope = top.add<blocks::ScopeBlock>("scope");
   top.connect(c, 0, outer, 0);
   top.connect(outer, 0, scope, 0);
-  model::Engine eng(top, {.stop_time = 0.005});
-  eng.run();
+  model::Engine eng(top, {.stop_time = 0.015});
+  eng.advance_to(0.005);
   EXPECT_DOUBLE_EQ(scope.log().last_value(), 30.0);
+
+  // Editing an interior model mid-run rebuilds the program; removing g2
+  // would leave a dangling entry in a stale one.
+  ASSERT_TRUE(nested.inner().remove("g2"));
+  auto& n_g5 = nested.inner().add<blocks::GainBlock>("g5", 5.0);
+  nested.inner().connect(n_in, 0, n_g5, 0);
+  nested.inner().connect(n_g5, 0, n_out, 0);
+  eng.advance_to(0.01);
+  EXPECT_DOUBLE_EQ(scope.log().last_value(), 75.0);
+  // Removing the nested subsystem destroys a model the program spliced.
+  ASSERT_TRUE(outer.inner().remove("nested"));
+  outer.inner().connect(o_in, 0, o_gain, 0);
+  eng.run();
+  EXPECT_DOUBLE_EQ(scope.log().last_value(), 15.0);
 }
 
 TEST(EngineEdge, EmptyModelRuns) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "blocks/continuous.hpp"
 #include "blocks/discrete.hpp"
@@ -309,6 +311,157 @@ TEST(Subsystem, ContinuousPlantInsideSubsystem) {
   EXPECT_NEAR(sub.out(0).as_double(), 1.0, 1e-9);
 }
 
+// ------------------------------------------------- Hierarchy transparency
+
+// One closed loop built three ways: flat, wrapped in one subsystem, and
+// nested two deep.  A discrete P controller (fixed-point output) feeds a
+// hold slower than its subsystem (3 ms, offset 1 ms), which drives a
+// continuous first-order plant.  The flat program must make the shapes
+// indistinguishable.
+enum class Shape { kFlat, kWrapped, kNested };
+
+constexpr double kTs = 1e-3;
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+struct LoopBlocks {
+  Block* err = nullptr;
+  Block* ctl = nullptr;
+  Block* hold = nullptr;
+  Block* pin = nullptr;
+  Block* x = nullptr;
+};
+
+// Controller-side leaves go into \p c, plant-side leaves into \p p.
+LoopBlocks add_loop(Model& c, Model& p) {
+  const auto fmt = fixpt::FixedFormat::s16(10);
+  LoopBlocks l;
+  l.err = &c.add<SumBlock>("err", "+-");
+  l.err->set_sample_time(SampleTime::discrete(kTs));
+  l.ctl = &c.add<GainBlock>("ctl", 4.0);
+  l.ctl->set_sample_time(SampleTime::discrete(kTs));
+  l.ctl->set_output_type(0, DataType::kFixed, fmt);
+  l.hold = &c.add<UnitDelayBlock>("hold", 0.0);
+  l.hold->set_sample_time(SampleTime::discrete(3 * kTs, kTs));
+  l.hold->set_output_type(0, DataType::kFixed, fmt);
+  l.pin = &p.add<SumBlock>("pin", "+-");
+  l.pin->set_sample_time(SampleTime::continuous());
+  l.x = &p.add<IntegratorBlock>("x", 0.0);
+  c.connect(*l.err, 0, *l.ctl, 0);
+  c.connect(*l.ctl, 0, *l.hold, 0);
+  p.connect(*l.pin, 0, *l.x, 0);
+  p.connect(*l.x, 0, *l.pin, 1);
+  return l;
+}
+
+// Adds an Outport named \p name fed by \p src to \p m.
+Outport& expose(Model& m, const std::string& name, Block& src) {
+  auto& out = m.add<Outport>(name);
+  m.connect(src, 0, out, 0);
+  return out;
+}
+
+// Builds the loop in \p top; returns the scope logging y, ctl and hold.
+ScopeBlock& build_loop(Model& top, Shape shape) {
+  const auto fmt = fixpt::FixedFormat::s16(10);
+  auto& u = top.add<StepBlock>("u", 0.0035, 0.0, 1.0);
+  u.set_sample_time(SampleTime::discrete(kTs));
+  auto& scope = top.add<ScopeBlock>("scope", 3);
+  scope.set_sample_time(SampleTime::discrete(kTs));
+  if (shape == Shape::kFlat) {
+    const LoopBlocks l = add_loop(top, top);
+    top.connect(u, 0, *l.err, 0);
+    top.connect(*l.x, 0, *l.err, 1);
+    top.connect(*l.hold, 0, *l.pin, 0);
+    top.connect(*l.x, 0, scope, 0);
+    top.connect(*l.ctl, 0, scope, 1);
+    top.connect(*l.hold, 0, scope, 2);
+    return scope;
+  }
+  // The controller side lives in `sys`: one continuous subsystem holding
+  // everything, or a 1 ms subsystem holding a continuous plant subsystem.
+  auto& sys = top.add<Subsystem>("sys", 1, 3);
+  Model& c = sys.inner();
+  auto& u_in = c.add<Inport>("u_in");
+  LoopBlocks l;
+  Block* y = nullptr;
+  if (shape == Shape::kWrapped) {
+    sys.set_sample_time(SampleTime::continuous());
+    l = add_loop(c, c);
+    c.connect(*l.hold, 0, *l.pin, 0);
+    y = l.x;
+  } else {
+    sys.set_sample_time(SampleTime::discrete(kTs));
+    auto& plant = c.add<Subsystem>("plant", 1, 1);
+    plant.set_sample_time(SampleTime::continuous());
+    plant.set_direct_feedthrough(false);
+    Model& p = plant.inner();
+    auto& v = p.add<Inport>("v");
+    v.set_output_type(0, DataType::kFixed, fmt);  // fixed-point boundary
+    l = add_loop(c, p);
+    p.connect(v, 0, *l.pin, 0);
+    plant.bind_ports({&v}, {&expose(p, "y", *l.x)});
+    c.connect(*l.hold, 0, plant, 0);
+    y = &plant;
+  }
+  c.connect(u_in, 0, *l.err, 0);
+  c.connect(*y, 0, *l.err, 1);
+  sys.bind_ports({&u_in}, {&expose(c, "y_out", *y),
+                           &expose(c, "ctl_out", *l.ctl),
+                           &expose(c, "hold_out", *l.hold)});
+  sys.set_output_type(1, DataType::kFixed, fmt);  // fixed-point boundary
+  sys.set_output_type(2, DataType::kFixed, fmt);
+  top.connect(u, 0, sys, 0);
+  for (int i = 0; i < 3; ++i) top.connect(sys, i, scope, i);
+  return scope;
+}
+
+void expect_same_bits(const SampleLog& a, const SampleLog& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (bits_of(a.time_at(i)) != bits_of(b.time_at(i)) ||
+        bits_of(a.value_at(i)) != bits_of(b.value_at(i))) {
+      ADD_FAILURE() << what << " differs at sample " << i << ": ("
+                    << a.time_at(i) << ", " << a.value_at(i) << ") vs ("
+                    << b.time_at(i) << ", " << b.value_at(i) << ")";
+      return;
+    }
+  }
+}
+
+TEST(Subsystem, HierarchyIsTransparentToTheFlatProgram) {
+  Model flat("flat"), wrapped("wrapped"), nested("nested");
+  ScopeBlock& ref = build_loop(flat, Shape::kFlat);
+  ScopeBlock& one = build_loop(wrapped, Shape::kWrapped);
+  ScopeBlock& two = build_loop(nested, Shape::kNested);
+  for (Model* m : {&flat, &wrapped, &nested}) {
+    Engine eng(*m, {.stop_time = 0.08});
+    eng.run();
+  }
+  const char* channels[] = {"y", "ctl", "hold"};
+  for (int ch = 0; ch < 3; ++ch) {
+    expect_same_bits(ref.log(ch), one.log(ch),
+                     std::string("wrapped ") + channels[ch]);
+    expect_same_bits(ref.log(ch), two.log(ch),
+                     std::string("nested ") + channels[ch]);
+  }
+  // The loop really moves, and the hold really runs at its own 3 ms rate
+  // with its 1 ms offset: its value changes only at t = 1 ms + 3k ms.
+  EXPECT_GT(ref.log(0).last_value(), 0.1);
+  const SampleLog& hold = two.log(2);
+  for (std::size_t i = 1; i < hold.size(); ++i) {
+    if (hold.value_at(i) != hold.value_at(i - 1)) {
+      EXPECT_EQ((i + 2) % 3, 0u) << "hold changed at sample " << i;
+    }
+  }
+  EXPECT_NE(hold.last_value(), 0.0);
+}
+
 TEST(FunctionCallSubsystem, RunsOnlyWhenTriggered) {
   Model m("top");
   auto& fcall = m.add<FunctionCallSubsystem>("isr", 0, 1);
@@ -326,6 +479,32 @@ TEST(FunctionCallSubsystem, RunsOnlyWhenTriggered) {
   fcall.trigger(ctx);
   fcall.trigger(ctx);
   EXPECT_EQ(fcall.activations(), 2u);
+}
+
+TEST(FunctionCallSubsystem, TriggerRunsNestedAtomicSubsystems) {
+  // isr: one -> nested(accumulator) -> out.  The flat program never
+  // splices a triggered unit, so the nested interior runs from trigger().
+  Model m("top");
+  auto& fcall = m.add<FunctionCallSubsystem>("isr", 0, 1);
+  Model& f = fcall.inner();
+  auto& nested = f.add<Subsystem>("nested", 1, 1);
+  auto& n_in = nested.inner().add<Inport>("in");
+  auto& acc = nested.inner().add<blocks::DiscreteIntegratorBlock>("acc", 1.0);
+  auto& n_out = expose(nested.inner(), "out", acc);
+  nested.inner().connect(n_in, 0, acc, 0);
+  nested.bind_ports({&n_in}, {&n_out});
+  auto& one = f.add<ConstantBlock>("one", 1.0);
+  f.connect(one, 0, nested, 0);
+  fcall.bind_ports({}, {&expose(f, "out", nested)});
+  Engine eng(m, {.stop_time = 0.01});
+  eng.initialize();
+  const SimContext ctx{0.0, 1e-3, false};
+  fcall.trigger(ctx);
+  fcall.trigger(ctx);
+  const double after_one_update = fcall.out(0).as_double();
+  fcall.trigger(ctx);
+  EXPECT_GT(after_one_update, 0.0);
+  EXPECT_DOUBLE_EQ(fcall.out(0).as_double(), 2.0 * after_one_update);
 }
 
 TEST(EventSource, FiresAttachedSubsystemsAndListeners) {

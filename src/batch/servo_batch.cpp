@@ -1,7 +1,5 @@
 #include "batch/servo_batch.hpp"
 
-#include "batch/plant_batch.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <numbers>
@@ -360,6 +358,41 @@ ServoLaneResult ServoBatch::result(std::size_t lane) const {
   r.iae = model::integral_absolute_error(r.speed, sp_[lane]);
   r.faulted = faulted_[lane] != 0;
   return r;
+}
+
+// ------------------------------------------------------------- latches
+
+void pwm_latch_lanes(std::span<const double> ratio, std::int64_t modulo,
+                     std::span<double> duty) {
+  const std::size_t n = ratio.size();
+  if (modulo <= 0) {
+    for (std::size_t l = 0; l < n; ++l) {
+      const double v = ratio[l];
+      duty[l] = v < 0.0 ? 0.0 : (1.0 < v ? 1.0 : v);
+    }
+    return;
+  }
+  const double steps = static_cast<double>(modulo);
+  for (std::size_t l = 0; l < n; ++l) {
+    const double v = ratio[l];
+    const double clamped = v < 0.0 ? 0.0 : (1.0 < v ? 1.0 : v);
+    duty[l] = std::round(clamped * steps) / steps;
+  }
+}
+
+void qdec_latch_lanes(std::span<const double> angle_rad, double cpr,
+                      std::span<double> counts) {
+  const std::size_t n = angle_rad.size();
+  for (std::size_t l = 0; l < n; ++l) {
+    const double c = std::floor(angle_rad[l] / (2.0 * std::numbers::pi) * cpr);
+    // Guard the int64 conversion: UB for non-finite / out-of-range values
+    // (the scalar block never sees them because its run has already blown
+    // up; a batch retires the lane instead).
+    std::int64_t wide = 0;
+    if (c >= -9.2e18 && c <= 9.2e18) wide = static_cast<std::int64_t>(c);
+    counts[l] = static_cast<double>(static_cast<std::int16_t>(
+        static_cast<std::uint16_t>(wide & 0xFFFF)));
+  }
 }
 
 std::vector<ServoLaneResult> run_servo_batch(const ServoBatchConfig& config,

@@ -147,6 +147,23 @@ class ServoBatch {
   std::vector<std::size_t> lane_samples_;
 };
 
+// ---------------------------------------------------------------- latches
+// Lane kernels for the PE-block hardware latches, one call per batch
+// instead of one virtual dispatch per run.  Each replicates the scalar
+// expression exactly (core/pe_blocks.cpp).
+
+/// PwmPeBlock::quantize_duty over lanes.  modulo <= 0 is the unvalidated
+/// pass-through (clamp only).
+void pwm_latch_lanes(std::span<const double> ratio, std::int64_t modulo,
+                     std::span<double> duty);
+
+/// QuadDecPeBlock::angle_to_counts over lanes, widened back to double (the
+/// value the decoder block outputs into the diagram).  Non-finite angles
+/// latch 0 instead of invoking the scalar path's undefined int64 cast; the
+/// batch engine retires such lanes as faulted.
+void qdec_latch_lanes(std::span<const double> angle_rad, double cpr,
+                      std::span<double> counts);
+
 /// Convenience: construct, run and extract every lane.
 std::vector<ServoLaneResult> run_servo_batch(const ServoBatchConfig& config,
                                              std::span<const ServoLane> lanes);

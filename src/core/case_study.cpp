@@ -335,12 +335,10 @@ ServoSystem::HilResult ServoSystem::run_hil(const HilOptions& options) {
   // Periodic probe recording the true motor speed.
   HilResult result;
   const sim::SimTime period = sim::from_seconds(config_.period_s);
-  std::function<void()> probe = [&] {
+  world.queue().schedule_every(period, [&] {
     result.speed.record(sim::to_seconds(world.now()),
                         motor.speed_at(world.now()));
-    world.queue().schedule_in(period, probe);
-  };
-  world.queue().schedule_in(period, probe);
+  });
 
   world.run_for(sim::from_seconds(duration));
 

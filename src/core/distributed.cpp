@@ -1,9 +1,7 @@
 #include "core/distributed.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
-#include <numbers>
 #include <optional>
 
 #include "cosim/master.hpp"
@@ -11,21 +9,6 @@
 #include "util/statistics.hpp"
 
 namespace iecd::core {
-
-namespace {
-
-/// Packs/unpacks the 16-bit payload fields of the demo frames.
-void put_u16(sim::CanPayload& data, std::uint16_t v) {
-  data.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  data.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-std::uint16_t get_u16(const sim::CanPayload& data, std::size_t offset) {
-  return static_cast<std::uint16_t>(data[offset] |
-                                    (data[offset + 1] << 8));
-}
-
-}  // namespace
 
 // The rig runs on the co-simulation master (src/cosim/) as a 2-component
 // topology plus background chatter:
@@ -60,16 +43,13 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   auto& qd = sensor_project.add<beans::QuadDecBean>("QD1");
   auto& timer = sensor_project.add<beans::TimerIntBean>("TI1");
   auto& sensor_can = sensor_project.add<beans::CanBean>("CAN1");
-  {
-    util::DiagnosticList d;
-    qd.set_property("encoder_lines",
-                    static_cast<std::int64_t>(config.encoder_lines), d);
-    timer.set_property("period_s", config.period_s, d);
-  }
-  auto diags = sensor_project.validate();
-  if (diags.has_errors()) {
-    throw std::runtime_error("distributed sensor node: " + diags.to_string());
-  }
+  util::DiagnosticList sensor_writes;
+  qd.set_property("encoder_lines",
+                  static_cast<std::int64_t>(config.encoder_lines),
+                  sensor_writes);
+  timer.set_property("period_s", config.period_s, sensor_writes);
+  cosim::require_valid("distributed sensor node", sensor_project,
+                       std::move(sensor_writes));
   sensor_project.bind(sensor_mcu);
   bus.attach_controller(*sensor_can.peripheral());  // bus node 0
 
@@ -88,7 +68,7 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   sensor_tick.commit = [&] {
     sim::CanFrame frame;
     frame.id = DistributedConfig::kSensorFrameId;
-    put_u16(frame.data, static_cast<std::uint16_t>(sensor_pos));
+    cosim::put_u16(frame.data, static_cast<std::uint16_t>(sensor_pos));
     frame.data.push_back(sensor_seq);
     sample_sent_at[sensor_seq] = rig_world.now();
     ++sensor_seq;
@@ -99,26 +79,19 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   // --- Controller node: speed estimation + PI over CAN ---------------
   beans::BeanProject ctrl_project("controller");
   auto& ctrl_can = ctrl_project.add<beans::CanBean>("CAN1");
-  {
-    util::DiagnosticList d;
-    ctrl_can.set_property(
-        "acceptance_id",
-        static_cast<std::int64_t>(DistributedConfig::kSensorFrameId), d);
-    ctrl_can.set_property("acceptance_mask", std::int64_t{0x7FF}, d);
-  }
-  ctrl_project.validate();
+  util::DiagnosticList ctrl_writes;
+  ctrl_can.set_property(
+      "acceptance_id",
+      static_cast<std::int64_t>(DistributedConfig::kSensorFrameId),
+      ctrl_writes);
+  ctrl_can.set_property("acceptance_mask", std::int64_t{0x7FF}, ctrl_writes);
+  cosim::require_valid("distributed controller node", ctrl_project,
+                       std::move(ctrl_writes));
   ctrl_project.bind(ctrl_mcu);
   bus.attach_controller(*ctrl_can.peripheral());  // bus node 1
 
-  const double counts_per_rev = config.encoder_lines * 4.0;
-  const double speed_gain =
-      2.0 * std::numbers::pi / (counts_per_rev * config.period_s);
-  double prev_counts = 0.0;
-  bool have_prev = false;
-  double filt[4] = {0, 0, 0, 0};
-  int filt_idx = 0;
-  double integral = 0.0;
-  double duty_cmd = 0.0;
+  cosim::SpeedLoop loop(config.kp, config.ki, config.period_s,
+                        config.encoder_lines);
   std::uint8_t ctrl_seq = 0;
 
   mcu::IsrHandler ctrl_rx;
@@ -126,35 +99,17 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   ctrl_rx.body = [&]() -> std::uint64_t {
     const auto frame = ctrl_can.ReadFrame();
     if (!frame || frame->data.size() < 3) return 60;
-    const auto pos =
-        static_cast<std::int16_t>(get_u16(frame->data, 0));
     ctrl_seq = frame->data[2];
-    const double counts = static_cast<double>(pos);
-    double speed = 0.0;
-    if (have_prev) {
-      speed = std::remainder(counts - prev_counts, 65536.0) * speed_gain;
-    }
-    prev_counts = counts;
-    have_prev = true;
-    filt[filt_idx & 3] = speed;
-    ++filt_idx;
-    const double smoothed = (filt[0] + filt[1] + filt[2] + filt[3]) / 4.0;
-
     const double t = sim::to_seconds(ctrl_world.now());
     const double sp = t >= config.setpoint_time ? config.setpoint : 0.0;
-    const double error = sp - smoothed;
-    const double unsat = config.kp * error + integral;
-    duty_cmd = std::clamp(unsat, 0.0, 1.0);
-    // Back-calculation anti-windup, as in the single-node PI.
-    integral += config.ki * config.period_s *
-                (error + (duty_cmd - unsat) / std::max(config.kp, 1e-9));
+    loop.step(static_cast<std::int16_t>(cosim::get_u16(frame->data, 0)), sp);
     return 900;  // speed estimate + PI in software floating point
   };
   ctrl_rx.commit = [&] {
     sim::CanFrame frame;
     frame.id = DistributedConfig::kActuatorFrameId;
-    put_u16(frame.data,
-            static_cast<std::uint16_t>(std::lround(duty_cmd * 65535.0)));
+    cosim::put_u16(frame.data, static_cast<std::uint16_t>(
+                                   std::lround(loop.duty() * 65535.0)));
     frame.data.push_back(ctrl_seq);
     ctrl_can.SendFrame(frame);
   };
@@ -164,14 +119,14 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   beans::BeanProject act_project("actuator");
   auto& pwm = act_project.add<beans::PwmBean>("PWM1");
   auto& act_can = act_project.add<beans::CanBean>("CAN1");
-  {
-    util::DiagnosticList d;
-    act_can.set_property(
-        "acceptance_id",
-        static_cast<std::int64_t>(DistributedConfig::kActuatorFrameId), d);
-    act_can.set_property("acceptance_mask", std::int64_t{0x7FF}, d);
-  }
-  act_project.validate();
+  util::DiagnosticList act_writes;
+  act_can.set_property(
+      "acceptance_id",
+      static_cast<std::int64_t>(DistributedConfig::kActuatorFrameId),
+      act_writes);
+  act_can.set_property("acceptance_mask", std::int64_t{0x7FF}, act_writes);
+  cosim::require_valid("distributed actuator node", act_project,
+                       std::move(act_writes));
   act_project.bind(act_mcu);
   bus.attach_controller(*act_can.peripheral());  // bus node 2
   pwm.Enable();
@@ -185,7 +140,7 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
     const auto frame = act_can.ReadFrame();
     have_frame = frame.has_value() && frame->data.size() >= 3;
     if (have_frame) {
-      duty_raw = get_u16(frame->data, 0);
+      duty_raw = cosim::get_u16(frame->data, 0);
       act_seq = frame->data[2];
     }
     return 90;
@@ -221,15 +176,10 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   // --- Probe + run ----------------------------------------------------
   DistributedResult result;
   const sim::SimTime period = sim::from_seconds(config.period_s);
-  // The probe reschedules copies of itself that refer back to this local,
-  // which outlives every event run by master.run_until() below.
-  std::function<void()> probe = [&rig_world, &motor, &result, period,
-                                 &probe] {
+  rig_world.queue().schedule_every(period, [&rig_world, &motor, &result] {
     result.speed.record(sim::to_seconds(rig_world.now()),
                         motor.speed_at(rig_world.now()));
-    rig_world.queue().schedule_in(period, probe);
-  };
-  rig_world.queue().schedule_in(period, probe);
+  });
 
   timer.Enable();
 

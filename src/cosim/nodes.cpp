@@ -2,26 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 #include "mcu/derivative.hpp"
-#include "util/diagnostics.hpp"
 
 namespace iecd::cosim {
 
-namespace {
-
-void put_u16(sim::CanPayload& data, std::uint16_t v) {
-  data.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  data.push_back(static_cast<std::uint8_t>(v >> 8));
+void require_valid(const std::string& node, beans::BeanProject& project,
+                   util::DiagnosticList writes) {
+  writes.merge(project.validate());
+  if (writes.has_errors()) {
+    throw std::runtime_error(node + ": " + writes.to_string());
+  }
 }
-
-std::uint16_t get_u16(const sim::CanPayload& data, std::size_t offset) {
-  return static_cast<std::uint16_t>(data[offset] | (data[offset + 1] << 8));
-}
-
-}  // namespace
 
 // ----------------------------------------------------------------- ServoNode
 
@@ -30,33 +23,26 @@ ServoNode::ServoNode(std::string name, std::size_t index,
     : WorldComponent(std::move(name)),
       index_(index),
       config_(config),
+      // A degraded node runs the same firmware on a stretched timer, and
+      // its speed estimate is calibrated from that stretched period —
+      // degradation costs loop bandwidth, not steady-state accuracy.
+      period_s_(config_.period_s * std::max(1.0, config_.period_factor)),
       mcu_(world(), mcu::find_derivative(mcu::kDefaultDerivative),
            this->name() + "_mcu"),
-      project_(this->name()) {
-  // A degraded node runs the same firmware on a stretched timer, and its
-  // speed estimate is calibrated from that stretched period — degradation
-  // costs loop bandwidth, not steady-state accuracy.
-  period_s_ = config_.period_s * std::max(1.0, config_.period_factor);
-  const double counts_per_rev = config_.encoder_lines * 4.0;
-  speed_gain_ = 2.0 * std::numbers::pi / (counts_per_rev * period_s_);
-
+      project_(this->name()),
+      loop_(config_.kp, config_.ki, period_s_, config_.encoder_lines) {
   qd_ = &project_.add<beans::QuadDecBean>("QD1");
   pwm_ = &project_.add<beans::PwmBean>("PWM1");
   timer_ = &project_.add<beans::TimerIntBean>("TI1");
   can_ = &project_.add<beans::CanBean>("CAN1");
-  {
-    util::DiagnosticList d;
-    qd_->set_property("encoder_lines",
-                      static_cast<std::int64_t>(config_.encoder_lines), d);
-    timer_->set_property("period_s", period_s_, d);
-    can_->set_property("acceptance_id",
-                       static_cast<std::int64_t>(config_.command_frame_id), d);
-    can_->set_property("acceptance_mask", std::int64_t{0x7FF}, d);
-  }
-  auto diags = project_.validate();
-  if (diags.has_errors()) {
-    throw std::runtime_error(this->name() + ": " + diags.to_string());
-  }
+  util::DiagnosticList d;
+  qd_->set_property("encoder_lines",
+                    static_cast<std::int64_t>(config_.encoder_lines), d);
+  timer_->set_property("period_s", period_s_, d);
+  can_->set_property("acceptance_id",
+                     static_cast<std::int64_t>(config_.command_frame_id), d);
+  can_->set_property("acceptance_mask", std::int64_t{0x7FF}, d);
+  require_valid(this->name(), project_, std::move(d));
   project_.bind(mcu_);
   bus.attach_controller(*can_->peripheral());
   pwm_->Enable();
@@ -74,35 +60,19 @@ ServoNode::ServoNode(std::string name, std::size_t index,
   tick.body = [this]() -> std::uint64_t {
     release_ += sim::from_seconds(period_s_);
     body_start_ = world().now();
-    const auto pos = static_cast<std::int16_t>(qd_->GetPosition());
-    const double counts = static_cast<double>(pos);
-    double speed = 0.0;
-    if (have_prev_) {
-      speed = std::remainder(counts - prev_counts_, 65536.0) * speed_gain_;
-    }
-    prev_counts_ = counts;
-    have_prev_ = true;
-    filt_[filt_idx_ & 3] = speed;
-    ++filt_idx_;
-    smoothed_ = (filt_[0] + filt_[1] + filt_[2] + filt_[3]) / 4.0;
-
-    const double error = setpoint_ - smoothed_;
-    const double unsat = config_.kp * error + integral_;
-    duty_cmd_ = std::clamp(unsat, 0.0, 1.0);
-    integral_ += config_.ki * period_s_ *
-                 (error + (duty_cmd_ - unsat) / std::max(config_.kp, 1e-9));
+    loop_.step(static_cast<std::int16_t>(qd_->GetPosition()), setpoint_);
     return 900;  // read + speed estimate + PI, software floating point
   };
   tick.commit = [this] {
     pwm_->SetRatio16(
-        static_cast<std::uint16_t>(std::lround(duty_cmd_ * 65535.0)));
+        static_cast<std::uint16_t>(std::lround(loop_.duty() * 65535.0)));
     ++control_ticks_;
     if (config_.status_divider > 0 &&
         control_ticks_ % static_cast<std::uint64_t>(config_.status_divider) ==
             0) {
       sim::CanFrame frame;
       frame.id = config_.status_frame_base + static_cast<std::uint32_t>(index_);
-      const double bounded = std::clamp(smoothed_, -1000.0, 1000.0);
+      const double bounded = std::clamp(loop_.smoothed(), -1000.0, 1000.0);
       put_u16(frame.data, static_cast<std::uint16_t>(
                               static_cast<std::int16_t>(
                                   std::lround(bounded * 16.0))));

@@ -1,7 +1,7 @@
 // Batched SoA simulation core: the determinism contract (every lane
 // bit-identical to the scalar engine), divergence masking, the shared-RK4
-// refactor lock, the batched sweep/campaign plumbing, and the batched
-// simple plants.
+// refactor lock, the batched sweep/campaign plumbing, and the latch
+// kernels.
 
 #include <gtest/gtest.h>
 
@@ -10,18 +10,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "batch/plant_batch.hpp"
 #include "batch/servo_batch.hpp"
 #include "core/case_study.hpp"
 #include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "fault/sites.hpp"
-#include "model/engine.hpp"
-#include "model/model.hpp"
-#include "blocks/sinks.hpp"
-#include "blocks/sources.hpp"
 #include "plant/dc_motor.hpp"
-#include "plant/simple_plants.hpp"
 #include "util/rk4.hpp"
 
 namespace iecd {
@@ -286,107 +280,26 @@ TEST(BatchRk4Refactor, SharedStepMatchesInlineClassicRk4) {
   }
 }
 
-// ------------------------------------------------------- batched plants
-
-TEST(PlantBatch, WaterTankLanesMatchEngine) {
-  plant::WaterTankBlock::Params params[3];
-  params[1].initial_level = 0.5;
-  params[1].inflow_gain = 0.006;
-  params[2].initial_level = 2.5;  // above the brim: raw initial recorded
-  params[2].outlet_area = 4.0e-4;
-
-  batch::PlantBatchConfig cfg;
-  cfg.duration_s = 0.5;
-  const double step_time = 0.2;
-  batch::WaterTankBatch tanks(cfg, params);
-  while (!tanks.done()) {
-    const double t = tanks.time();
-    const double valve = t >= step_time ? 1.0 : 0.0;
-    for (std::size_t l = 0; l < tanks.width(); ++l) tanks.set_input(l, valve);
-    tanks.step();
-  }
-
-  for (int k = 0; k < 3; ++k) {
-    model::Model m("tank");
-    auto& src = m.add<blocks::StepBlock>("valve", step_time, 0.0, 1.0);
-    auto& tank = m.add<plant::WaterTankBlock>("plant", params[k]);
-    auto& scope = m.add<blocks::ScopeBlock>("scope");
-    m.connect(src, 0, tank, 0);
-    m.connect(tank, 0, scope, 0);
-    model::EngineOptions opts;
-    opts.stop_time = cfg.duration_s;
-    opts.base_period = cfg.period_s;
-    opts.minor_steps = cfg.minor_steps;
-    model::Engine engine(m, opts);
-    engine.run();
-    SCOPED_TRACE(k);
-    expect_logs_identical(tanks.levels(k), scope.log(), "tank lane");
-  }
-}
-
-TEST(PlantBatch, ThermalLanesMatchEngine) {
-  plant::ThermalPlantBlock::Params params[2];
-  params[1].heater_power = 90.0;
-  params[1].ambient = 18.0;
-
-  batch::PlantBatchConfig cfg;
-  cfg.period_s = 0.01;
-  cfg.duration_s = 2.0;
-  batch::ThermalBatch plants(cfg, params);
-  while (!plants.done()) {
-    for (std::size_t l = 0; l < plants.width(); ++l) {
-      plants.set_input(l, 0.75);
-    }
-    plants.step();
-  }
-
-  for (int k = 0; k < 2; ++k) {
-    model::Model m("thermal");
-    auto& src = m.add<blocks::ConstantBlock>("heat", 0.75);
-    auto& proc = m.add<plant::ThermalPlantBlock>("plant", params[k]);
-    auto& scope = m.add<blocks::ScopeBlock>("scope");
-    m.connect(src, 0, proc, 0);
-    m.connect(proc, 0, scope, 0);
-    model::EngineOptions opts;
-    opts.stop_time = cfg.duration_s;
-    opts.base_period = cfg.period_s;
-    opts.minor_steps = cfg.minor_steps;
-    model::Engine engine(m, opts);
-    engine.run();
-    SCOPED_TRACE(k);
-    expect_logs_identical(plants.temperatures(k), scope.log(),
-                          "thermal lane");
-  }
-}
+// -------------------------------------------------------- latch kernels
 
 TEST(PlantBatch, LatchKernelsMatchPeBlocks) {
-  beans::BeanProject project("p");
-  auto& adc_bean = project.add<beans::AdcBean>("AD1");
-  const auto bits_prop = adc_bean.properties().get_int("resolution_bits");
-  const double vref = adc_bean.properties().get_real("vref_high");
-
   core::ServoSystem servo(core::ServoConfig{});
   const double cpr =
       static_cast<double>(servo.config().encoder_lines * 4);
 
-  std::vector<double> angles, ratios, volts;
+  std::vector<double> angles, ratios;
   for (int i = -40; i <= 40; ++i) {
     angles.push_back(0.37 * i);
     ratios.push_back(0.03 * i);
-    volts.push_back(0.09 * i);
   }
   const std::size_t n = angles.size();
   std::vector<double> counts(n), duty(n);
-  std::vector<std::uint16_t> codes(n);
 
   batch::qdec_latch_lanes(angles, cpr, counts);
-  batch::adc_latch_lanes(volts, static_cast<int>(bits_prop), vref, codes);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(counts[i], static_cast<double>(
                              core::QuadDecPeBlock::angle_to_counts(angles[i],
                                                                    cpr)));
-    EXPECT_EQ(codes[i], core::AdcPeBlock::quantize_volts(
-                            volts[i], static_cast<int>(bits_prop), vref));
   }
 
   // Solved-modulo path (the servo constructor derives the modulo from

@@ -391,16 +391,21 @@ struct BadField {
 
 class ServoConfigRejects : public ::testing::TestWithParam<BadField> {};
 
-TEST_P(ServoConfigRejects, WithOneDiagnosticAndRunMilThrows) {
-  ServoConfig cfg;
-  GetParam().spoil(cfg);
+// One error diagnostic naming `component`, and run_mil() refuses to run.
+void expect_rejected(ServoConfig cfg, const std::string& component) {
   const auto diags = validate(cfg);
   ASSERT_EQ(diags.size(), 1u) << diags.to_string();
   EXPECT_EQ(diags.items()[0].severity, util::Severity::kError);
-  EXPECT_EQ(diags.items()[0].component, GetParam().component);
+  EXPECT_EQ(diags.items()[0].component, component);
   cfg.duration_s = std::min(cfg.duration_s, 0.01);  // keep a bad run short
   ServoSystem servo(cfg);
   EXPECT_THROW(servo.run_mil(), std::invalid_argument);
+}
+
+TEST_P(ServoConfigRejects, WithOneDiagnosticAndRunMilThrows) {
+  ServoConfig cfg;
+  GetParam().spoil(cfg);
+  expect_rejected(cfg, GetParam().component);
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
@@ -411,14 +416,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         BadField{"servo.encoder_lines",
                  [](ServoConfig& c) { c.encoder_lines = 0; }},
-        BadField{"servo.period_s", [](ServoConfig& c) { c.period_s = 0.0; }},
         BadField{"servo.pwm_frequency_hz",
                  [](ServoConfig& c) { c.pwm_frequency_hz = -1.0; }},
         BadField{"servo.duration_s",
                  [](ServoConfig& c) { c.duration_s = -0.5; }},
-        BadField{"servo.setpoint", [](ServoConfig& c) { c.setpoint = kNaN; }},
-        BadField{"servo.kp", [](ServoConfig& c) { c.kp = kInf; }},
-        BadField{"servo.ki", [](ServoConfig& c) { c.ki = kNaN; }},
         BadField{"servo.motor.inertia",
                  [](ServoConfig& c) { c.motor.inertia = 0.0; }},
         BadField{"servo.motor.inductance",
@@ -432,6 +433,35 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// The short-named fields are plain tests, not table rows. CTest lists a table
+// row as its case name followed by gtest's raw-byte print of the BadField,
+// which starts with the address of its component string; ASLR moves that
+// address on every test discovery. Behind a short case name those bytes come
+// early enough that a truncated listing of the name differs between builds.
+TEST(ServoConfigValidation, RejectsZeroPeriod) {
+  ServoConfig cfg;
+  cfg.period_s = 0.0;
+  expect_rejected(cfg, "servo.period_s");
+}
+
+TEST(ServoConfigValidation, RejectsNaNSetpoint) {
+  ServoConfig cfg;
+  cfg.setpoint = kNaN;
+  expect_rejected(cfg, "servo.setpoint");
+}
+
+TEST(ServoConfigValidation, RejectsInfiniteKp) {
+  ServoConfig cfg;
+  cfg.kp = kInf;
+  expect_rejected(cfg, "servo.kp");
+}
+
+TEST(ServoConfigValidation, RejectsNaNKi) {
+  ServoConfig cfg;
+  cfg.ki = kNaN;
+  expect_rejected(cfg, "servo.ki");
+}
 
 }  // namespace
 }  // namespace iecd::core

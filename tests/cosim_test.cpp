@@ -1,13 +1,18 @@
 // Co-simulation master suite (src/cosim/): step-negotiation exactness with
 // scripted components under adversarial registration/readiness orders,
-// shared-bus delivery timing, 16-node farm behaviour (clean, killed,
-// degraded), and campaign/evidence byte-identity across thread counts.
+// shared-bus delivery timing, the nodes' hand-written speed loop, 16-node
+// farm behaviour (clean, killed, degraded, bit-exact golden, rejected
+// config), and campaign/evidence byte-identity across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <numbers>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -198,6 +203,60 @@ TEST(CosimBus, DeliversAtExactWireTime) {
   EXPECT_EQ(bus.can().stats().frames_delivered, 10u);
 }
 
+// ------------------------------------------------------------- speed loop
+
+SpeedLoop default_loop() {
+  const ServoNodeConfig node;
+  return SpeedLoop(node.kp, node.ki, node.period_s, node.encoder_lines);
+}
+
+/// One decoder count per control period, in rad/s, for the default node.
+double one_count_speed() {
+  const ServoNodeConfig node;
+  return 2.0 * std::numbers::pi / (node.encoder_lines * 4.0 * node.period_s);
+}
+
+TEST(SpeedLoop, FirstSampleReadsZeroSpeed) {
+  SpeedLoop loop = default_loop();
+  loop.step(1234, 0.0);  // no previous position to difference against
+  EXPECT_EQ(loop.smoothed(), 0.0);
+  EXPECT_EQ(loop.duty(), 0.0);
+}
+
+TEST(SpeedLoop, PositionWrapReadsAsOneCount) {
+  SpeedLoop forward = default_loop();
+  forward.step(32767, 0.0);
+  forward.step(-32768, 0.0);
+  // +1 count in one tap of the 4-tap average; the other three are 0.
+  EXPECT_EQ(forward.smoothed(), one_count_speed() / 4.0);
+
+  SpeedLoop backward = default_loop();
+  backward.step(-32768, 0.0);
+  backward.step(32767, 0.0);
+  EXPECT_EQ(backward.smoothed(), -one_count_speed() / 4.0);
+}
+
+TEST(SpeedLoop, IntegratorBleedsOffAtTheDutyLimits) {
+  SpeedLoop loop = default_loop();
+  // Stalled shaft, unreachable set-point: the duty pins at 1, and the
+  // back-calculation holds the integrator at the limit.  A plain
+  // integrator would reach ki * T * 1000 * 2000 = 240.
+  for (int i = 0; i < 2000; ++i) loop.step(0, 1000.0);
+  EXPECT_EQ(loop.duty(), 1.0);
+  EXPECT_NEAR(loop.integral(), 1.0, 1e-9);
+
+  // Set-point below the shaft: the duty pins at 0 and the stored integral
+  // bleeds off towards 0 instead of winding negative.
+  loop.step(0, -1000.0);
+  EXPECT_EQ(loop.duty(), 0.0);
+  EXPECT_LT(loop.integral(), 1.0);
+  for (int i = 0; i < 2000; ++i) {
+    loop.step(0, -1000.0);
+    ASSERT_EQ(loop.duty(), 0.0) << "tick " << i;
+  }
+  EXPECT_NEAR(loop.integral(), 0.0, 1e-9);
+}
+
 // ------------------------------------------------------------------- farm
 
 FarmConfig small_farm(std::size_t servos, double duration) {
@@ -306,6 +365,46 @@ TEST(CosimFarm, PerNodeMonitorsFoldIntoHealthReport) {
     EXPECT_TRUE(report.tasks.count(name)) << name;
   }
   EXPECT_GT(hub.polls(), 10u);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Golden of the clean 15-servo farm with supervisor and chatter, as bit
+// patterns.  Any change to the node's speed loop, the bus or the master's
+// negotiation moves at least one of them.
+TEST(FarmGolden, FifteenServosSupervisorAndChatter) {
+  const FarmConfig cfg = small_farm(15, 0.4);
+  ServoFarm farm(make_farm_topology(cfg),
+                 {cfg.duration_s, cfg.settle_tolerance, nullptr, nullptr});
+  const FarmResult r = farm.run();
+  // Every node sees the same broadcast set-point at the same instant, so
+  // all fifteen end at the same speed: 99.755369523468488 rad/s.
+  ASSERT_EQ(r.nodes.size(), 15u);
+  for (const FarmNodeResult& n : r.nodes) {
+    EXPECT_EQ(bits(n.speed), 0x4058f057f969ec4eu)
+        << n.name << " " << std::hexfloat << n.speed;
+  }
+  // 0.24463047653151193 rad/s
+  EXPECT_EQ(bits(r.mean_abs_error), 0x3fcf500d2c276400u)
+      << std::hexfloat << r.mean_abs_error;
+  EXPECT_EQ(r.frames_delivered, 743u);
+  EXPECT_EQ(r.negotiations, 10044u);
+}
+
+// A servo whose decoder bean rejects its configuration stops the farm at
+// construction: with encoder_lines = 0 the bean would keep its default
+// 100 lines while the speed gain divides by zero, and no motor turns.
+TEST(NodeConfigRejection, FarmRejectsZeroEncoderLines) {
+  FarmConfig cfg = small_farm(2, 0.1);
+  cfg.servo.encoder_lines = 0;
+  try {
+    ServoFarm farm(make_farm_topology(cfg),
+                   {cfg.duration_s, cfg.settle_tolerance, nullptr, nullptr});
+    FAIL() << "encoder_lines = 0 built a farm";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("encoder_lines"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CosimTopology, UnknownBusAttachmentThrows) {

@@ -1,9 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "core/distributed.hpp"
 
 namespace iecd::core {
 namespace {
+
+/// Bit-pattern equality: a golden recorded with 17 significant digits
+/// names exactly one double, and the rig must reproduce that one.
+void expect_bits(double actual, double golden, const char* what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+            std::bit_cast<std::uint64_t>(golden))
+      << what << ": " << std::hexfloat << actual << " vs golden " << golden;
+}
 
 DistributedConfig quick() {
   DistributedConfig cfg;
@@ -83,12 +96,13 @@ TEST(DistributedServo, DeterministicAcrossRuns) {
 
 TEST(CosimDistributedRegression, HealthyBusMatchesMonolithicGoldens) {
   const auto r = run_distributed_servo(quick());
-  EXPECT_DOUBLE_EQ(r.iae, 6.4160358474182226);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_mean, 359.70000000000334);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_max, 359.69999999999999);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_p99, 359.69999999999999);
-  EXPECT_DOUBLE_EQ(r.bus_utilisation, 0.34182933333333332);
-  EXPECT_DOUBLE_EQ(r.speed.last_value(), 100.13136283118807);
+  expect_bits(r.iae, 6.4160358474182226, "iae");
+  expect_bits(r.loop_latency_us_mean, 359.70000000000334,
+              "loop_latency_us_mean");
+  expect_bits(r.loop_latency_us_max, 359.69999999999999, "loop_latency_us_max");
+  expect_bits(r.loop_latency_us_p99, 359.69999999999999, "loop_latency_us_p99");
+  expect_bits(r.bus_utilisation, 0.34182933333333332, "bus_utilisation");
+  expect_bits(r.speed.last_value(), 100.13136283118807, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);
   EXPECT_EQ(r.loop_deadline_misses, 0u);
   EXPECT_EQ(r.sensor_frames, 599u);
@@ -104,12 +118,13 @@ TEST(CosimDistributedRegression, SaturatedBusMatchesMonolithicGoldens) {
   auto cfg = quick();
   cfg.can_bitrate = 100000;
   const auto r = run_distributed_servo(cfg);
-  EXPECT_DOUBLE_EQ(r.iae, 96.568588065038554);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_mean, 124385.30000000008);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_max, 253753.30000000002);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_p99, 248761.30000000002);
-  EXPECT_DOUBLE_EQ(r.bus_utilisation, 0.9986666666666667);
-  EXPECT_DOUBLE_EQ(r.speed.last_value(), 469.60362891681223);
+  expect_bits(r.iae, 96.568588065038554, "iae");
+  expect_bits(r.loop_latency_us_mean, 124385.30000000008,
+              "loop_latency_us_mean");
+  expect_bits(r.loop_latency_us_max, 253753.30000000002, "loop_latency_us_max");
+  expect_bits(r.loop_latency_us_p99, 248761.30000000002, "loop_latency_us_p99");
+  expect_bits(r.bus_utilisation, 0.9986666666666667, "bus_utilisation");
+  expect_bits(r.speed.last_value(), 469.60362891681223, "final speed");
   EXPECT_EQ(r.loop_samples, 101u);
   EXPECT_EQ(r.loop_deadline_misses, 101u);
   EXPECT_EQ(r.sensor_frames, 599u);
@@ -122,16 +137,32 @@ TEST(CosimDistributedRegression, LoadedBusMatchesMonolithicGoldens) {
   auto cfg = quick();
   cfg.background_frames_per_s = 1500.0;
   const auto r = run_distributed_servo(cfg);
-  EXPECT_DOUBLE_EQ(r.iae, 6.4213876691968856);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_mean, 491.95383973289086);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_max, 624.79899999999998);
-  EXPECT_DOUBLE_EQ(r.loop_latency_us_p99, 624.79302000000007);
-  EXPECT_DOUBLE_EQ(r.bus_utilisation, 0.74218399999999995);
-  EXPECT_DOUBLE_EQ(r.speed.last_value(), 100.10070219549908);
+  expect_bits(r.iae, 6.4213876691968856, "iae");
+  expect_bits(r.loop_latency_us_mean, 491.95383973289086,
+              "loop_latency_us_mean");
+  expect_bits(r.loop_latency_us_max, 624.79899999999998, "loop_latency_us_max");
+  expect_bits(r.loop_latency_us_p99, 624.79302000000007, "loop_latency_us_p99");
+  expect_bits(r.bus_utilisation, 0.74218399999999995, "bus_utilisation");
+  expect_bits(r.speed.last_value(), 100.10070219549908, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);
   EXPECT_EQ(r.background_frames, 899u);
   EXPECT_EQ(r.frames_delivered, 2097u);
   EXPECT_TRUE(r.metrics.settled);
+}
+
+// A bean that rejects its configuration stops the rig before it runs:
+// with encoder_lines = 0 the decoder bean would keep its default 100
+// lines while the speed gain divides by zero, and the motor never turns.
+TEST(NodeConfigRejection, DistributedRigRejectsZeroEncoderLines) {
+  auto cfg = quick();
+  cfg.encoder_lines = 0;
+  try {
+    run_distributed_servo(cfg);
+    FAIL() << "encoder_lines = 0 ran to the end";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("encoder_lines"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -118,15 +118,6 @@ campaign::EngineOptions engine_options(const char* name, std::size_t runs,
   return eo;
 }
 
-std::uint64_t fnv64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream os;
@@ -212,17 +203,17 @@ void memory_table() {
     const auto report =
         fault::CampaignRunner(campaign_options("e14_mem", n, threads))
             .run(scenario);
-    return fnv64(report.to_json());
+    return fault::fnv1a(report.to_json());
   });
   const ChildResult streaming = measure_in_child([&] {
     campaign::CampaignEngine engine(
         engine_options("e14_mem", n, threads, "E14_mem_stream"));
-    return fnv64(engine.run(scenario).report.to_json());
+    return fault::fnv1a(engine.run(scenario).report.to_json());
   });
   const ChildResult fleet_stream = measure_in_child([&] {
     campaign::CampaignEngine engine(
         engine_options("e14_fleet", fleet, threads, "E14_fleet_stream"));
-    return fnv64(engine.run(scenario).report.to_json());
+    return fault::fnv1a(engine.run(scenario).report.to_json());
   });
 
   std::printf("%-26s | %-8zu %-12.1f %-10.1f\n", "retained (CampaignRunner)",
@@ -292,7 +283,7 @@ void steal_table() {
     campaign::CampaignEngine engine(eo);
     auto result = engine.run(scenario);
     sched = result.sched;
-    return fnv64(result.report.to_json());
+    return fault::fnv1a(result.report.to_json());
   };
 
   campaign::StreamStats static_sched;

@@ -1,8 +1,8 @@
 // E9 — substrate soundness: raw throughput of the simulation kernels the
 // reproduction stands on (block-diagram engine, discrete-event queue,
 // MCU+peripheral co-simulation) and host-level parallel scaling of
-// independent simulation sweeps across cores (the thread-pool harness all
-// parameter-sweep benches can use).
+// independent simulation sweeps across cores (exec::SweepRunner, the
+// harness all parameter-sweep benches can use).
 #include <algorithm>
 #include <cstdio>
 #include <ctime>

@@ -5,9 +5,10 @@
 //      records, schema registry, chained record hash, SHA-256 footer.
 //   2. Verify — evidence_verify's library path passes the artifact; a
 //      single flipped byte is caught by the hash chain / digest.
-//   3. Campaign — a default fault campaign writes per-run artifacts, a
-//      merged artifact and MANIFEST.jsonl; running it again on a
-//      different thread count yields a byte-identical manifest.
+//   3. Campaign — a default fault campaign in campaign::CampaignEngine
+//      streams per-run artifacts, a merged artifact and MANIFEST.jsonl;
+//      running it again on a different thread count yields a
+//      byte-identical manifest.
 //   4. Re-export — the artifact replays back through the existing
 //      Chrome-trace and metrics-CSV exporters.
 //
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "evidence/sink.hpp"
 #include "evidence/verify.hpp"
@@ -60,6 +62,16 @@ bool campaign_body(fault::RunContext& ctx) {
   const auto* abandoned =
       result.report.metrics.find_counter("pil.exchanges_abandoned");
   return abandoned == nullptr || abandoned->value == 0;
+}
+
+evidence::CampaignEvidence campaign_evidence(const std::string& dir,
+                                             std::size_t threads) {
+  campaign::EngineOptions eo;
+  eo.campaign = campaign_options(threads);
+  eo.evidence_dir = dir;
+  return campaign::CampaignEngine(eo)
+      .run(fault::CampaignScenario(campaign_body))
+      .evidence;
 }
 
 std::string g_run_artifact_path;
@@ -131,15 +143,8 @@ void act_three_campaign() {
   std::printf("=== 3. campaign evidence: per-run artifacts + manifest "
               "===\n\n");
 
-  const auto opts1 = campaign_options(1);
-  const auto report1 = fault::CampaignRunner(opts1).run(campaign_body);
-  const auto ev1 = evidence::write_campaign_evidence("evidence_out/campaign",
-                                                     opts1, report1);
-
-  const auto opts4 = campaign_options(4);
-  const auto report4 = fault::CampaignRunner(opts4).run(campaign_body);
-  const auto ev4 = evidence::write_campaign_evidence(
-      "evidence_out/campaign_t4", opts4, report4);
+  const auto ev1 = campaign_evidence("evidence_out/campaign", 1);
+  const auto ev4 = campaign_evidence("evidence_out/campaign_t4", 4);
 
   std::printf("%zu run artifacts + merged.evd + MANIFEST.jsonl -> "
               "evidence_out/campaign\n",

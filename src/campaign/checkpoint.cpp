@@ -5,6 +5,7 @@
 
 #include "evidence/reader.hpp"
 #include "evidence/writer.hpp"
+#include "fault/rng.hpp"
 
 namespace iecd::campaign {
 
@@ -19,34 +20,6 @@ using evidence::store_str;
 /// whenever the layout below changes (the record's own schema version
 /// covers only the outer framing).
 constexpr std::uint16_t kStateVersion = 1;
-
-// ------------------------------------------------------------ config hash
-
-struct Fnv1a64 {
-  std::uint64_t hash = 1469598103934665603ULL;
-
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= p[i];
-      hash *= 1099511628211ULL;
-    }
-  }
-  void u64(std::uint64_t v) {
-    std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    bytes(b, 8);
-  }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-};
 
 // -------------------------------------------------------- histogram codec
 
@@ -245,35 +218,45 @@ bool decode_health_report(evidence::PayloadCursor& cur,
 }
 
 std::uint64_t campaign_config_hash(const fault::CampaignOptions& options) {
-  Fnv1a64 h;
-  h.str(options.name);
-  h.u64(options.seed);
-  h.u64(options.runs);
-  h.u64(options.batch);
+  // FNV-1a over a little-endian encoding of the result-determining fields:
+  // integers as u64, doubles as their bit patterns, the name as a u64
+  // length followed by its bytes.  The starting value is FNV's offset
+  // basis with its last digit missing; it stays so that checkpoints sealed
+  // by earlier builds still resume.
+  constexpr std::uint64_t kBasis = 1469598103934665603ULL;
+  std::vector<std::uint8_t> b;
+  store_le<std::uint64_t>(b, options.name.size());
+  for (char c : options.name) b.push_back(static_cast<std::uint8_t>(c));
+  store_le<std::uint64_t>(b, options.seed);
+  store_le<std::uint64_t>(b, options.runs);
+  store_le<std::uint64_t>(b, options.batch);
   const fault::FaultPlan& p = options.plan;
-  h.f64(p.serial_corrupt_rate);
-  h.f64(p.serial_drop_rate);
-  h.f64(p.serial_dup_rate);
-  h.f64(p.can_corrupt_rate);
-  h.f64(p.can_drop_rate);
-  h.f64(p.can_dup_rate);
-  h.f64(p.pil_truncate_rate);
-  h.f64(p.pil_delay_rate);
-  h.f64(p.pil_delay_max_s);
-  h.f64(p.irq_spike_rate);
-  h.u64(p.irq_spike_cycles);
-  h.f64(p.task_overrun_rate);
-  h.u64(p.task_overrun_cycles);
-  h.f64(p.adc_stuck_rate);
-  h.f64(p.adc_noise_rate);
-  h.u64(p.adc_noise_lsb);
-  h.f64(p.encoder_glitch_rate);
-  h.u64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(p.encoder_glitch_counts)));
-  h.f64(p.torque_pulse_rate_hz);
-  h.f64(p.torque_pulse_nm);
-  h.f64(p.torque_pulse_s);
-  return h.hash;
+  store_f64(b, p.serial_corrupt_rate);
+  store_f64(b, p.serial_drop_rate);
+  store_f64(b, p.serial_dup_rate);
+  store_f64(b, p.can_corrupt_rate);
+  store_f64(b, p.can_drop_rate);
+  store_f64(b, p.can_dup_rate);
+  store_f64(b, p.pil_truncate_rate);
+  store_f64(b, p.pil_delay_rate);
+  store_f64(b, p.pil_delay_max_s);
+  store_f64(b, p.irq_spike_rate);
+  store_le<std::uint64_t>(b, p.irq_spike_cycles);
+  store_f64(b, p.task_overrun_rate);
+  store_le<std::uint64_t>(b, p.task_overrun_cycles);
+  store_f64(b, p.adc_stuck_rate);
+  store_f64(b, p.adc_noise_rate);
+  store_le<std::uint64_t>(b, p.adc_noise_lsb);
+  store_f64(b, p.encoder_glitch_rate);
+  store_le<std::uint64_t>(b, static_cast<std::uint64_t>(
+                                 static_cast<std::int64_t>(
+                                     p.encoder_glitch_counts)));
+  store_f64(b, p.torque_pulse_rate_hz);
+  store_f64(b, p.torque_pulse_nm);
+  store_f64(b, p.torque_pulse_s);
+  return fault::fnv1a(
+      std::string_view(reinterpret_cast<const char*>(b.data()), b.size()),
+      kBasis);
 }
 
 bool save_checkpoint(const std::string& path, const CheckpointState& state) {

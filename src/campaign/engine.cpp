@@ -94,9 +94,7 @@ EngineResult CampaignEngine::execute(
       const std::size_t index = group.first + k;
       state.merged.merge(group.metrics[k]);
       state.health.merge(group.health[k]);
-      const auto* c =
-          group.metrics[k].find_counter("campaign.unrecovered");
-      if (c != nullptr && c->value > 0) {
+      if (fault::run_unrecovered(group.metrics[k])) {
         state.unrecovered_runs.push_back(index);
         state.unrecovered_health.emplace(index, group.health[k]);
       }
@@ -132,8 +130,6 @@ EngineResult CampaignEngine::execute(
   StreamOptions so;
   so.threads = opts.threads;
   so.batch = batch;
-  so.window = options_.window;
-  so.chunk = options_.chunk;
   so.stealing = options_.stealing;
   so.placement = options_.contiguous ? Placement::kContiguous
                                      : Placement::kCyclic;
@@ -149,16 +145,7 @@ EngineResult CampaignEngine::execute(
   report.health = std::move(state.health);
   report.unrecovered_runs = std::move(state.unrecovered_runs);
   report.unrecovered_health = std::move(state.unrecovered_health);
-  if (const auto* c = report.merged.find_counter("campaign.unrecovered")) {
-    report.unrecovered = c->value;
-  }
-  if (const auto* c = report.merged.find_counter("campaign.faults_injected")) {
-    report.faults_injected = c->value;
-  }
-  if (const auto* c =
-          report.merged.find_counter("campaign.fault_opportunities")) {
-    report.fault_opportunities = c->value;
-  }
+  report.read_totals();
 
   result.evidence = evidence::finish_campaign_evidence(dir, opts, report,
                                                        std::move(artifacts));

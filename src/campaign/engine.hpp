@@ -11,8 +11,8 @@
 ///   * the final CampaignReport and its JSON are byte-identical to
 ///     fault::CampaignRunner's for the same options (modulo the retained
 ///     per_run vectors, which the engine leaves empty);
-///   * outputs are byte-identical for any thread count, chunk size,
-///     steal schedule and reorder window;
+///   * outputs are byte-identical for any thread count, batch width,
+///     placement and steal schedule;
 ///   * kill the process after any checkpoint seal, run the engine again,
 ///     and the resumed merged report + evidence manifest are
 ///     byte-identical to the uninterrupted run's.
@@ -52,8 +52,8 @@ struct EngineOptions {
   bool write_run_artifacts = true;
 
   // ------------------------- scheduling knobs (StreamOptions semantics)
-  std::size_t window = 0;  ///< reorder window in runs (0 = auto)
-  std::size_t chunk = 0;   ///< groups per placement chunk (0 = auto)
+  // Stealing off plus contiguous placement is the static-tiling baseline
+  // the E14 bench measures the shipping schedule against.
   bool stealing = true;    ///< steal-half work stealing
   bool contiguous = false; ///< static-tiling baseline placement
   obs::CampaignProgress* progress = nullptr;

@@ -46,6 +46,8 @@ util::DiagnosticList validate(const ServoConfig& config) {
           "duration_s", ">= 0", config.duration_s);
   require(std::isfinite(config.setpoint), "setpoint", "finite",
           config.setpoint);
+  require(std::isfinite(config.setpoint_time), "setpoint_time", "finite",
+          config.setpoint_time);
   require(std::isfinite(config.kp), "kp", "finite", config.kp);
   require(std::isfinite(config.ki), "ki", "finite", config.ki);
   require(positive(m.inertia), "motor.inertia", "positive", m.inertia);
@@ -53,6 +55,12 @@ util::DiagnosticList validate(const ServoConfig& config) {
           m.inductance);
   require(positive(m.resistance), "motor.resistance", "positive",
           m.resistance);
+  require(std::isfinite(m.kt), "motor.kt", "finite", m.kt);
+  require(std::isfinite(m.ke), "motor.ke", "finite", m.ke);
+  require(m.damping >= 0 && std::isfinite(m.damping), "motor.damping",
+          ">= 0", m.damping);
+  require(std::isfinite(m.supply_voltage), "motor.supply_voltage", "finite",
+          m.supply_voltage);
   return d;
 }
 

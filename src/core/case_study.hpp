@@ -54,9 +54,10 @@ struct ServoConfig {
 };
 
 /// Numeric checks of a ServoConfig: counts, periods, frequencies and motor
-/// parameters a run divides by must be positive, gains and set-point
-/// finite, the duration non-negative.  No bean solving happens here; the
-/// bean project checks achievability.
+/// parameters a run divides by must be positive; gains, set-point, step
+/// instant, motor constants and supply voltage finite; the duration and
+/// the motor damping non-negative.  No bean solving happens here; the bean
+/// project checks achievability.
 util::DiagnosticList validate(const ServoConfig& config);
 
 /// The assembled single-model application plus its bean project.

@@ -5,16 +5,6 @@
 
 namespace iecd::evidence {
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
-                      std::uint64_t seed) {
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x00000100000001B3ULL;
-  }
-  return h;
-}
-
 namespace {
 
 constexpr std::uint32_t kK[64] = {

@@ -28,10 +28,6 @@
 
 namespace iecd::evidence {
 
-/// FNV-1a 64-bit over a byte range.
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
-                      std::uint64_t seed = 0xcbf29ce484222325ULL);
-
 /// SplitMix64 finalizer: a strong 64-bit avalanche mix.
 constexpr std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;

@@ -36,13 +36,6 @@ std::string artifact_line(const char* kind, const RunArtifact& artifact,
   return line;
 }
 
-std::string run_filename(std::uint64_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "run_%04llu.evd",
-                static_cast<unsigned long long>(index));
-  return buf;
-}
-
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream os(path, std::ios::binary);
   if (!os) return false;
@@ -104,28 +97,11 @@ RunArtifact write_artifact_with_sidecar(const std::string& dir,
   return artifact;
 }
 
-CampaignEvidence write_campaign_evidence(
-    const std::string& dir, const fault::CampaignOptions& options,
-    const fault::CampaignReport& report) {
-  std::filesystem::create_directories(dir);
-
-  std::vector<RunArtifact> runs;
-  for (std::size_t i = 0; i < report.per_run.size(); ++i) {
-    const std::uint64_t seed =
-        fault::CampaignRunner::run_seed(options.seed, i);
-    const obs::HealthReport* health =
-        i < report.per_run_health.size() ? &report.per_run_health[i]
-                                         : nullptr;
-    EvidenceWriter writer = build_run_artifact(
-        report.name, i, seed, report.per_run[i], health, nullptr);
-    runs.push_back(write_artifact_with_sidecar(
-        dir, run_filename(i), writer, report.name, i, seed));
-  }
-  return finish_campaign_evidence(dir, options, report, std::move(runs));
-}
-
 std::string run_artifact_filename(std::uint64_t index) {
-  return run_filename(index);
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "run_%04llu.evd",
+                static_cast<unsigned long long>(index));
+  return buf;
 }
 
 bool describe_artifact_file(const std::string& dir,
@@ -182,53 +158,6 @@ CampaignEvidence finish_campaign_evidence(const std::string& dir,
     manifest += artifact_line("run", evidence.runs[i], i,
                               fault::CampaignRunner::run_seed(options.seed, i),
                               true) +
-                "\n";
-  }
-  manifest += artifact_line("merged", evidence.merged, 0, 0, false) + "\n";
-  evidence.manifest = manifest;
-  evidence.manifest_path =
-      (std::filesystem::path(dir) / "MANIFEST.jsonl").string();
-  write_text_file(evidence.manifest_path, manifest);
-  return evidence;
-}
-
-CampaignEvidence write_sweep_evidence(const std::string& dir,
-                                      const std::string& name,
-                                      const exec::SweepRunner::Result& result,
-                                      const std::vector<std::uint64_t>& seeds) {
-  CampaignEvidence evidence;
-  std::filesystem::create_directories(dir);
-
-  for (std::size_t i = 0; i < result.per_run.size(); ++i) {
-    const std::uint64_t seed = i < seeds.size() ? seeds[i] : 0;
-    const obs::HealthReport* health =
-        i < result.per_run_health.size() ? &result.per_run_health[i]
-                                         : nullptr;
-    EvidenceWriter writer = build_run_artifact(name, i, seed,
-                                               result.per_run[i], health,
-                                               nullptr);
-    evidence.runs.push_back(write_artifact_with_sidecar(
-        dir, run_filename(i), writer, name, i, seed));
-  }
-
-  {
-    EvidenceWriter writer;
-    writer.record_build_info();
-    writer.record_run_meta(name, result.runs, 0);
-    writer.record_metrics(result.merged);
-    writer.record_health(result.health);
-    writer.finish();
-    evidence.merged = write_artifact_with_sidecar(dir, "merged.evd", writer,
-                                                  name, result.runs, 0);
-  }
-
-  std::string manifest;
-  manifest += "{\"kind\":\"sweep\",\"name\":\"" + json_escape(name) +
-              "\",\"runs\":" + std::to_string(result.runs) + "}\n";
-  manifest += build_line() + "\n";
-  for (std::size_t i = 0; i < evidence.runs.size(); ++i) {
-    manifest += artifact_line("run", evidence.runs[i], i,
-                              i < seeds.size() ? seeds[i] : 0, true) +
                 "\n";
   }
   manifest += artifact_line("merged", evidence.merged, 0, 0, false) + "\n";

@@ -1,14 +1,14 @@
 /// \file sink.hpp
-/// Wiring the evidence recorder into the execution layers: helpers that
-/// turn an exec::SweepRunner result or a fault::CampaignReport into a
-/// directory of per-run artifacts plus an index-deterministic JSONL
-/// manifest, and re-export an artifact back through the existing
-/// Chrome-trace/CSV paths.
+/// Wiring the evidence recorder into the execution layers: the per-run
+/// artifact + sidecar writer and the campaign seal (merged artifact plus an
+/// index-deterministic JSONL manifest) that campaign::CampaignEngine
+/// streams a campaign's evidence through, and re-export of an artifact
+/// back through the existing Chrome-trace/CSV paths.
 ///
-/// Determinism contract (same discipline as PRs 2–5): everything written
+/// Determinism contract (the repo-wide one): everything written
 /// here derives from per-run data that is already index-deterministic, so
-/// the manifest and every artifact are byte-identical across sweep thread
-/// counts; wall clock and thread ids never appear in any output.
+/// the manifest and every artifact are byte-identical across campaign
+/// thread counts; wall clock and thread ids never appear in any output.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "evidence/writer.hpp"
-#include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 
 namespace iecd::evidence {
@@ -57,16 +56,8 @@ struct CampaignEvidence {
   std::string manifest_path;
 };
 
-/// Writes per-run artifacts (`run_<index>.evd`), a merged artifact
-/// (`merged.evd` with the campaign summary + merged metrics/health) and
-/// `MANIFEST.jsonl` into \p dir.  The manifest content is byte-identical
-/// across campaign thread counts.
-CampaignEvidence write_campaign_evidence(const std::string& dir,
-                                         const fault::CampaignOptions& options,
-                                         const fault::CampaignReport& report);
-
 /// Canonical per-run artifact filename within a campaign directory
-/// (`run_%04llu.evd` — what write_campaign_evidence uses).
+/// (`run_%04llu.evd`).
 std::string run_artifact_filename(std::uint64_t index);
 
 /// Re-describes an artifact already on disk (the campaign resume path):
@@ -78,22 +69,12 @@ bool describe_artifact_file(const std::string& dir,
 
 /// Seals a campaign whose per-run artifacts are ALREADY on disk (the
 /// streaming engine writes them run by run): writes the merged artifact
-/// and the manifest from the supplied per-run descriptors (index order).
-/// The manifest bytes are identical to write_campaign_evidence's for the
-/// same report — locked by the engine/runner identity tests.
+/// (`merged.evd`: campaign summary + merged metrics/health) and
+/// `MANIFEST.jsonl` from the supplied per-run descriptors (index order).
 CampaignEvidence finish_campaign_evidence(const std::string& dir,
                                           const fault::CampaignOptions& options,
                                           const fault::CampaignReport& report,
                                           std::vector<RunArtifact> runs);
-
-/// Same shape for a plain sweep: per-run artifacts from
-/// exec::SweepRunner::Result::per_run (+ per_run_health when present) and
-/// a manifest.  \p seed_of maps a run index to the seed recorded in its
-/// run-meta record (pass {} for seedless sweeps).
-CampaignEvidence write_sweep_evidence(
-    const std::string& dir, const std::string& name,
-    const exec::SweepRunner::Result& result,
-    const std::vector<std::uint64_t>& seeds = {});
 
 /// Re-exports an artifact's trace to Chrome trace-event JSON / trace CSV
 /// and its metrics to the MetricsRegistry CSV, via the existing

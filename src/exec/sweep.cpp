@@ -7,138 +7,78 @@ namespace iecd::exec {
 
 SweepRunner::SweepRunner(SweepOptions options) : options_(options) {}
 
-campaign::StreamOptions SweepRunner::stream_options(std::size_t batch) const {
-  campaign::StreamOptions so;
-  so.threads = options_.threads;
-  so.batch = batch;
-  so.window = options_.window;
-  so.chunk = options_.chunk;
-  so.stealing = options_.stealing;
-  so.placement = options_.contiguous ? campaign::Placement::kContiguous
-                                     : campaign::Placement::kCyclic;
-  so.progress = options_.progress;
-  return so;
-}
-
-namespace {
-
-/// The one fold everything funnels through: called by the StreamRunner's
-/// reorder fold strictly in run-index order (serialized), so the merged
-/// registry/health are byte-identical for any thread count, batch width,
-/// chunk size and steal schedule.  Retention moves the group buffers into
-/// the preallocated per-run slots instead of copying.
-campaign::StreamRunner::SinkFn make_sink(SweepRunner::Result& result,
-                                         bool with_health, bool retain) {
-  return [&result, with_health, retain](campaign::GroupResult& group) {
-    for (std::size_t k = 0; k < group.metrics.size(); ++k) {
-      const std::size_t index = group.first + k;
-      result.merged.merge(group.metrics[k]);
-      if (with_health) result.health.merge(group.health[k]);
-      if (retain) {
-        result.per_run[index] = std::move(group.metrics[k]);
-        if (with_health) {
-          result.per_run_health[index] = std::move(group.health[k]);
-        }
-      }
-    }
-  };
-}
-
-}  // namespace
-
-SweepRunner::Result SweepRunner::run(std::size_t runs,
-                                     const Scenario& scenario) const {
+SweepRunner::Result SweepRunner::fan_out(
+    std::size_t runs, bool with_health,
+    const campaign::StreamRunner::GroupFn& group) const {
   Result result;
   result.runs = runs;
-  const bool retain = options_.retain_per_run;
-  if (retain) result.per_run.resize(runs);
-  campaign::StreamRunner stream(stream_options(1));
-  result.sched = stream.run(
-      runs,
-      [&scenario](std::size_t first,
-                  std::span<trace::MetricsRegistry> metrics,
-                  std::span<obs::HealthReport> /*health*/) {
-        for (std::size_t k = 0; k < metrics.size(); ++k) {
-          scenario(first + k, metrics[k]);
+  result.per_run.resize(runs);
+  if (with_health) {
+    result.per_run_health.resize(runs);
+    // Result::health counts folded sweep points, not the default single run.
+    result.health.runs = 0;
+  }
+  campaign::StreamOptions so;
+  so.threads = options_.threads;
+  so.batch = std::max<std::size_t>(1, options_.batch);
+  // The StreamRunner calls the sink strictly in run-index order
+  // (serialized), so the merged registry/health are byte-identical for any
+  // thread count, batch width and steal schedule.  The group buffers move
+  // into the preallocated per-run slots instead of being copied.
+  result.sched = campaign::StreamRunner(so).run(
+      runs, group, [&result, with_health](campaign::GroupResult& g) {
+        for (std::size_t k = 0; k < g.metrics.size(); ++k) {
+          const std::size_t index = g.first + k;
+          result.merged.merge(g.metrics[k]);
+          result.per_run[index] = std::move(g.metrics[k]);
+          if (with_health) {
+            result.health.merge(g.health[k]);
+            result.per_run_health[index] = std::move(g.health[k]);
+          }
         }
-      },
-      make_sink(result, /*with_health=*/false, retain));
+      });
   result.threads_used = result.sched.threads_used;
   result.wall_ms = result.sched.wall_ms;
   return result;
+}
+
+SweepRunner::Result SweepRunner::run(std::size_t runs,
+                                     const Scenario& scenario) const {
+  return fan_out(runs, /*with_health=*/false,
+                 [&scenario](std::size_t first,
+                             std::span<trace::MetricsRegistry> metrics,
+                             std::span<obs::HealthReport> /*health*/) {
+                   for (std::size_t k = 0; k < metrics.size(); ++k) {
+                     scenario(first + k, metrics[k]);
+                   }
+                 });
 }
 
 SweepRunner::Result SweepRunner::run(std::size_t runs,
                                      const HealthScenario& scenario) const {
-  Result result;
-  result.runs = runs;
-  const bool retain = options_.retain_per_run;
-  if (retain) {
-    result.per_run.resize(runs);
-    result.per_run_health.resize(runs);
-  }
-  // Result::health counts folded sweep points, not the default single run.
-  result.health.runs = 0;
-  campaign::StreamRunner stream(stream_options(1));
-  result.sched = stream.run(
-      runs,
-      [&scenario](std::size_t first,
-                  std::span<trace::MetricsRegistry> metrics,
-                  std::span<obs::HealthReport> health) {
-        for (std::size_t k = 0; k < metrics.size(); ++k) {
-          scenario(first + k, metrics[k], health[k]);
-        }
-      },
-      make_sink(result, /*with_health=*/true, retain));
-  result.threads_used = result.sched.threads_used;
-  result.wall_ms = result.sched.wall_ms;
-  return result;
+  return fan_out(runs, /*with_health=*/true,
+                 [&scenario](std::size_t first,
+                             std::span<trace::MetricsRegistry> metrics,
+                             std::span<obs::HealthReport> health) {
+                   for (std::size_t k = 0; k < metrics.size(); ++k) {
+                     scenario(first + k, metrics[k], health[k]);
+                   }
+                 });
 }
 
 SweepRunner::Result SweepRunner::run(std::size_t runs,
                                      const BatchScenario& scenario) const {
-  Result result;
-  result.runs = runs;
-  const bool retain = options_.retain_per_run;
-  if (retain) result.per_run.resize(runs);
-  campaign::StreamRunner stream(
-      stream_options(std::max<std::size_t>(1, options_.batch)));
-  result.sched = stream.run(
-      runs,
-      [&scenario](std::size_t first,
-                  std::span<trace::MetricsRegistry> metrics,
-                  std::span<obs::HealthReport> /*health*/) {
-        scenario(first, metrics);
-      },
-      make_sink(result, /*with_health=*/false, retain));
-  result.threads_used = result.sched.threads_used;
-  result.wall_ms = result.sched.wall_ms;
-  return result;
+  return fan_out(runs, /*with_health=*/false,
+                 [&scenario](std::size_t first,
+                             std::span<trace::MetricsRegistry> metrics,
+                             std::span<obs::HealthReport> /*health*/) {
+                   scenario(first, metrics);
+                 });
 }
 
 SweepRunner::Result SweepRunner::run(
     std::size_t runs, const BatchHealthScenario& scenario) const {
-  Result result;
-  result.runs = runs;
-  const bool retain = options_.retain_per_run;
-  if (retain) {
-    result.per_run.resize(runs);
-    result.per_run_health.resize(runs);
-  }
-  result.health.runs = 0;
-  campaign::StreamRunner stream(
-      stream_options(std::max<std::size_t>(1, options_.batch)));
-  result.sched = stream.run(
-      runs,
-      [&scenario](std::size_t first,
-                  std::span<trace::MetricsRegistry> metrics,
-                  std::span<obs::HealthReport> health) {
-        scenario(first, metrics, health);
-      },
-      make_sink(result, /*with_health=*/true, retain));
-  result.threads_used = result.sched.threads_used;
-  result.wall_ms = result.sched.wall_ms;
-  return result;
+  return fan_out(runs, /*with_health=*/true, scenario);
 }
 
 }  // namespace iecd::exec

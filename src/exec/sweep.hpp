@@ -14,18 +14,17 @@
 ///
 /// Execution engine: runs ride on campaign::StreamRunner — a work-stealing
 /// scheduler (per-worker chunk deques, steal-half) feeding a windowed
-/// index-order fold.  Heterogeneous run costs no longer idle threads the
-/// way static tiling did, and the fold is streaming: per-run registries are
-/// folded the moment all lower indices are folded, so memory is
-/// O(sites + window) unless per-run retention is requested
-/// (SweepOptions::retain_per_run, on by default for compatibility).
+/// index-order fold.  Heterogeneous run costs do not idle threads the way
+/// static tiling did.  Every run's registry (and health report) is kept in
+/// Result::per_run; campaign-scale callers that cannot afford O(runs)
+/// memory use campaign::CampaignEngine's streaming sink instead.
 ///
-/// Batched execution: with SweepOptions::batch = N, runs are tiled into
-/// ceil(runs / N) contiguous lane groups and a BatchScenario advances each
-/// group in lockstep (typically through the SoA engines in src/batch/).
-/// The merge is untouched — still a fold in index order — so a batched
-/// sweep's report is byte-identical to the scalar sweep whenever each
-/// lane's scenario is.
+/// Batched execution: runs are tiled into ceil(runs / SweepOptions::batch)
+/// contiguous lane groups.  A BatchScenario advances each group in
+/// lockstep (typically through the SoA engines in src/batch/); a scalar
+/// Scenario runs the group's runs one after another.  The merge is
+/// untouched — still a fold in index order — so a batched sweep's report
+/// is byte-identical to the scalar sweep whenever each lane's scenario is.
 #pragma once
 
 #include <cstddef>
@@ -43,35 +42,16 @@ struct SweepOptions {
   /// Worker threads; 0 selects hardware_concurrency.  1 runs the scenarios
   /// inline on the calling thread (the sequential reference execution).
   std::size_t threads = 0;
-  /// Lane-batch width for the BatchScenario overloads: each work item
-  /// covers up to `batch` consecutive run indices.  1 degenerates to one
-  /// run per item (the scalar tiling).  Ignored by the scalar Scenario
-  /// overloads.
+  /// Lane-group width: each work item covers up to `batch` consecutive run
+  /// indices.  1 degenerates to one run per item (the scalar tiling).
   std::size_t batch = 1;
-  /// Reorder window in runs for the streaming fold (0 = auto); bounds
-  /// buffered out-of-order state.  See campaign::StreamOptions::window.
-  std::size_t window = 0;
-  /// Scheduler placement chunk in groups (0 = auto).
-  std::size_t chunk = 0;
-  /// Work stealing between worker deques (on by default).  Off plus
-  /// contiguous placement reproduces classic static tiling — the measured
-  /// baseline, not the shipping configuration.
-  bool stealing = true;
-  /// Contiguous (static-tiling) placement instead of the default cyclic
-  /// deal; see campaign::Placement.
-  bool contiguous = false;
-  /// Keep Result::per_run / per_run_health populated (O(runs) memory).
-  /// Campaign-scale callers turn this off and consume the merged fold.
-  bool retain_per_run = true;
-  /// Optional live progress counters shared with an observer.
-  obs::CampaignProgress* progress = nullptr;
 };
 
 class SweepRunner {
  public:
   /// A scenario: run sweep point \p index, record results into \p metrics.
   /// Must not touch shared mutable state — each invocation gets its own
-  /// registry and runs on an arbitrary pool thread.
+  /// registry and runs on an arbitrary worker thread.
   using Scenario =
       std::function<void(std::size_t index, trace::MetricsRegistry& metrics)>;
 
@@ -98,12 +78,12 @@ class SweepRunner {
 
   struct Result {
     trace::MetricsRegistry merged;  ///< index-order fold of all runs
-    /// Populated only with SweepOptions::retain_per_run (the default).
     std::vector<trace::MetricsRegistry> per_run;
     /// Merged health report (HealthScenario runs only): same index-order
     /// fold, so histograms/percentiles and anomaly counts are byte-
     /// deterministic for any thread count.
     obs::HealthReport health;
+    /// Per-run health reports (health-aware scenarios only).
     std::vector<obs::HealthReport> per_run_health;
     std::size_t runs = 0;
     std::size_t threads_used = 0;
@@ -121,17 +101,17 @@ class SweepRunner {
   /// per-run report, so its `runs` counts the sweep points).
   Result run(std::size_t runs, const HealthScenario& scenario) const;
 
-  /// Batched variants: the work items handed to the scheduler are lane
-  /// groups of SweepOptions::batch consecutive runs.  Per-run registries
-  /// and the index-order merge are identical to the scalar overloads, so
-  /// thread count and batch width never change the merged report.
+  /// Batched variants: each call advances one lane group.  Per-run
+  /// registries and the index-order merge are identical to the scalar
+  /// overloads, so thread count and batch width never change the merged
+  /// report.
   Result run(std::size_t runs, const BatchScenario& scenario) const;
   Result run(std::size_t runs, const BatchHealthScenario& scenario) const;
 
-  std::size_t threads() const { return options_.threads; }
-
  private:
-  campaign::StreamOptions stream_options(std::size_t batch) const;
+  /// The one fan-out body the four overloads adapt into.
+  Result fan_out(std::size_t runs, bool with_health,
+                 const campaign::StreamRunner::GroupFn& group) const;
 
   SweepOptions options_;
 };

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -25,33 +26,35 @@ void json_histogram(std::ostream& os, const obs::LatencyHistogram& h) {
 constexpr const char kSitePrefix[] = "fault.";
 constexpr const char kInjectedSuffix[] = ".injected";
 
-CampaignReport assemble_report(const CampaignOptions& opts,
-                               const exec::SweepRunner::Result& result) {
+/// The retained fan-out both CampaignRunner::run overloads share: lane
+/// groups of CampaignOptions::batch runs through run_campaign_group, the
+/// same group form campaign::CampaignEngine executes.
+template <typename Scenario>
+CampaignReport run_retained(const CampaignOptions& opts,
+                            const Scenario& scenario) {
+  exec::SweepRunner::Result result =
+      exec::SweepRunner({opts.threads, opts.batch})
+          .run(opts.runs,
+               exec::SweepRunner::BatchHealthScenario(
+                   [&opts, &scenario](std::size_t first,
+                                      std::span<trace::MetricsRegistry> metrics,
+                                      std::span<obs::HealthReport> health) {
+                     run_campaign_group(opts, scenario, first, metrics,
+                                        health);
+                   }));
   CampaignReport report;
   report.name = opts.name;
   report.seed = opts.seed;
   report.runs = result.runs;
-  report.merged = result.merged;
-  report.per_run = result.per_run;
-  report.health = result.health;
-  report.per_run_health = result.per_run_health;
-  if (const auto* c = report.merged.find_counter("campaign.unrecovered")) {
-    report.unrecovered = c->value;
-  }
-  if (const auto* c = report.merged.find_counter("campaign.faults_injected")) {
-    report.faults_injected = c->value;
-  }
-  if (const auto* c =
-          report.merged.find_counter("campaign.fault_opportunities")) {
-    report.fault_opportunities = c->value;
-  }
+  report.merged = std::move(result.merged);
+  report.health = std::move(result.health);
+  report.per_run = std::move(result.per_run);
+  report.per_run_health = std::move(result.per_run_health);
+  report.read_totals();
   for (std::size_t i = 0; i < report.per_run.size(); ++i) {
-    const auto* c = report.per_run[i].find_counter("campaign.unrecovered");
-    if (c && c->value > 0) {
+    if (run_unrecovered(report.per_run[i])) {
       report.unrecovered_runs.push_back(i);
-      if (i < report.per_run_health.size()) {
-        report.unrecovered_health.emplace(i, report.per_run_health[i]);
-      }
+      report.unrecovered_health.emplace(i, report.per_run_health[i]);
     }
   }
   return report;
@@ -115,33 +118,27 @@ void run_campaign_group(const CampaignOptions& opts,
 }
 
 CampaignReport CampaignRunner::run(const CampaignScenario& scenario) const {
-  exec::SweepRunner runner({options_.threads});
-  const CampaignOptions& opts = options_;
-  const exec::SweepRunner::Result result = runner.run(
-      opts.runs,
-      exec::SweepRunner::HealthScenario(
-          [&opts, &scenario](std::size_t index,
-                             trace::MetricsRegistry& metrics,
-                             obs::HealthReport& health) {
-            run_campaign_group(opts, scenario, index, {&metrics, 1},
-                               {&health, 1});
-          }));
-  return assemble_report(opts, result);
+  return run_retained(options_, scenario);
 }
 
 CampaignReport CampaignRunner::run(
     const BatchCampaignScenario& scenario) const {
-  exec::SweepRunner runner({options_.threads, options_.batch});
-  const CampaignOptions& opts = options_;
-  const exec::SweepRunner::Result result = runner.run(
-      opts.runs,
-      exec::SweepRunner::BatchHealthScenario(
-          [&opts, &scenario](std::size_t first,
-                             std::span<trace::MetricsRegistry> metrics,
-                             std::span<obs::HealthReport> health) {
-            run_campaign_group(opts, scenario, first, metrics, health);
-          }));
-  return assemble_report(opts, result);
+  return run_retained(options_, scenario);
+}
+
+bool run_unrecovered(const trace::MetricsRegistry& run) {
+  const auto* c = run.find_counter("campaign.unrecovered");
+  return c != nullptr && c->value > 0;
+}
+
+void CampaignReport::read_totals() {
+  const auto total = [this](const char* name) -> std::uint64_t {
+    const auto* c = merged.find_counter(name);
+    return c != nullptr ? c->value : 0;
+  };
+  unrecovered = total("campaign.unrecovered");
+  faults_injected = total("campaign.faults_injected");
+  fault_opportunities = total("campaign.fault_opportunities");
 }
 
 std::string CampaignReport::to_json() const {

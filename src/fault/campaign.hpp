@@ -30,11 +30,11 @@ struct CampaignOptions {
   /// Worker threads for the fan-out (see exec::SweepOptions); the merged
   /// report and JSON are identical for every value.
   std::size_t threads = 1;
-  /// Lane-batch width for the BatchCampaignScenario overload: each work
-  /// item covers up to `batch` consecutive run indices, which the scenario
-  /// advances in lockstep (src/batch/ engines).  Per-run seeding, metrics
-  /// and the merge are unchanged, so the report stays byte-identical to
-  /// the scalar campaign for every batch width and thread count.
+  /// Lane-group width: each work item covers up to `batch` consecutive run
+  /// indices, which a BatchCampaignScenario advances in lockstep
+  /// (src/batch/ engines) and a CampaignScenario runs one after another.
+  /// Per-run seeding, metrics and the merge are unchanged, so the report
+  /// stays byte-identical for every batch width and thread count.
   std::size_t batch = 1;
   FaultPlan plan;
 };
@@ -42,7 +42,7 @@ struct CampaignOptions {
 /// Handed to the scenario for one campaign run.  The scenario wires
 /// \p injector into the world it builds (sites.hpp helpers), runs it, and
 /// records its results into \p metrics / \p health.  It must not touch
-/// shared mutable state — runs execute on arbitrary pool threads.
+/// shared mutable state — runs execute on arbitrary worker threads.
 struct RunContext {
   std::size_t index = 0;
   std::uint64_t run_seed = 0;
@@ -69,10 +69,10 @@ using BatchCampaignScenario =
 /// CampaignRunner::run_seed(opts.seed, index), the scenario, then the
 /// campaign bookkeeping (the injector's per-site counters and the
 /// campaign.* runs/unrecovered/faults_injected/fault_opportunities
-/// markers) into metrics[k].  Every execution path — CampaignRunner's
-/// scalar and batched fan-outs and the streaming campaign::CampaignEngine
-/// — runs its lane groups through these two functions, so per-run
-/// registries are byte-identical across all of them.
+/// markers) into metrics[k].  Both drivers — CampaignRunner's retained
+/// fan-out and the streaming campaign::CampaignEngine — run their lane
+/// groups through these two functions, so per-run registries are
+/// byte-identical across them.
 void run_campaign_group(const CampaignOptions& opts,
                         const CampaignScenario& scenario, std::size_t first,
                         std::span<trace::MetricsRegistry> metrics,
@@ -83,6 +83,9 @@ void run_campaign_group(const CampaignOptions& opts,
                         std::size_t first,
                         std::span<trace::MetricsRegistry> metrics,
                         std::span<obs::HealthReport> health);
+
+/// True when run registry \p run carries the campaign.unrecovered marker.
+bool run_unrecovered(const trace::MetricsRegistry& run);
 
 struct CampaignReport {
   std::string name;
@@ -103,6 +106,10 @@ struct CampaignReport {
   std::map<std::size_t, obs::HealthReport> unrecovered_health;
   std::uint64_t faults_injected = 0;
   std::uint64_t fault_opportunities = 0;
+
+  /// Sets unrecovered, faults_injected and fault_opportunities from the
+  /// merged campaign.* counters (both drivers' last fold step).
+  void read_totals();
 
   /// Deterministic JSON artifact (CAMPAIGN_<name>.json in CI): campaign
   /// identity, per-site fault counters, scenario stats (campaign.* stats,
@@ -134,12 +141,12 @@ class CampaignRunner {
 
   const CampaignOptions& options() const { return options_; }
 
+  /// Both forms fan lane groups of CampaignOptions::batch runs out over
+  /// exec::SweepRunner and retain every run.  When each lane of a batched
+  /// scenario reproduces the scalar scenario bit-for-bit (the src/batch/
+  /// determinism contract), the two reports — and their JSON artifacts —
+  /// are byte-identical.
   CampaignReport run(const CampaignScenario& scenario) const;
-
-  /// Batched variant: fans lane groups of CampaignOptions::batch runs out
-  /// over the sweep pool.  When each lane reproduces the scalar scenario
-  /// bit-for-bit (the src/batch/ determinism contract), the returned
-  /// report — and its JSON artifact — is byte-identical to run(scalar).
   CampaignReport run(const BatchCampaignScenario& scenario) const;
 
  private:

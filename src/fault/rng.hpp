@@ -72,10 +72,13 @@ class Xoshiro256ss {
   std::array<std::uint64_t, 4> s_{};
 };
 
-/// FNV-1a over the site name: stable across platforms and runs (unlike
-/// std::hash), so a site's stream is a pure function of its name.
-constexpr std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+/// 64-bit FNV-1a, the repository's one copy: hashes site names here and
+/// a checkpoint's campaign options (campaign_config_hash).  Stable across
+/// platforms and runs (unlike std::hash), so a site's stream is a pure
+/// function of its name.  \p hash is the starting value (FNV's offset
+/// basis unless a caller must reproduce a different historical one).
+constexpr std::uint64_t fnv1a(std::string_view text,
+                              std::uint64_t hash = 0xcbf29ce484222325ULL) {
   for (char c : text) {
     hash ^= static_cast<std::uint8_t>(c);
     hash *= 0x100000001b3ULL;

@@ -1,5 +1,6 @@
 #include "sim/can_bus.hpp"
 
+#include <span>
 #include <stdexcept>
 
 #include "trace/trace.hpp"
@@ -45,7 +46,6 @@ CanBus::CanBus(World& world, std::uint32_t bitrate_bps, std::string name)
 void CanBus::reset() {
   for (auto& n : nodes_) n.tx_queue.clear();
   busy_ = false;
-  corrupt_armed_ = false;
   in_flight_dropped_ = false;
   stats_ = Stats{};
 }
@@ -73,21 +73,6 @@ bool CanBus::transmit(NodeId node, CanFrame frame) {
   nodes_[static_cast<std::size_t>(node)].tx_queue.push_back(queued);
   if (!busy_) try_start();
   return true;
-}
-
-std::size_t CanBus::transmit_burst(NodeId node,
-                                   std::span<const CanFrame> frames) {
-  std::size_t accepted = 0;
-  for (const CanFrame& f : frames) {
-    if (!transmit(node, f)) break;
-    ++accepted;
-  }
-  return accepted;
-}
-
-void CanBus::corrupt_next_frame(std::uint8_t xor_mask) {
-  pending_corruption_ = xor_mask;
-  corrupt_armed_ = true;
 }
 
 void CanBus::set_fault_hook(FrameFaultHook hook) {
@@ -121,14 +106,6 @@ void CanBus::try_start() {
   in_flight_ = tx.tx_queue.front();
   tx.tx_queue.pop_front();
   in_flight_winner_ = winner;
-  if (corrupt_armed_) {
-    if (!in_flight_.frame.data.empty()) {
-      in_flight_.frame.data[0] ^= pending_corruption_;
-    } else {
-      in_flight_.crc ^= pending_corruption_;
-    }
-    corrupt_armed_ = false;
-  }
   in_flight_dropped_ = false;
   if (fault_hook_) {
     const FrameFault fault = fault_hook_(in_flight_.frame);

@@ -11,9 +11,10 @@
 /// 0..8 data bytes), the in-flight frame is a bus member so the delivery
 /// event captures only `this` (the callback stays inside the event queue's
 /// small-buffer storage), and every queued frame carries a CRC-16/CCITT
-/// integrity word that is verified at delivery — wire corruption (injected
-/// via corrupt_next_frame) drops the frame and counts a CRC error, like a
-/// receiving controller discarding a frame with a bad CRC field.
+/// integrity word that is verified at delivery — wire corruption (a
+/// FrameFaultAction::kCorrupt from the fault hook) drops the frame and
+/// counts a CRC error, like a receiving controller discarding a frame with
+/// a bad CRC field.
 #pragma once
 
 #include <array>
@@ -21,7 +22,6 @@
 #include <deque>
 #include <functional>
 #include <initializer_list>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -117,14 +117,6 @@ class CanBus : public Component {
   /// only arises between frames queued while the bus was busy.
   bool transmit(NodeId node, CanFrame frame);
 
-  /// Queues a whole burst of back-to-back frames; returns frames accepted.
-  std::size_t transmit_burst(NodeId node, std::span<const CanFrame> frames);
-
-  /// Injects wire corruption: the next frame to win arbitration has its
-  /// first payload byte (or, for an empty frame, its CRC word) XORed with
-  /// \p xor_mask, so the delivery-side integrity check drops it.
-  void corrupt_next_frame(std::uint8_t xor_mask);
-
   /// Per-frame fault decision, consulted when a frame wins arbitration
   /// (fault-injection campaigns; see src/fault/).
   enum class FrameFaultAction : std::uint8_t {
@@ -177,8 +169,6 @@ class CanBus : public Component {
   int in_flight_winner_ = -1;
   SimTime in_flight_started_ = 0;
   std::array<SimTime, 9> frame_times_{};
-  bool corrupt_armed_ = false;
-  std::uint8_t pending_corruption_ = 0;
   FrameFaultHook fault_hook_;
   bool in_flight_dropped_ = false;
   Stats stats_;

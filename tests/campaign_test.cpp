@@ -458,6 +458,19 @@ TEST(Checkpoint, ConfigHashCoversResultsAndIgnoresScheduling) {
   }
 }
 
+TEST(Checkpoint, ConfigHashOfFixedOptionsIsPinned) {
+  // A checkpoint resumes only while its options hash to the value it was
+  // sealed with: pin one so checkpoints from earlier builds stay valid.
+  fault::CampaignOptions o;
+  o.name = "hash_pin";
+  o.seed = 2026;
+  o.runs = 512;
+  o.batch = 8;
+  o.plan = fault::FaultPlan::defaults();
+  o.plan.encoder_glitch_counts = -3;
+  EXPECT_EQ(campaign_config_hash(o), 0x30efd99496afc93eULL);
+}
+
 // ------------------------------------------------------------ CampaignEngine
 
 /// Synthetic campaign scenario: deterministic spin work, one stats site,

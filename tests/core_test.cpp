@@ -387,7 +387,16 @@ TEST(ServoConfigValidation, DefaultConfigValidatesClean) {
 struct BadField {
   const char* component;
   std::function<void(ServoConfig&)> spoil;
+  const char* variant = "";  ///< tells apart cases of one component
 };
+
+// CTest lists a table row as its case name followed by gtest's print of
+// the parameter; without this, that print is the raw bytes of the struct,
+// which start with the address of `component` and so move with ASLR.
+void PrintTo(const BadField& field, std::ostream* os) {
+  *os << field.component;
+  if (*field.variant != '\0') *os << " (" << field.variant << ")";
+}
 
 class ServoConfigRejects : public ::testing::TestWithParam<BadField> {};
 
@@ -425,20 +434,28 @@ INSTANTIATE_TEST_SUITE_P(
         BadField{"servo.motor.inductance",
                  [](ServoConfig& c) { c.motor.inductance = kNaN; }},
         BadField{"servo.motor.resistance",
-                 [](ServoConfig& c) { c.motor.resistance = -2.0; }}),
+                 [](ServoConfig& c) { c.motor.resistance = -2.0; }},
+        BadField{"servo.setpoint_time",
+                 [](ServoConfig& c) { c.setpoint_time = kNaN; }},
+        BadField{"servo.motor.kt", [](ServoConfig& c) { c.motor.kt = kNaN; }},
+        BadField{"servo.motor.ke", [](ServoConfig& c) { c.motor.ke = kInf; }},
+        BadField{"servo.motor.supply_voltage",
+                 [](ServoConfig& c) { c.motor.supply_voltage = -kInf; }},
+        BadField{"servo.motor.damping",
+                 [](ServoConfig& c) { c.motor.damping = kNaN; }},
+        BadField{"servo.motor.damping",
+                 [](ServoConfig& c) { c.motor.damping = -1.0; }, "negative"}),
     [](const ::testing::TestParamInfo<BadField>& info) {
       std::string name = info.param.component + std::strlen("servo.");
       for (char& ch : name) {
         if (ch == '.') ch = '_';
       }
+      if (*info.param.variant != '\0') {
+        name += std::string("_") + info.param.variant;
+      }
       return name;
     });
 
-// The short-named fields are plain tests, not table rows. CTest lists a table
-// row as its case name followed by gtest's raw-byte print of the BadField,
-// which starts with the address of its component string; ASLR moves that
-// address on every test discovery. Behind a short case name those bytes come
-// early enough that a truncated listing of the name differs between builds.
 TEST(ServoConfigValidation, RejectsZeroPeriod) {
   ServoConfig cfg;
   cfg.period_s = 0.0;

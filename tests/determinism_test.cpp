@@ -11,12 +11,14 @@
 #include <functional>
 #include <map>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "campaign/fold.hpp"
 #include "campaign/stream.hpp"
 #include "exec/sweep.hpp"
+#include "obs/health_report.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
@@ -147,6 +149,90 @@ TEST(SweepDeterminismTest, RepeatedParallelRunsAgree) {
   const auto a = runner.run(8, scenario_run);
   const auto b = runner.run(8, scenario_run);
   EXPECT_EQ(a.merged.to_csv(), b.merged.to_csv());
+}
+
+/// scenario_run plus a per-run health report whose content depends on the
+/// sweep index.
+void health_run(std::size_t index, iecd::trace::MetricsRegistry& metrics,
+                iecd::obs::HealthReport& health) {
+  scenario_run(index, metrics);
+  const auto t = static_cast<SimTime>(1000 + 37 * index);
+  health.source = "sweep";
+  health.tasks["sweep.work"].record(t, t + 1 + static_cast<SimTime>(index),
+                                    t + 2 + static_cast<SimTime>(2 * index));
+}
+
+TEST(SweepDeterminismTest, FourOverloadsAgreeAcrossThreadsAndBatch) {
+  constexpr std::size_t kRuns = 11;
+  using iecd::obs::HealthReport;
+  using iecd::trace::MetricsRegistry;
+  const SweepRunner::Scenario scalar = scenario_run;
+  const SweepRunner::HealthScenario with_health = health_run;
+  const SweepRunner::BatchScenario batched =
+      [](std::size_t first, std::span<MetricsRegistry> metrics) {
+        for (std::size_t k = 0; k < metrics.size(); ++k) {
+          scenario_run(first + k, metrics[k]);
+        }
+      };
+  const SweepRunner::BatchHealthScenario batched_health =
+      [](std::size_t first, std::span<MetricsRegistry> metrics,
+         std::span<HealthReport> health) {
+        for (std::size_t k = 0; k < metrics.size(); ++k) {
+          health_run(first + k, metrics[k], health[k]);
+        }
+      };
+
+  const auto reference =
+      SweepRunner(SweepOptions{.threads = 1}).run(kRuns, with_health);
+  ASSERT_EQ(reference.per_run.size(), kRuns);
+  ASSERT_EQ(reference.per_run_health.size(), kRuns);
+  EXPECT_EQ(reference.health.runs, kRuns);
+
+  const auto expect_metrics = [&](const SweepRunner::Result& got,
+                                  const std::string& label) {
+    EXPECT_EQ(got.runs, kRuns) << label;
+    EXPECT_EQ(got.merged.to_csv(), reference.merged.to_csv()) << label;
+    ASSERT_EQ(got.per_run.size(), kRuns) << label;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      EXPECT_EQ(got.per_run[i].to_csv(), reference.per_run[i].to_csv())
+          << label << " run " << i;
+    }
+  };
+  const auto expect_health = [&](const SweepRunner::Result& got,
+                                 const std::string& label) {
+    EXPECT_EQ(got.health.to_json(), reference.health.to_json()) << label;
+    ASSERT_EQ(got.per_run_health.size(), kRuns) << label;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+      EXPECT_EQ(got.per_run_health[i].to_json(),
+                reference.per_run_health[i].to_json())
+          << label << " run " << i;
+    }
+  };
+
+  for (std::size_t threads : {1u, 3u}) {
+    for (std::size_t batch : {1u, 4u}) {
+      const SweepRunner runner(
+          SweepOptions{.threads = threads, .batch = batch});
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " batch=" + std::to_string(batch);
+
+      const auto a = runner.run(kRuns, scalar);
+      expect_metrics(a, label + " Scenario");
+      EXPECT_TRUE(a.per_run_health.empty()) << label;
+
+      const auto b = runner.run(kRuns, with_health);
+      expect_metrics(b, label + " HealthScenario");
+      expect_health(b, label + " HealthScenario");
+
+      const auto c = runner.run(kRuns, batched);
+      expect_metrics(c, label + " BatchScenario");
+      EXPECT_TRUE(c.per_run_health.empty()) << label;
+
+      const auto d = runner.run(kRuns, batched_health);
+      expect_metrics(d, label + " BatchHealthScenario");
+      expect_health(d, label + " BatchHealthScenario");
+    }
+  }
 }
 
 TEST(StreamDeterminismTest, RandomizedFoldOrdersYieldSequentialMerge) {

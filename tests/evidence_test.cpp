@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/engine.hpp"
 #include "evidence/hash.hpp"
 #include "evidence/reader.hpp"
 #include "evidence/schema.hpp"
@@ -546,9 +547,21 @@ fault::CampaignOptions campaign_options(std::size_t threads) {
   return opts;
 }
 
+/// Runs the synthetic campaign through the engine, which streams its
+/// evidence into \p dir.
+CampaignEvidence campaign_evidence(const fs::path& dir,
+                                   const fault::CampaignOptions& opts) {
+  campaign::EngineOptions eo;
+  eo.campaign = opts;
+  eo.evidence_dir = dir.string();
+  return campaign::CampaignEngine(eo)
+      .run(fault::CampaignScenario(synthetic_scenario))
+      .evidence;
+}
+
 TEST(EvidenceCampaign, ThreadInvarianceAndManifestVerify) {
   // The acceptance bar: artifacts and manifest byte-identical across
-  // 1/2/8 sweep threads, and evidence_verify passes on all of them.
+  // 1/2/8 campaign threads, and evidence_verify passes on all of them.
   const fs::path base = scratch_dir("campaign");
   struct Out {
     CampaignEvidence ev;
@@ -556,10 +569,8 @@ TEST(EvidenceCampaign, ThreadInvarianceAndManifestVerify) {
   };
   std::vector<Out> outs;
   for (std::size_t threads : {1u, 2u, 8u}) {
-    const auto opts = campaign_options(threads);
-    const auto report = fault::CampaignRunner(opts).run(synthetic_scenario);
     const fs::path dir = base / ("t" + std::to_string(threads));
-    outs.push_back({write_campaign_evidence(dir.string(), opts, report), dir});
+    outs.push_back({campaign_evidence(dir, campaign_options(threads)), dir});
   }
 
   const Out& ref = outs[0];
@@ -600,9 +611,7 @@ TEST(EvidenceCampaign, ThreadInvarianceAndManifestVerify) {
 
 TEST(EvidenceCampaign, ManifestDetectsTamperedArtifact) {
   const fs::path dir = scratch_dir("tampered");
-  const auto opts = campaign_options(1);
-  const auto report = fault::CampaignRunner(opts).run(synthetic_scenario);
-  const auto ev = write_campaign_evidence(dir.string(), opts, report);
+  const auto ev = campaign_evidence(dir, campaign_options(1));
 
   // Flip one byte of the first run artifact on disk.
   const fs::path victim = dir / ev.runs[0].filename;
@@ -626,8 +635,7 @@ TEST(EvidenceCampaign, ManifestEscapesControlCharactersInNames) {
   const fs::path dir = scratch_dir("escaped_name");
   auto opts = campaign_options(1);
   opts.name = "tab\tname";
-  const auto report = fault::CampaignRunner(opts).run(synthetic_scenario);
-  const auto ev = write_campaign_evidence(dir.string(), opts, report);
+  const auto ev = campaign_evidence(dir, opts);
   std::ifstream in(ev.manifest_path, std::ios::binary);
   const std::string manifest((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());

@@ -49,6 +49,15 @@ TEST(FaultRng, SiteSeedDependsOnCampaignSeedAndName) {
   EXPECT_NE(site_seed(1, "serial.rs232"), site_seed(1, "can.can"));
 }
 
+TEST(FaultRng, SiteSeedIsPinned) {
+  // Recorded campaigns replay only while every site stream keeps its seed:
+  // pin the FNV-1a name hash (published test vectors) and one site seed.
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+  EXPECT_EQ(site_seed(1, "serial.rs232"), 0x7a618db02bfcc139ULL);
+}
+
 TEST(FaultInjector, SiteStreamIndependentOfCreationOrder) {
   FaultInjector fwd(99, FaultPlan{});
   FaultInjector rev(99, FaultPlan{});

@@ -1,17 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <random>
-#include <sstream>
 
 #include "util/crc16.hpp"
-#include "util/csv.hpp"
 #include "util/diagnostics.hpp"
 #include "util/small_function.hpp"
 #include "util/statistics.hpp"
 #include "util/strings.hpp"
-#include "util/thread_pool.hpp"
 
 namespace iecd::util {
 namespace {
@@ -146,22 +142,6 @@ TEST(Crc16, DetectsSingleBitFlips) {
   }
 }
 
-TEST(Csv, EscapesSeparatorsAndQuotes) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, WritesHeaderAndRows) {
-  std::ostringstream out;
-  CsvWriter w(out);
-  w.header({"t", "y"});
-  w.row_numeric({0.0, 1.5});
-  w.row({"end", "yes,really"});
-  EXPECT_EQ(out.str(), "t,y\n0,1.5\nend,\"yes,really\"\n");
-  EXPECT_EQ(w.rows_written(), 3u);
-}
-
 TEST(Strings, FormatAndJoin) {
   EXPECT_EQ(format("x=%d y=%.1f", 3, 2.5), "x=3 y=2.5");
   EXPECT_EQ(join({"a", "b", "c"}, "::"), "a::b::c");
@@ -182,31 +162,6 @@ TEST(Strings, CIdentifierChecks) {
 TEST(Strings, IndentPreservesStructure) {
   EXPECT_EQ(indent("a\nb", 2), "  a\n  b");
   EXPECT_EQ(indent("a\n\nb", 2), "  a\n\n  b");  // blank lines stay blank
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(8,
-                                 [](std::size_t i) {
-                                   if (i == 3) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitReturnsUsableFuture) {
-  ThreadPool pool(1);
-  std::atomic<int> x{0};
-  auto f = pool.submit([&] { x = 7; });
-  f.get();
-  EXPECT_EQ(x.load(), 7);
 }
 
 TEST(SmallFunction, SmallCapturesStayInline) {

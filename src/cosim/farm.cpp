@@ -140,6 +140,7 @@ ServoFarm::ServoFarm(const Topology& topology, const Options& options)
 FarmResult ServoFarm::run() {
   const sim::SimTime end = sim::from_seconds(options_.duration_s);
   const MasterStats stats = master_.run_until(end);
+  for (const auto& node : servos_) node->encoder().flush();
 
   FarmResult result;
   result.negotiations = stats.negotiations;

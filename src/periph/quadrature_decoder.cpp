@@ -26,6 +26,7 @@ void QuadDecPeripheral::index_pulse() {
 }
 
 void QuadDecPeripheral::zero() {
+  sync();
   position_ = 0;
   extended_ = 0;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 
 #include "periph/peripheral.hpp"
 
@@ -35,23 +36,47 @@ class QuadDecPeripheral : public Peripheral {
   /// Index (once-per-revolution) pulse.
   void index_pulse();
 
+  /// Called before every register read and zero(): a lazily sampled
+  /// encoder delivers the counts due before now (plant::IncrementalEncoder
+  /// installs it).  Null clears it.
+  void set_read_hook(std::function<void()> hook) {
+    read_hook_ = std::move(hook);
+  }
+
   /// Signed position register (16-bit wrap-around, like the hardware).
-  std::int16_t position() const { return position_; }
+  std::int16_t position() const {
+    sync();
+    return position_;
+  }
 
   /// Full-resolution software-extended position (no wrap).
-  std::int64_t extended_position() const { return extended_; }
+  std::int64_t extended_position() const {
+    sync();
+    return extended_;
+  }
 
   /// Position latched at the last index pulse.
-  std::int16_t index_latch() const { return index_latch_; }
+  std::int16_t index_latch() const {
+    sync();
+    return index_latch_;
+  }
 
-  std::uint64_t index_pulses() const { return index_pulses_; }
+  std::uint64_t index_pulses() const {
+    sync();
+    return index_pulses_;
+  }
 
   void zero();
 
   void reset() override;
 
  private:
+  void sync() const {
+    if (read_hook_) read_hook_();
+  }
+
   QuadDecConfig config_;
+  std::function<void()> read_hook_;
   std::int16_t position_ = 0;
   std::int64_t extended_ = 0;
   std::int16_t index_latch_ = 0;

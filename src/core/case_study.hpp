@@ -53,10 +53,17 @@ struct ServoConfig {
   plant::DcMotorParams motor;
 };
 
+/// RK4 substeps per control period in the model engine runs (MIL and the
+/// PIL host plant).
+inline constexpr int kPlantMinorSteps = 4;
+
 /// Numeric checks of a ServoConfig: counts, periods, frequencies and motor
 /// parameters a run divides by must be positive; gains, set-point, step
 /// instant, motor constants and supply voltage finite; the duration and
-/// the motor damping non-negative.  No bean solving happens here; the bean
+/// the motor damping non-negative.  A config that passes all of those must
+/// also be stable under the engine's RK4 substep: (period_s /
+/// kPlantMinorSteps) * plant::fastest_mode(motor) within
+/// plant::kRk4StabilityLimit.  No bean solving happens here; the bean
 /// project checks achievability.
 util::DiagnosticList validate(const ServoConfig& config);
 

@@ -159,9 +159,8 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   // --- Plant: motor on the actuator's PWM, encoder on the sensor ------
   plant::DcMotorSim motor(rig_world, config.motor);
   motor.drive_from_duty(&pwm.peripheral()->average_output());
-  plant::IncrementalEncoder encoder(
-      rig_world, motor, *qd.peripheral(),
-      {config.encoder_lines, sim::microseconds(50)});
+  plant::IncrementalEncoder encoder(rig_world, motor, *qd.peripheral(),
+                                    {config.encoder_lines});
   encoder.start();
 
   // --- Background chatter (higher-priority frames) --------------------

@@ -51,7 +51,7 @@ ServoNode::ServoNode(std::string name, std::size_t index,
   motor_->drive_from_duty(&pwm_->peripheral()->average_output());
   encoder_ = std::make_unique<plant::IncrementalEncoder>(
       world(), *motor_, *qd_->peripheral(),
-      plant::EncoderParams{config_.encoder_lines, sim::microseconds(50)},
+      plant::EncoderParams{config_.encoder_lines},
       this->name());
   encoder_->start();
 

@@ -3,7 +3,8 @@
 /// Producers (PWM average output, DAC-like actuators) write new values at
 /// simulation timestamps; consumers (the plant integrator) query the value
 /// at arbitrary times or integrate exactly across the change points.  Old
-/// history is pruned on demand so long runs stay O(1) in memory.
+/// history is pruned on demand so long runs stay O(1) in memory; a read
+/// behind the pruned horizon throws instead of guessing.
 #pragma once
 
 #include <algorithm>
@@ -35,16 +36,30 @@ class ZohSignal {
     changes_.push_back({when, value});
   }
 
-  /// Value at time \p t (the most recent change at or before t).
-  double value_at(SimTime t) const {
+  /// A constant stretch of the signal: its value and the instant it ends
+  /// (the next change, or kNever).
+  struct Piece {
+    double value;
+    SimTime end;
+  };
+
+  /// The piece holding time \p t.  Throws std::logic_error for a t behind
+  /// the pruned horizon, whose value is gone.
+  Piece piece_at(SimTime t) const {
     // Plant integrators query at or just behind the newest change, so
     // walking backward is O(1) on the hot path (the forward scan was the
     // top cost of the distributed bench).
+    SimTime end = kNever;
     for (auto it = changes_.rbegin(); it != changes_.rend(); ++it) {
-      if (it->when <= t) return it->value;
+      if (it->when <= t) return {it->value, end};
+      end = it->when;
     }
-    return changes_.front().value;
+    throw std::logic_error("ZohSignal: read behind the pruned horizon");
   }
+
+  /// Value at time \p t (the most recent change at or before t); throws
+  /// like piece_at().
+  double value_at(SimTime t) const { return piece_at(t).value; }
 
   /// Current (latest) value.
   double value() const { return changes_.back().value; }
@@ -52,13 +67,15 @@ class ZohSignal {
   /// Exact integral of the signal over [t0, t1] in value * seconds.
   double integrate(SimTime t0, SimTime t1) const {
     if (t1 < t0) throw std::invalid_argument("ZohSignal: t1 < t0");
+    if (t0 < changes_.front().when) {
+      throw std::logic_error("ZohSignal: read behind the pruned horizon");
+    }
     // Binary-search the change straddling t0 instead of scanning the
     // whole history; the accumulation order over [t0, t1] is unchanged.
     auto it = std::upper_bound(
         changes_.begin(), changes_.end(), t0,
         [](SimTime t, const Change& c) { return t < c.when; });
-    double current =
-        it == changes_.begin() ? changes_.front().value : std::prev(it)->value;
+    double current = std::prev(it)->value;
     double acc = 0.0;
     SimTime cursor = t0;
     for (; it != changes_.end() && it->when < t1; ++it) {

@@ -444,7 +444,15 @@ INSTANTIATE_TEST_SUITE_P(
         BadField{"servo.motor.damping",
                  [](ServoConfig& c) { c.motor.damping = kNaN; }},
         BadField{"servo.motor.damping",
-                 [](ServoConfig& c) { c.motor.damping = -1.0; }, "negative"}),
+                 [](ServoConfig& c) { c.motor.damping = -1.0; }, "negative"},
+        // Finite but too stiff for the 250 us RK4 substep: h |lambda| is
+        // about 5000 and 25000.
+        BadField{"servo.motor",
+                 [](ServoConfig& c) { c.motor.inductance = 1e-7; },
+                 "stiff_inductance"},
+        BadField{"servo.motor",
+                 [](ServoConfig& c) { c.motor.inertia = 1e-12; },
+                 "stiff_inertia"}),
     [](const ::testing::TestParamInfo<BadField>& info) {
       std::string name = info.param.component + std::strlen("servo.");
       for (char& ch : name) {

@@ -66,15 +66,6 @@ TEST(GpioConflicts, ExternalDriveOnOutputIgnored) {
   EXPECT_TRUE(port.read(0));
 }
 
-TEST(DcMotorSimOptions, MaxStepSetterGuardsZero) {
-  sim::World world;
-  plant::DcMotorSim motor(world, plant::DcMotorParams{});
-  motor.set_max_step(0);  // falls back to a sane default
-  sim::ZohSignal duty(0.5);
-  motor.drive_from_duty(&duty);
-  EXPECT_GT(motor.speed_at(sim::milliseconds(100)), 10.0);
-}
-
 TEST(InspectorRender, CoversEveryBeanType) {
   beans::BeanProject project("all");
   project.add<beans::SerialBean>("AS1");

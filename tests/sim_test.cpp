@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "sim/serial_link.hpp"
 #include "sim/time.hpp"
 #include "sim/world.hpp"
+#include "sim/zoh_signal.hpp"
 
 namespace iecd::sim {
 namespace {
@@ -185,6 +187,23 @@ TEST(World, AttachRejectsDuplicatesAndResetsAll) {
   w.reset_components();
   EXPECT_EQ(c1.resets, 1);
   EXPECT_EQ(c2.resets, 1);
+}
+
+TEST(ZohSignal, ReadBehindThePrunedHorizonThrows) {
+  ZohSignal s(0.0);
+  s.set(milliseconds(10), 1.0);
+  s.set(milliseconds(20), 2.0);
+  s.prune_before(milliseconds(15));
+  // At 5 ms the signal was 0.0; that record is gone, so no value is right.
+  EXPECT_THROW(s.value_at(milliseconds(5)), std::logic_error);
+  EXPECT_THROW(s.integrate(milliseconds(5), milliseconds(25)),
+               std::logic_error);
+  EXPECT_DOUBLE_EQ(s.value_at(milliseconds(15)), 1.0);
+  EXPECT_DOUBLE_EQ(s.value_at(milliseconds(25)), 2.0);
+  const ZohSignal::Piece piece = s.piece_at(milliseconds(16));
+  EXPECT_DOUBLE_EQ(piece.value, 1.0);
+  EXPECT_EQ(piece.end, milliseconds(20));
+  EXPECT_EQ(s.piece_at(milliseconds(20)).end, kNever);
 }
 
 TEST(SerialConfig, ByteTimeMatchesBaud) {

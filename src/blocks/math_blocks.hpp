@@ -17,6 +17,7 @@ class GainBlock : public Block {
   GainBlock(std::string name, double gain);
   const char* type_name() const override { return "Gain"; }
   void output(const SimContext& ctx) override;
+  bool output_is_pure() const override { return true; }
   double gain() const { return gain_; }
   void set_gain(double g) { gain_ = g; }
   mcu::OpCounts step_ops(bool fixed_point) const override;
@@ -32,6 +33,7 @@ class SumBlock : public Block {
   SumBlock(std::string name, std::string signs);
   const char* type_name() const override { return "Sum"; }
   void output(const SimContext& ctx) override;
+  bool output_is_pure() const override { return true; }
   mcu::OpCounts step_ops(bool fixed_point) const override;
   std::string emit_c(const EmitContext& ctx) const override;
 
@@ -44,6 +46,7 @@ class ProductBlock : public Block {
   ProductBlock(std::string name, int inputs = 2);
   const char* type_name() const override { return "Product"; }
   void output(const SimContext& ctx) override;
+  bool output_is_pure() const override { return true; }
   mcu::OpCounts step_ops(bool fixed_point) const override;
   std::string emit_c(const EmitContext& ctx) const override;
 };

@@ -15,6 +15,7 @@ class ConstantBlock : public Block {
   ConstantBlock(std::string name, double value);
   const char* type_name() const override { return "Constant"; }
   void output(const SimContext& ctx) override;
+  bool output_is_pure() const override { return true; }
   void set_value(double v) { value_ = v; }
   double value() const { return value_; }
   mcu::OpCounts step_ops(bool fixed_point) const override;

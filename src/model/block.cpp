@@ -57,6 +57,12 @@ const std::optional<fixpt::FixedFormat>& Block::output_format(int port) const {
 
 void Block::initialize(const SimContext& ctx) { (void)ctx; }
 
+void Block::append_sources(std::vector<const Block*>& into) const {
+  for (const Connection& c : inputs_) {
+    if (c.src) into.push_back(c.src->port_writer(c.src_port));
+  }
+}
+
 bool Block::input_connected(int port) const {
   return inputs_.at(static_cast<std::size_t>(port)).src != nullptr;
 }

@@ -97,6 +97,20 @@ class Block {
   /// The model the engine splices into its flat program in place of this
   /// block (an atomic subsystem's interior); nullptr for every other block.
   virtual const Model* spliced_interior() const { return nullptr; }
+  /// True when output() is a pure function of the inputs and parameters:
+  /// it reads neither the context nor any state of its own.  The engine
+  /// runs such a block once per major step instead of in every RK4 stage
+  /// when all it reads is held across the stages (see model/engine.hpp).
+  virtual bool output_is_pure() const { return false; }
+  /// The block whose output() writes output \p port as the flat program
+  /// runs: a spliced subsystem's bound Outport, this block otherwise.
+  virtual const Block* port_writer(int port) const {
+    (void)port;
+    return this;
+  }
+  /// Appends the blocks whose outputs this block's output() reads, each
+  /// seen through port_writer(); an Inport reads its subsystem's input.
+  virtual void append_sources(std::vector<const Block*>& into) const;
 
   // --- Continuous states ---
   virtual int continuous_state_count() const { return 0; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_set>
 
 // No subsystem header here: the engine finds interiors through
 // Block::spliced_interior().  With the Subsystem overrides of update() in
@@ -44,6 +45,13 @@ Engine::Engine(Model& model, EngineOptions options)
     : model_(model), options_(options) {
   if (options_.minor_steps < 1) {
     throw std::invalid_argument("Engine: minor_steps >= 1");
+  }
+  if (std::isnan(options_.stop_time)) {
+    throw std::invalid_argument("Engine: stop_time is NaN");
+  }
+  if (!std::isfinite(options_.base_period) || options_.base_period < 0) {
+    throw std::invalid_argument(
+        "Engine: base_period finite and >= 0 (0 derives it)");
   }
 }
 
@@ -106,10 +114,12 @@ void Engine::initialize() {
 
 void Engine::build_program() {
   exec_.clear();
+  hoisted_.clear();
   stages_.clear();
   layout_.clear();
   epochs_.clear();
   splice(model_, 0);
+  build_stage_program();
 
   const std::size_t total =
       layout_.empty() ? 0 : layout_.back().offset + layout_.back().count;
@@ -160,6 +170,54 @@ void Engine::splice(const Model& model, std::uint64_t parent_offset_ticks) {
   }
 }
 
+void Engine::build_stage_program() {
+  // splice() left every continuous or state-holding block in stages_.
+  const std::unordered_set<const Block*> candidates(stages_.begin(),
+                                                    stages_.end());
+  // The derivative cone: the state holders, then every candidate whose
+  // output reaches a cone block's inputs.  Other sources are held across
+  // the stages, because only the major pass runs them.
+  std::unordered_set<const Block*> cone;
+  std::vector<const Block*> todo, sources;
+  for (const StateSlice& s : layout_) todo.push_back(s.block);
+  while (!todo.empty()) {
+    const Block* b = todo.back();
+    todo.pop_back();
+    if (!cone.insert(b).second) continue;
+    sources.clear();
+    b->append_sources(sources);
+    for (const Block* src : sources) {
+      if (candidates.count(src)) todo.push_back(src);
+    }
+  }
+  // State holders keep their per-stage output() even where no stage reads
+  // it: callers read a holder's outputs right after step() (run_pil's
+  // sensor reads the motor angle after advance_to()).
+  //
+  // Hoisting in program order: a source counts as held if it is no
+  // candidate or was already found step-invariant.
+  std::unordered_set<const Block*> invariant;
+  std::vector<Block*> stages;
+  for (Block* b : stages_) {
+    if (!cone.count(b)) continue;
+    bool hoist = b->continuous_state_count() == 0 && b->output_is_pure();
+    if (hoist) {
+      sources.clear();
+      b->append_sources(sources);
+      for (const Block* src : sources) {
+        if (candidates.count(src) && !invariant.count(src)) hoist = false;
+      }
+    }
+    if (hoist) {
+      invariant.insert(b);
+      hoisted_.push_back(b);
+    } else {
+      stages.push_back(b);
+    }
+  }
+  stages_ = std::move(stages);
+}
+
 bool Engine::program_stale() const {
   for (const auto& [model, epoch] : epochs_) {
     if (model->order_epoch() != epoch) return true;
@@ -187,13 +245,17 @@ void Engine::eval_derivatives(double t, std::vector<double>& candidate,
 
 void Engine::integrate(double t0) {
   if (states_.empty()) return;
+  // The step-invariant blocks read only values held across the stages, so
+  // one evaluation with stage 1's context serves every stage.
+  const SimContext ctx{t0, base_period_, true};
+  for (Block* b : hoisted_) b->output(ctx);
   const double h =
       base_period_ / static_cast<double>(options_.minor_steps);
   for (int m = 0; m < options_.minor_steps; ++m) {
     const double t = t0 + h * m;
     // Classic RK4 (stage/combination loops shared via util/rk4.hpp; the
-    // derivative evaluations stay here because they re-run the continuous
-    // entries' outputs between stages).
+    // derivative evaluations stay here because they re-run the stage
+    // program between stages).
     eval_derivatives(t, states_, k1_);
     util::rk4_stage(states_, k1_, 0.5 * h, scratch_);
     eval_derivatives(t + 0.5 * h, scratch_, k2_);
@@ -237,6 +299,9 @@ bool Engine::step() {
 }
 
 void Engine::run() {
+  if (std::isinf(options_.stop_time)) {
+    throw std::logic_error("Engine: run() needs a finite stop_time");
+  }
   while (step()) {
   }
 }

@@ -9,8 +9,16 @@
 /// included, is spliced into its parent's sorted order at the subsystem's
 /// position.  Function-call subsystems stay single triggered entries.  The
 /// blocks holding continuous states get fixed offsets in one state vector,
-/// so an RK4 stage is one state write, one output pass over the continuous
-/// entries in global sorted order and one derivatives pass.
+/// so an RK4 stage is one state write, one output pass over the stage
+/// program and one derivatives pass.
+///
+/// The stage program is the derivative cone: the state holders and the
+/// continuous blocks whose outputs reach a state holder's inputs, found by
+/// walking back across Inport/Outport boundaries.  Other continuous blocks
+/// run only in the major pass.  A cone block that holds no state, declares
+/// Block::output_is_pure() and reads only held values (discrete signals or
+/// other such blocks) is step-invariant: it runs once per major step, at
+/// the start of integrate() with stage 1's context.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +37,8 @@ struct EngineOptions {
 
 class Engine {
  public:
+  /// Throws std::invalid_argument on minor_steps < 1, a NaN stop_time or a
+  /// negative or non-finite base_period.
   Engine(Model& model, EngineOptions options);
 
   /// Resolves sample times, initializes blocks, compiles the flat program.
@@ -38,11 +48,12 @@ class Engine {
   /// Executes one major step.  Returns false once stop_time is reached.
   bool step();
 
-  /// Runs until stop_time.
+  /// Runs until stop_time.  Throws std::logic_error if it is infinite.
   void run();
 
   /// Steps until time() >= t (used by the PIL host to advance the plant
-  /// model in lockstep with the co-simulation world).
+  /// model in lockstep with the co-simulation world).  Unlike run(), legal
+  /// with an infinite stop_time.
   void advance_to(double t);
 
   double time() const;
@@ -76,6 +87,7 @@ class Engine {
   void resolve_sample_times();
   void build_program();
   void splice(const Model& model, std::uint64_t parent_offset_ticks);
+  void build_stage_program();
   bool program_stale() const;
   void eval_derivatives(double t, std::vector<double>& candidate,
                         std::vector<double>& dx);
@@ -89,8 +101,9 @@ class Engine {
   bool initialized_ = false;
 
   std::vector<ExecEntry> exec_;    ///< the flat program, global sorted order
-  /// The blocks that also run in every RK4 stage (continuous or holding
-  /// states), in the same order.
+  /// The step-invariant cone blocks, run once at the start of integrate().
+  std::vector<Block*> hoisted_;
+  /// The other cone blocks, run in every RK4 stage; both in program order.
   std::vector<Block*> stages_;
   std::vector<StateSlice> layout_;
   /// Every model spliced into the program with the order epoch it had; a

@@ -8,6 +8,12 @@ void Inport::output(const SimContext&) {
   if (owner_) set_out_value(0, owner_->in_value(port_));
 }
 
+void Inport::append_sources(std::vector<const Block*>& into) const {
+  if (!owner_ || !owner_->input_connected(port_)) return;
+  const Connection& c = owner_->input(port_);
+  into.push_back(c.src->port_writer(c.src_port));
+}
+
 void Outport::output(const SimContext&) {
   set_out_value(0, in_ref(0));
   if (owner_) owner_->set_out_value(port_, out(0));
@@ -32,6 +38,16 @@ void Subsystem::bind_ports(std::vector<Inport*> inports,
     outports[i]->port_ = static_cast<int>(i);
   }
   ports_bound_ = true;
+}
+
+const Block* Subsystem::port_writer(int port) const {
+  if (spliced_interior()) {
+    for (const auto& b : inner_.blocks()) {
+      const auto* out = dynamic_cast<const Outport*>(b.get());
+      if (out && out->owner_ == this && out->port_ == port) return out;
+    }
+  }
+  return this;
 }
 
 void Subsystem::initialize(const SimContext& ctx) {

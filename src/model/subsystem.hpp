@@ -26,6 +26,8 @@ class Inport : public Block {
   explicit Inport(std::string name) : Block(std::move(name), 0, 1) {}
   const char* type_name() const override { return "Inport"; }
   void output(const SimContext& ctx) override;
+  bool output_is_pure() const override { return true; }
+  void append_sources(std::vector<const Block*>& into) const override;
 
  private:
   friend class Subsystem;
@@ -41,6 +43,7 @@ class Outport : public Block {
   explicit Outport(std::string name) : Block(std::move(name), 1, 1) {}
   const char* type_name() const override { return "Outport"; }
   void output(const SimContext& ctx) override;
+  bool output_is_pure() const override { return true; }
 
  private:
   friend class Subsystem;
@@ -84,6 +87,8 @@ class Subsystem : public Block {
   void output(const SimContext& ctx) override;
   void update(const SimContext& ctx) override;
   const Model* spliced_interior() const override { return &inner_; }
+  /// While spliced, the bound Outport writes output \p port.
+  const Block* port_writer(int port) const override;
 
   mcu::OpCounts step_ops(bool fixed_point) const override;
   std::uint32_t state_bytes() const override;

@@ -2,9 +2,11 @@
 
 #include <cmath>
 #include <cstring>
+#include <numbers>
 #include <string>
 
 #include "blocks/continuous.hpp"
+#include "blocks/custom.hpp"
 #include "blocks/discrete.hpp"
 #include "blocks/math_blocks.hpp"
 #include "blocks/sinks.hpp"
@@ -247,6 +249,186 @@ TEST(Engine, AdvanceToStepsExactly) {
   EXPECT_NEAR(eng.time(), 0.05, 1e-12);
   eng.advance_to(0.05);  // idempotent
   EXPECT_NEAR(eng.time(), 0.05, 1e-12);
+}
+
+TEST(Engine, RejectsNanStopTime) {
+  Model m("nan");
+  m.add<ConstantBlock>("c", 1.0);
+  EXPECT_THROW(Engine(m, {.stop_time = std::nan("")}), std::invalid_argument);
+}
+
+TEST(Engine, RejectsBadBasePeriod) {
+  Model m("bp");
+  m.add<ConstantBlock>("c", 1.0);
+  for (const double bad : {-1e-3, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(Engine(m, {.stop_time = 0.01, .base_period = bad}),
+                 std::invalid_argument)
+        << bad;
+  }
+  // 0 still means "derive it".
+  Engine eng(m, {.stop_time = 0.01, .base_period = 0.0});
+  eng.run();
+  EXPECT_DOUBLE_EQ(eng.base_period(), 1e-3);
+}
+
+TEST(Engine, RunRefusesInfiniteStopTime) {
+  Model m("inf");
+  m.add<ConstantBlock>("c", 1.0);
+  Engine eng(m, {.stop_time = HUGE_VAL});
+  EXPECT_THROW(eng.run(), std::logic_error);
+  eng.advance_to(0.01);  // stepping to a finite time stays legal
+  EXPECT_EQ(eng.major_steps(), 10u);
+}
+
+TEST(Engine, StagesSkipContinuousBlocksOutsideTheDerivativeCone) {
+  // x' = 1; a continuous block on x that feeds only a scope reaches no
+  // state holder, so only the major pass runs it.
+  Model m("cone");
+  auto& u = m.add<ConstantBlock>("u", 1.0);
+  auto& x = m.add<IntegratorBlock>("x", 0.0);
+  int calls = 0;
+  auto& probe = m.add<blocks::FunctionBlock>(
+      "probe", 1, [&calls](const std::vector<double>& in, double) {
+        ++calls;
+        return 2.0 * in[0];
+      });
+  auto& scope = m.add<ScopeBlock>("s");
+  m.connect(u, 0, x, 0);
+  m.connect(x, 0, probe, 0);
+  m.connect(probe, 0, scope, 0);
+  Engine eng(m, {.stop_time = 0.01, .minor_steps = 3});
+  eng.run();
+  EXPECT_TRUE(probe.resolved_continuous());
+  EXPECT_EQ(calls, 10);
+  // Left after step() at its major-time output: 2 * x(9 ms).
+  EXPECT_NEAR(probe.out(0).as_double(), 2.0 * 0.009, 1e-12);
+  EXPECT_NEAR(scope.log().last_value(), 2.0 * 0.009, 1e-12);
+}
+
+TEST(Engine, TimeVaryingSourceRunsInEveryStage) {
+  // A continuous sine is no pure block, so every stage samples it: the
+  // integral over a quarter period is 1/(2 pi).  A sine held over the
+  // major step would be off by about h/2 = 5e-4.
+  Model m("sine");
+  auto& sine = m.add<blocks::SineBlock>("sin", 1.0, 1.0, 0.0, 0.0);
+  sine.set_sample_time(SampleTime::continuous());
+  auto& x = m.add<IntegratorBlock>("x", 0.0);
+  m.connect(sine, 0, x, 0);
+  Engine eng(m, {.stop_time = 0.25, .base_period = 1e-3});
+  eng.run();
+  x.output({0.25, 1e-3, false});
+  EXPECT_NEAR(x.out(0).as_double(), 1.0 / (2.0 * std::numbers::pi), 1e-9);
+}
+
+TEST(Engine, ImpureBlockOnHeldInputsRunsInEveryStage) {
+  // A function of t fed only by a discrete constant: every input is held,
+  // but the predicate's false default keeps it in the stages, so x = t^2/2.
+  Model m("clock");
+  auto& c = m.add<ConstantBlock>("c", 0.0);
+  auto& clock = m.add<blocks::FunctionBlock>(
+      "clock", 1, [](const std::vector<double>&, double t) { return t; });
+  clock.set_sample_time(SampleTime::continuous());
+  auto& x = m.add<IntegratorBlock>("x", 0.0);
+  m.connect(c, 0, clock, 0);
+  m.connect(clock, 0, x, 0);
+  Engine eng(m, {.stop_time = 0.5, .base_period = 1e-3});
+  eng.run();
+  EXPECT_FALSE(c.resolved_continuous());
+  x.output({0.5, 1e-3, false});
+  EXPECT_NEAR(x.out(0).as_double(), 0.5 * 0.5 * 0.5, 1e-12);
+}
+
+// Counts output() calls of a block type; the predicate is the base's.
+template <typename Base>
+struct Counting : Base {
+  using Base::Base;
+  void output(const SimContext& ctx) override {
+    ++calls;
+    Base::output(ctx);
+  }
+  int calls = 0;
+};
+
+TEST(Engine, ServoShapedPlantRunsOnlyItsStateHolderPerStage) {
+  // The servo's shape: a discrete controller drives a continuous plant
+  // subsystem duty_in -> drive -> motor -> {angle_out, speed_out}.  The
+  // Inport and the gain read the held duty, so each runs in the major pass
+  // and once hoisted; the Outports reach no state holder.
+  Model top("top");
+  auto& duty = top.add<ConstantBlock>("duty", 0.5);
+  duty.set_sample_time(SampleTime::discrete(1e-3));
+  auto& plant = top.add<Subsystem>("plant", 1, 2);
+  plant.set_sample_time(SampleTime::continuous());
+  plant.set_direct_feedthrough(false);
+  Model& p = plant.inner();
+  auto& duty_in = p.add<Counting<Inport>>("duty_in");
+  auto& drive = p.add<Counting<GainBlock>>("drive", 12.0);
+  auto& motor = p.add<Counting<IntegratorBlock>>("motor", 0.0);
+  auto& angle_out = p.add<Counting<Outport>>("angle_out");
+  auto& speed_out = p.add<Counting<Outport>>("speed_out");
+  p.connect(duty_in, 0, drive, 0);
+  p.connect(drive, 0, motor, 0);
+  p.connect(motor, 0, angle_out, 0);
+  p.connect(motor, 0, speed_out, 0);
+  plant.bind_ports({&duty_in}, {&angle_out, &speed_out});
+  top.connect(duty, 0, plant, 0);
+  auto& scope = top.add<ScopeBlock>("s", 2);
+  scope.set_sample_time(SampleTime::discrete(1e-3));
+  top.connect(plant, 0, scope, 0);
+  top.connect(plant, 1, scope, 1);
+
+  constexpr int kSteps = 10;
+  Engine eng(top, {.stop_time = kSteps * 1e-3, .minor_steps = 4});
+  eng.run();
+  EXPECT_EQ(duty_in.calls, 2 * kSteps);
+  EXPECT_EQ(drive.calls, 2 * kSteps);
+  EXPECT_EQ(motor.calls, (1 + 4 * 4) * kSteps);
+  EXPECT_EQ(angle_out.calls, kSteps);
+  EXPECT_EQ(speed_out.calls, kSteps);
+  // x' = 6 integrates exactly; the scope saw x at the last major time.
+  EXPECT_NEAR(scope.log(1).last_value(), 6.0 * (kSteps - 1) * 1e-3, 1e-12);
+}
+
+TEST(Engine, DerivativeConeCrossesSubsystemBoundaries) {
+  // x' = -x with the gain inside a continuous subsystem: the walk from x
+  // reaches the gain through the subsystem's Outport and its Inport, so
+  // the gain runs in every stage and x(1) = e^-1.
+  Model m("wrapped_decay");
+  auto& x = m.add<IntegratorBlock>("x", 1.0);
+  auto& sub = m.add<Subsystem>("neg", 1, 1);
+  sub.set_sample_time(SampleTime::continuous());
+  auto& in = sub.inner().add<Inport>("in");
+  auto& g = sub.inner().add<GainBlock>("g", -1.0);
+  auto& out = sub.inner().add<Outport>("out");
+  sub.inner().connect(in, 0, g, 0);
+  sub.inner().connect(g, 0, out, 0);
+  sub.bind_ports({&in}, {&out});
+  m.connect(x, 0, sub, 0);
+  m.connect(sub, 0, x, 0);
+  Engine eng(m, {.stop_time = 1.0, .minor_steps = 4});
+  eng.run();
+  x.output({1.0, 1e-3, false});
+  EXPECT_NEAR(x.out(0).as_double(), std::exp(-1.0), 1e-9);
+}
+
+TEST(Engine, StageProgramFollowsAGraphEditMidRun) {
+  // x' = 1 for 5 ms, then the continuous gain on x, which fed only a scope,
+  // replaces the source: the rebuild brings it into the derivative cone,
+  // so x' = -x is integrated stage by stage from there on.
+  Model m("edit");
+  auto& u = m.add<ConstantBlock>("u", 1.0);
+  auto& x = m.add<IntegratorBlock>("x", 0.0);
+  auto& g = m.add<GainBlock>("g", -1.0);
+  auto& scope = m.add<ScopeBlock>("s");
+  m.connect(u, 0, x, 0);
+  m.connect(x, 0, g, 0);
+  m.connect(g, 0, scope, 0);
+  Engine eng(m, {.stop_time = 0.01});
+  eng.advance_to(0.005);
+  m.connect(g, 0, x, 0);
+  eng.run();
+  x.output({0.01, 1e-3, false});
+  EXPECT_NEAR(x.out(0).as_double(), 0.005 * std::exp(-0.005), 1e-12);
 }
 
 // --------------------------------------------------------------- Subsystems

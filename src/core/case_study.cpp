@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <optional>
 
 #include "blocks/custom.hpp"
 #include "blocks/math_blocks.hpp"
@@ -50,17 +51,11 @@ util::DiagnosticList validate(const ServoConfig& config) {
           config.setpoint_time);
   require(std::isfinite(config.kp), "kp", "finite", config.kp);
   require(std::isfinite(config.ki), "ki", "finite", config.ki);
-  require(positive(m.inertia), "motor.inertia", "positive", m.inertia);
-  require(positive(m.inductance), "motor.inductance", "positive",
-          m.inductance);
-  require(positive(m.resistance), "motor.resistance", "positive",
-          m.resistance);
-  require(std::isfinite(m.kt), "motor.kt", "finite", m.kt);
-  require(std::isfinite(m.ke), "motor.ke", "finite", m.ke);
-  require(m.damping >= 0 && std::isfinite(m.damping), "motor.damping",
-          ">= 0", m.damping);
-  require(std::isfinite(m.supply_voltage), "motor.supply_voltage", "finite",
-          m.supply_voltage);
+  const util::DiagnosticList motor = plant::validate(m);
+  for (util::Diagnostic item : motor.items()) {
+    item.component = "servo." + item.component;
+    d.add(std::move(item));
+  }
   // Stiffness is judged only on otherwise valid constants and period.
   if (!d.has_errors()) {
     const double h = config.period_s / kPlantMinorSteps;
@@ -308,7 +303,9 @@ ServoSystem::HilResult ServoSystem::run_hil(const HilOptions& options) {
   project_.bind(mcu);
   rt::Runtime runtime(mcu, project_, build.app);
 
-  // Peripheral-level plant coupling.
+  // Peripheral-level plant coupling.  The fault plan's load torque, if
+  // any, is declared first so it outlives the plant reading it.
+  std::optional<sim::ZohSignal> torque;
   plant::DcMotorSim motor(world, config_.motor);
   auto* pwm_bean = dynamic_cast<beans::PwmBean*>(project_.find("PWM1"));
   motor.drive_from_duty(&pwm_bean->peripheral()->average_output());
@@ -325,10 +322,8 @@ ServoSystem::HilResult ServoSystem::run_hil(const HilOptions& options) {
     fault::wire_cpu(*options.faults, mcu.cpu());
     fault::wire_runtime(*options.faults, runtime);
     fault::wire_encoder(*options.faults, encoder);
-    if (plant::LoadTorque load =
-            fault::make_load_torque(*options.faults, duration)) {
-      motor.set_load(std::move(load));
-    }
+    torque = fault::make_torque_signal(*options.faults, duration);
+    if (torque) motor.load_from(&*torque);
   }
 
   runtime.start();

@@ -57,12 +57,12 @@ struct ServoConfig {
 /// PIL host plant).
 inline constexpr int kPlantMinorSteps = 4;
 
-/// Numeric checks of a ServoConfig: counts, periods, frequencies and motor
-/// parameters a run divides by must be positive; gains, set-point, step
-/// instant, motor constants and supply voltage finite; the duration and
-/// the motor damping non-negative.  A config that passes all of those must
-/// also be stable under the engine's RK4 substep: (period_s /
-/// kPlantMinorSteps) * plant::fastest_mode(motor) within
+/// Numeric checks of a ServoConfig: counts, periods and frequencies a run
+/// divides by must be positive; gains, set-point and step instant finite;
+/// the duration non-negative; the motor must pass plant::validate, whose
+/// errors are reported as "servo.motor.<field>".  A config that passes all
+/// of those must also be stable under the engine's RK4 substep: (period_s
+/// / kPlantMinorSteps) * plant::fastest_mode(motor) within
 /// plant::kRk4StabilityLimit.  No bean solving happens here; the bean
 /// project checks achievability.
 util::DiagnosticList validate(const ServoConfig& config);

@@ -138,24 +138,26 @@ void wire_encoder(FaultInjector& injector,
       });
 }
 
-plant::LoadTorque make_load_torque(FaultInjector& injector,
-                                   double duration_s) {
+namespace {
+
+struct TorquePulse {
+  double start;
+  double end;
+  double torque;
+};
+
+// The whole pulse schedule, drawn up front (uniform inter-arrival with the
+// plan's mean rate, random sign), so the plant reads it at any time without
+// consuming stream state.  Empty when the plan schedules no pulses.
+std::vector<TorquePulse> draw_torque_pulses(FaultInjector& injector,
+                                            double duration_s) {
   const FaultPlan& plan = injector.plan();
+  std::vector<TorquePulse> pulses;
   if (plan.torque_pulse_rate_hz <= 0.0 || plan.torque_pulse_nm == 0.0 ||
       plan.torque_pulse_s <= 0.0) {
-    return nullptr;
+    return pulses;
   }
   FaultInjector::Site& site = injector.site("plant.torque");
-  // The whole pulse schedule is drawn up front (uniform inter-arrival with
-  // the plan's mean rate, random sign): the returned closure is pure in t,
-  // so the plant integrator can evaluate it at any adaptive substep
-  // without consuming stream state.
-  struct Pulse {
-    double start;
-    double end;
-    double torque;
-  };
-  auto pulses = std::make_shared<std::vector<Pulse>>();
   const double mean_gap = 1.0 / plan.torque_pulse_rate_hz;
   double t = 0.0;
   for (;;) {
@@ -163,18 +165,43 @@ plant::LoadTorque make_load_torque(FaultInjector& injector,
     if (t >= duration_s) break;
     const double torque =
         (site.next_u64() & 1u) ? plan.torque_pulse_nm : -plan.torque_pulse_nm;
-    pulses->push_back({t, t + plan.torque_pulse_s, torque});
+    pulses.push_back({t, t + plan.torque_pulse_s, torque});
     site.note_injected();
   }
+  return pulses;
+}
+
+}  // namespace
+
+plant::LoadTorque make_load_torque(FaultInjector& injector,
+                                   double duration_s) {
+  auto pulses = std::make_shared<const std::vector<TorquePulse>>(
+      draw_torque_pulses(injector, duration_s));
   if (pulses->empty()) return nullptr;
   return [pulses](double time, double /*omega*/) -> double {
     auto it = std::upper_bound(
         pulses->begin(), pulses->end(), time,
-        [](double value, const Pulse& p) { return value < p.start; });
+        [](double value, const TorquePulse& p) { return value < p.start; });
     if (it == pulses->begin()) return 0.0;
-    const Pulse& p = *(it - 1);
+    const TorquePulse& p = *(it - 1);
     return time < p.end ? p.torque : 0.0;
   };
+}
+
+std::optional<sim::ZohSignal> make_torque_signal(FaultInjector& injector,
+                                                 double duration_s) {
+  const std::vector<TorquePulse> pulses =
+      draw_torque_pulses(injector, duration_s);
+  if (pulses.empty()) return std::nullopt;
+  // The closure's rule: the latest pulse started holds until its end.
+  sim::ZohSignal torque(0.0);
+  for (std::size_t i = 0; i < pulses.size(); ++i) {
+    torque.set(sim::from_seconds(pulses[i].start), pulses[i].torque);
+    if (i + 1 == pulses.size() || pulses[i + 1].start > pulses[i].end) {
+      torque.set(sim::from_seconds(pulses[i].end), 0.0);
+    }
+  }
+  return torque;
 }
 
 void wire_pil(FaultInjector& injector, pil::PilSession& session) {

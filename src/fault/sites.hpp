@@ -14,6 +14,8 @@
 /// site and of campaign thread count.
 #pragma once
 
+#include <optional>
+
 #include "fault/injector.hpp"
 #include "mcu/cpu.hpp"
 #include "periph/adc.hpp"
@@ -23,6 +25,7 @@
 #include "rt/runtime.hpp"
 #include "sim/can_bus.hpp"
 #include "sim/serial_link.hpp"
+#include "sim/zoh_signal.hpp"
 
 namespace iecd::fault {
 
@@ -48,10 +51,15 @@ void wire_adc(FaultInjector& injector, periph::AdcPeripheral& adc);
 void wire_encoder(FaultInjector& injector, plant::IncrementalEncoder& encoder);
 
 /// Pre-generated disturbance-pulse schedule over [0, duration_s] as a
-/// LoadTorque for DcMotorSim/DcMotorBlock::set_load; site "plant.torque".
-/// Returns null (leave the plant's load untouched) when the plan schedules
-/// no pulses.
+/// LoadTorque for DcMotorBlock::set_load; site "plant.torque".  Returns
+/// null (leave the plant's load untouched) when the plan schedules no
+/// pulses.
 plant::LoadTorque make_load_torque(FaultInjector& injector, double duration_s);
+
+/// The same schedule, drawn the same way, as a held torque [N m] for
+/// DcMotorSim::load_from; nullopt when the plan schedules no pulses.
+std::optional<sim::ZohSignal> make_torque_signal(FaultInjector& injector,
+                                                 double duration_s);
 
 /// Full PIL wiring: byte faults on both link directions plus frame
 /// truncation/delay on the host sends ("pil.host_tx") and truncation on

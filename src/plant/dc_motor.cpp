@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/rk4.hpp"
+#include "util/strings.hpp"
 
 namespace iecd::plant {
 
@@ -53,13 +53,27 @@ void DcMotorBlock::derivatives(const model::SimContext& ctx,
   std::copy(out, out + 3, dx.begin());
 }
 
-namespace {
-
-// Share of RK4's stability limit a plant step may use: far enough inside
-// it that the step resolves the fastest mode accurately, not just stably.
-constexpr double kAccuracyMargin = 0.1;
-
-}  // namespace
+util::DiagnosticList validate(const DcMotorParams& p) {
+  util::DiagnosticList d;
+  const auto require = [&d](bool ok, const char* field, const char* rule,
+                            double value) {
+    if (!ok) {
+      d.error(std::string("motor.") + field,
+              util::format("must be %s (got %g)", rule, value));
+    }
+  };
+  const auto positive = [](double v) { return v > 0 && std::isfinite(v); };
+  require(positive(p.inertia), "inertia", "positive", p.inertia);
+  require(positive(p.inductance), "inductance", "positive", p.inductance);
+  require(positive(p.resistance), "resistance", "positive", p.resistance);
+  require(std::isfinite(p.kt), "kt", "finite", p.kt);
+  require(std::isfinite(p.ke), "ke", "finite", p.ke);
+  require(p.damping >= 0 && std::isfinite(p.damping), "damping", ">= 0",
+          p.damping);
+  require(std::isfinite(p.supply_voltage), "supply_voltage", "finite",
+          p.supply_voltage);
+  return d;
+}
 
 double fastest_mode(const DcMotorParams& p) {
   const double trace = -(p.resistance / p.inductance + p.damping / p.inertia);
@@ -70,32 +84,128 @@ double fastest_mode(const DcMotorParams& p) {
                      : std::sqrt(det);
 }
 
-int plant_steps_per_poll(const DcMotorParams& params) {
-  const double steps =
-      std::ceil(sim::to_seconds(kPollInterval) * fastest_mode(params) /
-                (kAccuracyMargin * kRk4StabilityLimit));
-  if (!(steps <= static_cast<double>(kPollInterval))) {
-    throw std::invalid_argument(
-        "DcMotorSim: no RK4 step of 1 ns or more resolves this motor "
-        "(fastest mode " + std::to_string(fastest_mode(params)) + " 1/s)");
+namespace {
+
+using Mat3 = double[3][3];
+
+void multiply(const Mat3& a, const Mat3& b, Mat3& out) {
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) {
+      out[r][c] = a[r][0] * b[0][c] + a[r][1] * b[1][c] + a[r][2] * b[2][c];
+    }
   }
-  return std::max(1, static_cast<int>(steps));
+}
+
+// Taylor terms of T = sum_k X^k / (k+1)! kept once |X| <= 1/2: the first
+// term dropped is below 2^-15 / 16!, under a unit roundoff of T ~ 1.
+constexpr int kTaylorTerms = 14;
+
+}  // namespace
+
+ZohMap zoh_map(const DcMotorParams& p, double h) {
+  const double a[3][3] = {
+      {-p.resistance / p.inductance, -p.ke / p.inductance, 0.0},
+      {p.kt / p.inertia, -p.damping / p.inertia, 0.0},
+      {0.0, 1.0, 0.0}};
+  // Scaling: halve the step until |A h_s| (row-sum norm) is at most 1/2.
+  double norm = 0.0;
+  for (const auto& row : a) {
+    norm = std::max(norm,
+                    std::abs(row[0]) + std::abs(row[1]) + std::abs(row[2]));
+  }
+  norm *= h;
+  int squarings = 0;
+  double hs = h;
+  // A non-finite matrix is left unscaled: its map comes out non-finite.
+  while (std::isfinite(norm) && norm > 0.5) {
+    norm *= 0.5;
+    hs *= 0.5;
+    ++squarings;
+  }
+  Mat3 x;
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) x[r][c] = a[r][c] * hs;
+  }
+  // T = sum_k X^k / (k+1)! by Horner; then e^X = I + X T and the input
+  // integral int_0^hs e^{A s} ds = hs T.
+  Mat3 t = {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
+  Mat3 xt;
+  for (int k = kTaylorTerms; k >= 1; --k) {
+    multiply(x, t, xt);
+    for (int r = 0; r < 3; ++r) {
+      for (int c = 0; c < 3; ++c) {
+        t[r][c] = (r == c ? 1.0 : 0.0) + xt[r][c] / (k + 1);
+      }
+    }
+  }
+  multiply(x, t, xt);
+  ZohMap map;
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 3; ++c) {
+      map.phi[r][c] = (r == c ? 1.0 : 0.0) + xt[r][c];
+    }
+    // B = [1/L, 0, 0] for the voltage and [0, -1/J, 0] for the load.
+    map.gamma_u[r] = hs * t[r][0] / p.inductance;
+    map.gamma_tau[r] = -hs * t[r][1] / p.inertia;
+  }
+  // Squaring: two steps of hs are one of 2 hs, phi -> phi phi and
+  // gamma -> phi gamma + gamma.
+  for (int i = 0; i < squarings; ++i) {
+    Mat3 phi2;
+    multiply(map.phi, map.phi, phi2);
+    double gu[3];
+    double gt[3];
+    for (int r = 0; r < 3; ++r) {
+      gu[r] = map.gamma_u[r];
+      gt[r] = map.gamma_tau[r];
+      for (int c = 0; c < 3; ++c) {
+        gu[r] += map.phi[r][c] * map.gamma_u[c];
+        gt[r] += map.phi[r][c] * map.gamma_tau[c];
+      }
+    }
+    std::copy(&phi2[0][0], &phi2[0][0] + 9, &map.phi[0][0]);
+    std::copy(gu, gu + 3, map.gamma_u);
+    std::copy(gt, gt + 3, map.gamma_tau);
+  }
+  return map;
 }
 
 DcMotorSim::DcMotorSim(sim::World& world, DcMotorParams params,
                        std::string name)
     : name_(std::move(name)),
-      dynamics_{params},
-      steps_per_poll_(plant_steps_per_poll(params)) {
+      params_(params),
+      poll_map_(zoh_map(params, sim::to_seconds(kPollInterval))) {
+  if (const util::DiagnosticList d = validate(params); d.has_errors()) {
+    throw std::invalid_argument("DcMotorSim: invalid motor:\n" +
+                                d.to_string());
+  }
+  // A NaN or inf entry makes the sum of all entries non-finite.
+  double sum = 0.0;
+  for (int r = 0; r < 3; ++r) {
+    sum += poll_map_.phi[r][0] + poll_map_.phi[r][1] + poll_map_.phi[r][2] +
+           poll_map_.gamma_u[r] + poll_map_.gamma_tau[r];
+  }
+  if (!std::isfinite(sum)) {
+    throw std::invalid_argument(
+        "DcMotorSim: the motor's step map is not finite (fastest mode " +
+        std::to_string(fastest_mode(params)) + " 1/s)");
+  }
   world.attach(*this);
 }
 
 void DcMotorSim::reset() {
   state_[0] = state_[1] = state_[2] = 0.0;
   next_poll_ = kPollInterval;
+  duty_.piece = load_.piece = Input{}.piece;
 }
 
-void DcMotorSim::drive_from_duty(const sim::ZohSignal* duty) { duty_ = duty; }
+void DcMotorSim::drive_from_duty(const sim::ZohSignal* duty) {
+  duty_ = Input{duty};
+}
+
+void DcMotorSim::load_from(const sim::ZohSignal* torque) {
+  load_ = Input{torque};
+}
 
 void DcMotorSim::poll_until(sim::SimTime t) {
   while (next_poll_ < t) {
@@ -106,6 +216,9 @@ void DcMotorSim::poll_until(sim::SimTime t) {
 }
 
 void DcMotorSim::state_at(sim::SimTime t, double (&y)[3]) {
+  if (t < next_poll_ - kPollInterval) {
+    throw std::logic_error("DcMotorSim: query behind the committed state");
+  }
   poll_until(t);
   std::copy(state_, state_ + 3, y);
   integrate(y, next_poll_ - kPollInterval, t);
@@ -124,29 +237,19 @@ double DcMotorSim::angle_at(sim::SimTime t) {
 }
 
 void DcMotorSim::integrate(double (&y)[3], sim::SimTime from,
-                           sim::SimTime to) const {
-  const double supply = dynamics_.params.supply_voltage;
+                           sim::SimTime to) {
   sim::SimTime t = from;
-  int k = 1;  // index of the next step-grid point
   while (t < to) {
-    const sim::SimTime grid = from + kPollInterval * k / steps_per_poll_;
-    sim::SimTime end = std::min(grid, to);
-    double duty = 0.0;
-    if (duty_) {
-      const sim::ZohSignal::Piece piece = duty_->piece_at(t);
-      duty = piece.value;
-      end = std::min(end, piece.end);
+    // Each step ends at the next duty or torque change, so both inputs
+    // are constant over it and its map is exact.
+    sim::SimTime end = to;
+    const double u = duty_.at(t, end) * params_.supply_voltage;
+    const double tau = load_.at(t, end);
+    if (end - t == kPollInterval) {
+      poll_map_.step(y, u, tau);
+    } else {
+      zoh_map(params_, sim::to_seconds(end - t)).step(y, u, tau);
     }
-    const double u = duty * supply;
-    // Shared classic RK4 (util/rk4.hpp); the voltage is constant over the
-    // step because the step ends at the next duty change.
-    util::rk4_step(y, sim::to_seconds(t), sim::to_seconds(end - t),
-                   [&](double time, const double* s, double* dx) {
-                     dynamics_.derivatives(s, u,
-                                           load_ ? load_(time, s[1]) : 0.0,
-                                           dx);
-                   });
-    if (end == grid) ++k;
     t = end;
   }
 }

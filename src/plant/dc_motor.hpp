@@ -6,18 +6,20 @@
 ///   J dw/dt = Kt i - b w - tau_load
 ///   dtheta/dt = w
 /// Two couplings are provided: a model::Block for MIL simulation inside the
-/// plant subsystem, and an event-world component (lazy RK4 integrator over
-/// a ZohSignal voltage input) for HIL co-simulation against the simulated
-/// PWM peripheral.  The event-world plant also samples its shaft for the
-/// incremental encoder on a fixed poll grid, so the encoder costs no queue
-/// events, and sizes its own RK4 step from the motor's fastest mode.
+/// plant subsystem, and an event-world component (a lazy integrator over
+/// ZohSignal voltage and load inputs) for HIL co-simulation against the
+/// simulated PWM peripheral.  The event-world plant steps by the motor's
+/// exact zero-order-hold map and samples its shaft for the incremental
+/// encoder on a fixed poll grid, so the encoder costs no queue events.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 
 #include "model/block.hpp"
 #include "sim/world.hpp"
 #include "sim/zoh_signal.hpp"
+#include "util/diagnostics.hpp"
 
 namespace iecd::plant {
 
@@ -30,6 +32,12 @@ struct DcMotorParams {
   double damping = 1.0e-5;      ///< viscous friction b [N m s / rad]
   double supply_voltage = 24.0; ///< H-bridge rail [V]
 };
+
+/// The rules every motor must meet before it is simulated: resistance,
+/// inductance and inertia positive and finite; kt, ke and supply_voltage
+/// finite; damping >= 0 and finite.  One error per broken field, named
+/// "motor.<field>".
+util::DiagnosticList validate(const DcMotorParams& params);
 
 /// External load torque as a function of time and speed.
 using LoadTorque = std::function<double(double t, double omega)>;
@@ -68,8 +76,8 @@ class DcMotorBlock : public model::Block {
   double state_[3] = {0, 0, 0};
 };
 
-/// Encoder poll grid: the event-world plant hands its shaft angle to its
-/// sampler at every multiple of this interval.
+/// Encoder poll grid: the event-world plant takes one exact step per
+/// interval and hands its shaft angle to its sampler at every multiple.
 inline constexpr sim::SimTime kPollInterval = sim::microseconds(50);
 
 /// Classic RK4's stability limit on the negative real axis: a step h keeps
@@ -79,32 +87,49 @@ inline constexpr double kRk4StabilityLimit = 2.785;
 
 /// Magnitude of the fastest eigenvalue [1/s] of the electromechanical
 /// matrix [[-R/L, -Ke/L], [Kt/J, -b/J]]: the rate an explicit integrator
-/// must resolve.  It sizes DcMotorSim's step and core::validate's check of
-/// the model engine's step.  NaN or inf for non-finite or zero L, J.
+/// must resolve.  It sizes core::validate's check of the model engine's RK4
+/// substep.  NaN or inf for non-finite or zero L, J.
 double fastest_mode(const DcMotorParams& params);
 
-/// Equal RK4 steps per poll interval for DcMotorSim: the fewest that keep
-/// h |lambda| within a tenth of kRk4StabilityLimit, an accuracy margin well
-/// inside stability (the default motor takes one step per poll).  Throws
-/// std::invalid_argument when no step of at least 1 ns qualifies, which
-/// includes a non-finite fastest_mode().
-int plant_steps_per_poll(const DcMotorParams& params);
+/// The exact step of the motor over h seconds with the armature voltage u
+/// and the load torque tau held constant: x+ = phi x + gamma_u u +
+/// gamma_tau tau for x = (current, omega, theta), phi = e^{A h}.
+struct ZohMap {
+  double phi[3][3];
+  double gamma_u[3];
+  double gamma_tau[3];
+
+  void step(double (&x)[3], double u, double tau) const {
+    const double x0 = x[0], x1 = x[1], x2 = x[2];
+    for (int r = 0; r < 3; ++r) {
+      x[r] = phi[r][0] * x0 + phi[r][1] * x1 + phi[r][2] * x2 +
+             gamma_u[r] * u + gamma_tau[r] * tau;
+    }
+  }
+};
+
+/// The map for a step of \p h seconds, from a Taylor series with scaling
+/// and squaring, accurate to double precision for any stiffness.  Entries
+/// are NaN or inf for a motor whose matrix is not finite.
+ZohMap zoh_map(const DcMotorParams& params, double h);
 
 /// HIL plant: lives in the co-simulation world, integrates lazily up to any
 /// queried time using the PWM's zero-order-hold average output as the
-/// armature voltage (duty * supply).
+/// armature voltage (duty * supply) and an optional held load torque.
 ///
-/// The trajectory is fixed by the plant alone.  Each poll interval is split
-/// into plant_steps_per_poll() equal RK4 steps, and a step also ends
-/// wherever the duty changes, so every step sees a constant voltage.  The
-/// committed state sits at a poll instant, and the plant hands the angle
-/// at every poll instant it passes to the sampler (the encoder), in time
-/// order.  A query between poll instants is answered from an uncommitted
-/// step off that state, so observing the plant never moves its trajectory.
+/// The trajectory is fixed by the plant alone.  Both inputs are piecewise
+/// constant, so each step is the motor's exact ZohMap: one step per poll
+/// interval with the map precomputed at construction, cut short wherever
+/// the duty or the torque changes (those shorter steps compute their map
+/// on demand).  The committed state sits at a poll instant, and the plant
+/// hands the angle at every poll instant it passes to the sampler (the
+/// encoder), in time order.  A query between poll instants is answered
+/// from an uncommitted step off that state, so observing the plant never
+/// moves its trajectory.
 class DcMotorSim : public sim::Component {
  public:
-  /// Throws std::invalid_argument for a motor plant_steps_per_poll()
-  /// cannot step.
+  /// Throws std::invalid_argument for a motor validate() rejects or whose
+  /// poll map is not finite.
   DcMotorSim(sim::World& world, DcMotorParams params,
              std::string name = "motor");
 
@@ -114,7 +139,9 @@ class DcMotorSim : public sim::Component {
   /// Voltage source: a ZohSignal whose value is the *duty ratio* in [0, 1];
   /// armature voltage = duty * supply.
   void drive_from_duty(const sim::ZohSignal* duty);
-  void set_load(LoadTorque load) { load_ = std::move(load); }
+  /// Load source: a ZohSignal whose value is the load torque [N m]; null
+  /// (the default) is no load.
+  void load_from(const sim::ZohSignal* torque);
 
   /// Shaft sampler, called with the angle [rad] at each poll instant.
   using Sampler = std::function<void(double angle)>;
@@ -124,22 +151,41 @@ class DcMotorSim : public sim::Component {
   /// integrating only as far as the last of them.
   void poll_until(sim::SimTime t);
 
-  /// State at \p t, which must not precede the last poll handed out:
-  /// poll_until(t), then an uncommitted step to t.
+  /// State at \p t: poll_until(t), then an uncommitted step to t.  Throws
+  /// std::logic_error for a t behind the committed state, whose
+  /// trajectory is gone.
   double speed_at(sim::SimTime t);  ///< [rad/s]
   double angle_at(sim::SimTime t);  ///< [rad], unwrapped
 
  private:
+  /// A piecewise-constant input, with the piece last read from it.
+  struct Input {
+    const sim::ZohSignal* signal = nullptr;
+    sim::ZohSignal::Piece piece{0.0, 0, 0};
+
+    /// The value held at \p t; pulls \p end in to the piece's end.
+    double at(sim::SimTime t, sim::SimTime& end) {
+      if (!signal) return 0.0;
+      // Only a piece with a finite end is final; the newest one may still
+      // be cut by a later write.
+      if (!(piece.start <= t && t < piece.end && piece.end != sim::kNever)) {
+        piece = signal->piece_at(t);
+      }
+      end = std::min(end, piece.end);
+      return piece.value;
+    }
+  };
+
   void state_at(sim::SimTime t, double (&y)[3]);
   /// Steps \p y from the poll instant \p from to \p to, no further than
   /// the next poll instant.
-  void integrate(double (&y)[3], sim::SimTime from, sim::SimTime to) const;
+  void integrate(double (&y)[3], sim::SimTime from, sim::SimTime to);
 
   std::string name_;
-  DcMotorDynamics dynamics_;
-  int steps_per_poll_;
-  const sim::ZohSignal* duty_ = nullptr;
-  LoadTorque load_;
+  DcMotorParams params_;
+  ZohMap poll_map_;
+  Input duty_;
+  Input load_;
   Sampler sampler_;
   double state_[3] = {0, 0, 0};  ///< at next_poll_ - kPollInterval
   sim::SimTime next_poll_ = kPollInterval;

@@ -36,25 +36,31 @@ class ZohSignal {
     changes_.push_back({when, value});
   }
 
-  /// A constant stretch of the signal: its value and the instant it ends
-  /// (the next change, or kNever).
+  /// A constant stretch of the signal: its value over [start, end), where
+  /// end is the next change or kNever.  Writes only append at or after the
+  /// newest change, so a piece with a finite end never changes.
   struct Piece {
     double value;
+    SimTime start;
     SimTime end;
   };
 
   /// The piece holding time \p t.  Throws std::logic_error for a t behind
   /// the pruned horizon, whose value is gone.
   Piece piece_at(SimTime t) const {
-    // Plant integrators query at or just behind the newest change, so
-    // walking backward is O(1) on the hot path (the forward scan was the
-    // top cost of the distributed bench).
-    SimTime end = kNever;
-    for (auto it = changes_.rbegin(); it != changes_.rend(); ++it) {
-      if (it->when <= t) return {it->value, end};
-      end = it->when;
+    // A live signal is read at or just behind its newest change, so that
+    // is checked first; an older time (a pre-filled schedule) is found by
+    // binary search.
+    const Change& newest = changes_.back();
+    if (newest.when <= t) return {newest.value, newest.when, kNever};
+    auto it = std::upper_bound(
+        changes_.begin(), changes_.end(), t,
+        [](SimTime time, const Change& c) { return time < c.when; });
+    if (it == changes_.begin()) {
+      throw std::logic_error("ZohSignal: read behind the pruned horizon");
     }
-    throw std::logic_error("ZohSignal: read behind the pruned horizon");
+    const Change& held = *std::prev(it);
+    return {held.value, held.when, it->when};
   }
 
   /// Value at time \p t (the most recent change at or before t); throws

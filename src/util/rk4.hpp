@@ -1,7 +1,7 @@
 /// \file rk4.hpp
 /// The one classic Runge-Kutta-4 stepper shared by every integration site:
-/// the model engine (model/engine.cpp), the event-world DC motor
-/// (plant/dc_motor.cpp) and the lane-batched simulation core (src/batch/).
+/// the model engine (model/engine.cpp) and the lane-batched simulation core
+/// (src/batch/).
 /// Historically each site carried its own copy of the stage/combination
 /// loops; they are deduplicated here under a strict bit-identity contract.
 ///

@@ -378,14 +378,14 @@ TEST(FarmGolden, FifteenServosSupervisorAndChatter) {
                  {cfg.duration_s, cfg.settle_tolerance, nullptr, nullptr});
   const FarmResult r = farm.run();
   // Every node sees the same broadcast set-point at the same instant, so
-  // all fifteen end at the same speed: 99.75536952562602 rad/s.
+  // all fifteen end at the same speed: 99.75536952342256 rad/s.
   ASSERT_EQ(r.nodes.size(), 15u);
   for (const FarmNodeResult& n : r.nodes) {
-    EXPECT_EQ(bits(n.speed), 0x4058f057f96c3d5du)
+    EXPECT_EQ(bits(n.speed), 0x4058f057f969dfaeu)
         << n.name << " " << std::hexfloat << n.speed;
   }
-  // 0.24463047437397734 rad/s
-  EXPECT_EQ(bits(r.mean_abs_error), 0x3fcf500d27854600u)
+  // 0.2446304765774414 rad/s
+  EXPECT_EQ(bits(r.mean_abs_error), 0x3fcf500d2c40a400u)
       << std::hexfloat << r.mean_abs_error;
   EXPECT_EQ(r.frames_delivered, 743u);
   EXPECT_EQ(r.negotiations, 2843u);

@@ -90,22 +90,23 @@ TEST(DistributedServo, DeterministicAcrossRuns) {
 // values below were captured from the former monolithic single-world
 // implementation at full precision; the step-negotiation loop is exact, so
 // every physics/latency metric must match BIT-FOR-BIT.  The iae and final
-// speed goldens were re-pinned once when the plant's RK4 step became one
-// step per 50 us poll (sized by the motor's fastest mode) instead of a
-// 20/20/10 us split of each poll interval.  events_executed is
+// speed goldens were re-pinned when the plant's RK4 step became one step
+// per 50 us poll (sized by the motor's fastest mode) instead of a 20/20/10
+// us split of each poll interval, and again when the plant's step became
+// the motor's exact zero-order-hold map.  events_executed is
 // deliberately excluded — cross-world frame deliveries are separate queue
 // events, so the scheduler-pressure counter legitimately differs.
 // ---------------------------------------------------------------------------
 
 TEST(CosimDistributedRegression, HealthyBusMatchesMonolithicGoldens) {
   const auto r = run_distributed_servo(quick());
-  expect_bits(r.iae, 6.416035846986643, "iae");
+  expect_bits(r.iae, 6.416035847427243, "iae");
   expect_bits(r.loop_latency_us_mean, 359.70000000000334,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 359.69999999999999, "loop_latency_us_max");
   expect_bits(r.loop_latency_us_p99, 359.69999999999999, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.34182933333333332, "bus_utilisation");
-  expect_bits(r.speed.last_value(), 100.13136282979006, "final speed");
+  expect_bits(r.speed.last_value(), 100.13136283121597, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);
   EXPECT_EQ(r.loop_deadline_misses, 0u);
   EXPECT_EQ(r.sensor_frames, 599u);
@@ -121,13 +122,13 @@ TEST(CosimDistributedRegression, SaturatedBusMatchesMonolithicGoldens) {
   auto cfg = quick();
   cfg.can_bitrate = 100000;
   const auto r = run_distributed_servo(cfg);
-  expect_bits(r.iae, 96.5685880652128, "iae");
+  expect_bits(r.iae, 96.56858806503456, "iae");
   expect_bits(r.loop_latency_us_mean, 124385.30000000008,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 253753.30000000002, "loop_latency_us_max");
   expect_bits(r.loop_latency_us_p99, 248761.30000000002, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.9986666666666667, "bus_utilisation");
-  expect_bits(r.speed.last_value(), 469.60362891679966, "final speed");
+  expect_bits(r.speed.last_value(), 469.6036289168109, "final speed");
   EXPECT_EQ(r.loop_samples, 101u);
   EXPECT_EQ(r.loop_deadline_misses, 101u);
   EXPECT_EQ(r.sensor_frames, 599u);
@@ -140,13 +141,13 @@ TEST(CosimDistributedRegression, LoadedBusMatchesMonolithicGoldens) {
   auto cfg = quick();
   cfg.background_frames_per_s = 1500.0;
   const auto r = run_distributed_servo(cfg);
-  expect_bits(r.iae, 6.421387668760034, "iae");
+  expect_bits(r.iae, 6.421387669206038, "iae");
   expect_bits(r.loop_latency_us_mean, 491.95383973289086,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 624.79899999999998, "loop_latency_us_max");
   expect_bits(r.loop_latency_us_p99, 624.79302000000007, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.74218399999999995, "bus_utilisation");
-  expect_bits(r.speed.last_value(), 100.10070219405463, "final speed");
+  expect_bits(r.speed.last_value(), 100.10070219552802, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);
   EXPECT_EQ(r.background_frames, 899u);
   EXPECT_EQ(r.frames_delivered, 2097u);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numbers>
 #include <stdexcept>
@@ -112,21 +114,68 @@ TEST(DcMotorSim, RespondsToDutyChanges) {
 TEST(DcMotorSim, StepRuleGivesTheDefaultMotorOneStepPerPoll) {
   // |lambda| of the default motor: about 732 1/s (L/R = 1.25 ms).
   EXPECT_NEAR(fastest_mode(DcMotorParams{}), 731.6, 0.1);
-  EXPECT_EQ(plant_steps_per_poll(DcMotorParams{}), 1);
-  DcMotorParams stiff;
-  stiff.inductance = 2.5e-5;  // |lambda| ~ 8e4 1/s
-  EXPECT_EQ(plant_steps_per_poll(stiff), 15);
   DcMotorParams broken;
   broken.inertia = 0.0;
   sim::World world;
-  EXPECT_THROW(plant_steps_per_poll(broken), std::invalid_argument);
   EXPECT_THROW(DcMotorSim(world, broken), std::invalid_argument);
+}
+
+TEST(DcMotorSim, RejectsNonFiniteMotorConstants) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* component;
+    double DcMotorParams::*field;
+    double value;
+  };
+  const Bad cases[] = {
+      {"motor.supply_voltage", &DcMotorParams::supply_voltage, kNaN},
+      {"motor.kt", &DcMotorParams::kt, kInf},
+      {"motor.ke", &DcMotorParams::ke, -kInf},
+      {"motor.damping", &DcMotorParams::damping, kNaN},
+      {"motor.damping", &DcMotorParams::damping, -1e-6},
+      {"motor.resistance", &DcMotorParams::resistance, 0.0},
+      {"motor.inductance", &DcMotorParams::inductance, kInf},
+      {"motor.inertia", &DcMotorParams::inertia, -2e-5},
+  };
+  EXPECT_TRUE(validate(DcMotorParams{}).empty());
+  for (const Bad& bad : cases) {
+    DcMotorParams params;
+    params.*bad.field = bad.value;
+    const util::DiagnosticList d = validate(params);
+    ASSERT_EQ(d.size(), 1u) << bad.component;
+    EXPECT_EQ(d.items()[0].severity, util::Severity::kError);
+    EXPECT_EQ(d.items()[0].component, bad.component);
+    sim::World world;
+    EXPECT_THROW(DcMotorSim(world, params), std::invalid_argument)
+        << bad.component;
+  }
+  // Valid constants whose matrix overflows: R / L is inf.
+  DcMotorParams overflow;
+  overflow.inductance = 1e-320;
+  EXPECT_TRUE(validate(overflow).empty());
+  sim::World world;
+  EXPECT_THROW(DcMotorSim(world, overflow), std::invalid_argument);
+}
+
+TEST(DcMotorSim, QueryBehindCommittedStateThrows) {
+  sim::World world;
+  DcMotorSim motor(world, DcMotorParams{});
+  sim::ZohSignal duty(0.5);
+  motor.drive_from_duty(&duty);
+  // Reaching 1 ms commits the state at the last poll before it, 950 us.
+  const double w = motor.speed_at(sim::milliseconds(1));
+  EXPECT_GT(w, 0.0);
+  EXPECT_GT(motor.speed_at(sim::microseconds(950)), 0.0);
+  EXPECT_THROW(motor.speed_at(sim::microseconds(500)), std::logic_error);
+  EXPECT_THROW(motor.angle_at(sim::microseconds(949)), std::logic_error);
+  EXPECT_EQ(motor.speed_at(sim::milliseconds(1)), w);
 }
 
 TEST(DcMotorSim, StiffMotorStaysFiniteAtItsOwnStep) {
   // A 12.5 us electrical time constant puts h |lambda| near 4 at one RK4
-  // step per 50 us poll, past the 2.785 limit; the plant sizes its step
-  // from the motor instead.
+  // step per 50 us poll, past the 2.785 limit; the plant's exact map is
+  // stable at any step.
   DcMotorParams params;
   params.inductance = 2.5e-5;
   sim::World world;
@@ -138,9 +187,11 @@ TEST(DcMotorSim, StiffMotorStaysFiniteAtItsOwnStep) {
 }
 
 // Reference: the same dynamics under classic RK4 at a 50 ns step, fine
-// enough that its own error is far below the tolerances checked.
-double fine_speed(const DcMotorParams& params,
-                  double (*volts)(double t), double until) {
+// enough that its own error is far below the tolerances checked.  Returns
+// the state (current, speed, angle) at \p until.
+std::array<double, 3> fine_state(const DcMotorParams& params,
+                                 double (*volts)(double t), double until,
+                                 double (*torque)(double t) = nullptr) {
   DcMotorDynamics dynamics{params};
   double y[3] = {0, 0, 0};
   const double h = 50e-9;
@@ -148,11 +199,30 @@ double fine_speed(const DcMotorParams& params,
   for (long k = 0; k < steps; ++k) {
     const double t0 = static_cast<double>(k) * h;
     const double u = volts(t0 + 0.5 * h);
+    const double tau = torque ? torque(t0 + 0.5 * h) : 0.0;
     util::rk4_step(y, t0, h, [&](double, const double* s, double* dx) {
-      dynamics.derivatives(s, u, 0.0, dx);
+      dynamics.derivatives(s, u, tau, dx);
     });
   }
-  return y[1];
+  return {y[0], y[1], y[2]};
+}
+
+TEST(DcMotorSim, TransientMatchesExactSolution) {
+  // From rest at 12 V the plant's exact step agrees with the fine
+  // reference to rounding, inside the fast electrical transient too.
+  DcMotorParams params;
+  sim::World world;
+  DcMotorSim motor(world, params);
+  sim::ZohSignal duty(0.5);
+  motor.drive_from_duty(&duty);
+  const auto twelve_volts = [](double) { return 12.0; };
+  for (const sim::SimTime at : {sim::microseconds(500), sim::milliseconds(2)}) {
+    const std::array<double, 3> ref =
+        fine_state(params, twelve_volts, sim::to_seconds(at));
+    ASSERT_GT(ref[1], 0.0);
+    EXPECT_NEAR(motor.speed_at(at), ref[1], 1e-12 * ref[1]);
+    EXPECT_NEAR(motor.angle_at(at), ref[2], 1e-12 * ref[2]);
+  }
 }
 
 TEST(DcMotorSim, ShortDutyPulseIsIntegratedExactly) {
@@ -166,11 +236,31 @@ TEST(DcMotorSim, ShortDutyPulseIsIntegratedExactly) {
   duty.set(sim::microseconds(60), 1.0);
   duty.set(sim::microseconds(67), 0.0);
   const double w = motor.speed_at(sim::milliseconds(2));
-  const double ref = fine_speed(
+  const double ref = fine_state(
       params, [](double t) { return t >= 60e-6 && t < 67e-6 ? 24.0 : 0.0; },
-      2e-3);
+      2e-3)[1];
   ASSERT_GT(ref, 0.0);
   EXPECT_NEAR(w, ref, 1e-6 * ref);
+}
+
+TEST(DcMotorSim, TorquePulseBetweenPollsIsIntegratedExactly) {
+  // A 7 us load pulse between poll instants on an undriven shaft: the
+  // plant's step ends at both torque changes, so the pulse is neither
+  // missed nor stretched.
+  DcMotorParams params;
+  sim::World world;
+  DcMotorSim motor(world, params);
+  sim::ZohSignal torque(0.0);
+  motor.load_from(&torque);
+  torque.set(sim::microseconds(60), 0.5);
+  torque.set(sim::microseconds(67), 0.0);
+  const double w = motor.speed_at(sim::milliseconds(2));
+  const double ref =
+      fine_state(
+          params, [](double) { return 0.0; }, 2e-3,
+          [](double t) { return t >= 60e-6 && t < 67e-6 ? 0.5 : 0.0; })[1];
+  ASSERT_LT(ref, 0.0);
+  EXPECT_NEAR(w, ref, 1e-6 * -ref);
 }
 
 TEST(Encoder, CountsMatchRevolutions) {
@@ -200,7 +290,9 @@ TEST(Encoder, TracksReversal) {
   motor.drive_from_duty(&duty);
   // From 0.5 s a load of 0.5 N m, beyond the 0.3 N m the half-duty motor
   // can hold, drives the shaft backward: the decoder must count down.
-  motor.set_load([](double t, double) { return t < 0.5 ? 0.0 : 0.5; });
+  sim::ZohSignal torque(0.0);
+  torque.set(sim::milliseconds(500), 0.5);
+  motor.load_from(&torque);
   IncrementalEncoder encoder(world, motor, qdec, {100});
   encoder.start();
   world.run_for(sim::milliseconds(500));

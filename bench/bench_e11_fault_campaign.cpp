@@ -12,6 +12,7 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "fault/campaign.hpp"
 #include "fault/plan.hpp"
@@ -113,9 +114,11 @@ void print_table() {
     opts.runs = campaign_runs();
     opts.threads = campaign_threads();
     opts.plan = fault::FaultPlan::defaults().scaled(mult);
+    campaign::EngineOptions eo;
+    eo.campaign = opts;
     bench::Stopwatch watch;
     const fault::CampaignReport report =
-        fault::CampaignRunner(opts).run(pil_scenario);
+        campaign::CampaignEngine(eo).run(pil_scenario).report;
     const double runs_per_s =
         1000.0 * static_cast<double>(report.runs) / watch.elapsed_ms();
 
@@ -180,9 +183,11 @@ void print_table() {
     opts.runs = campaign_runs();
     opts.threads = campaign_threads();
     opts.plan = fault::FaultPlan::defaults().scaled(mult);
+    campaign::EngineOptions eo;
+    eo.campaign = opts;
     bench::Stopwatch watch;
     const fault::CampaignReport report =
-        fault::CampaignRunner(opts).run(hil_scenario);
+        campaign::CampaignEngine(eo).run(hil_scenario).report;
     const double runs_per_s =
         1000.0 * static_cast<double>(report.runs) / watch.elapsed_ms();
     const double iae = merged_iae_mean(report);
@@ -216,7 +221,7 @@ void print_table() {
 void BM_PilCampaignRun(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    fault::FaultInjector injector(fault::CampaignRunner::run_seed(1, seed++),
+    fault::FaultInjector injector(fault::run_seed(1, seed++),
                                   fault::FaultPlan::defaults());
     core::ServoConfig cfg;
     cfg.duration_s = 0.1;

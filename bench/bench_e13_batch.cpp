@@ -18,6 +18,7 @@
 
 #include "batch/servo_batch.hpp"
 #include "bench_util.hpp"
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
@@ -182,8 +183,11 @@ void campaign_table(std::int64_t pwm_modulo) {
     return cfg;
   }();
 
+  campaign::EngineOptions eo;
+  eo.campaign = campaign_options();
   bench::Stopwatch scalar_watch;
-  const auto scalar_report = fault::CampaignRunner(campaign_options())
+  const auto scalar_report =
+      campaign::CampaignEngine(eo)
           .run(fault::CampaignScenario([&](fault::RunContext& ctx) {
             core::ServoSystem servo(config);
             if (auto load =
@@ -193,7 +197,8 @@ void campaign_table(std::int64_t pwm_modulo) {
             const auto result = servo.run_mil();
             ctx.metrics.stats("campaign.iae").add(result.iae);
             return result.metrics.settled;
-          }));
+          }))
+          .report;
   const double scalar_ms = scalar_watch.elapsed_ms();
   const double scalar_rps =
       1000.0 * static_cast<double>(campaign_runs()) / scalar_ms;
@@ -201,10 +206,10 @@ void campaign_table(std::int64_t pwm_modulo) {
               scalar_rps, "1.00", "-");
   bench::summarize("batch.campaign.scalar_runs_per_s", scalar_rps);
 
-  fault::CampaignOptions batched_opts = campaign_options();
-  batched_opts.batch = campaign_batch();
+  eo.campaign.batch = campaign_batch();
   bench::Stopwatch watch;
-  const auto batched_report = fault::CampaignRunner(batched_opts)
+  const auto batched_report =
+      campaign::CampaignEngine(eo)
           .run(fault::BatchCampaignScenario(
               [&](std::span<fault::RunContext> lanes,
                   std::span<bool> recovered) {
@@ -229,7 +234,8 @@ void campaign_table(std::int64_t pwm_modulo) {
                       .add(results[k].iae);
                   recovered[k] = results[k].metrics.settled;
                 }
-              }));
+              }))
+          .report;
   const double ms = watch.elapsed_ms();
   const double rps = 1000.0 * static_cast<double>(campaign_runs()) / ms;
   const bool identical =

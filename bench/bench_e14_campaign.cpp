@@ -2,9 +2,10 @@
 // scheduler + streaming O(sites) aggregation + checkpoint/resume measured
 // against the retained baseline.  Four tables:
 //
-//   (a) memory: fault::CampaignRunner (retains per-run registries and
-//       health reports, then copies them into the report) vs the streaming
-//       CampaignEngine, peak RSS measured in a forked child per
+//   (a) memory: a retained fold (exec::SweepRunner over the campaign's
+//       lane groups, keeping every run's registry and health report until
+//       the report is built) vs the streaming CampaignEngine, peak RSS
+//       measured in a forked child per
 //       configuration (ru_maxrss is a process-lifetime high-water mark, so
 //       in-process comparisons would contaminate each other).  The
 //       retained cost is linear in runs; the extrapolated retained RSS at
@@ -15,8 +16,8 @@
 //       stealing vs cyclic placement with steal-half stealing — the gated
 //       speedup (>= 1.3x runs/s).
 //   (c) determinism: the engine's campaign JSON is byte-identical across
-//       thread counts, batch widths and placements, and identical to
-//       fault::CampaignRunner's.
+//       thread counts, batch widths and placements, and identical to the
+//       retained fold's.
 //   (d) checkpoint/resume: a child process killed (_exit) mid-campaign
 //       right after a checkpoint seal; the resumed campaign's report JSON
 //       and evidence MANIFEST.jsonl are byte-compared against an
@@ -26,11 +27,14 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "campaign/engine.hpp"
+#include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "fault/rng.hpp"
 
@@ -106,6 +110,39 @@ fault::CampaignOptions campaign_options(const char* name, std::size_t runs,
   opts.runs = runs;
   opts.threads = threads;
   return opts;
+}
+
+/// The retained baseline: exec::SweepRunner runs the campaign's lane
+/// groups (fault::run_campaign_group, as the engine does) and keeps every
+/// run's registry and health report until the index-order fold has built
+/// the report — the O(runs) memory the streaming engine avoids.  Returns
+/// the report JSON.
+std::string retained_report_json(const fault::CampaignOptions& opts,
+                                 const fault::CampaignScenario& scenario) {
+  exec::SweepRunner::Result result =
+      exec::SweepRunner({opts.threads, opts.batch})
+          .run(opts.runs,
+               exec::SweepRunner::BatchHealthScenario(
+                   [&](std::size_t first,
+                       std::span<trace::MetricsRegistry> metrics,
+                       std::span<obs::HealthReport> health) {
+                     fault::run_campaign_group(opts, scenario, first,
+                                               metrics, health);
+                   }));
+  fault::CampaignReport report;
+  report.name = opts.name;
+  report.seed = opts.seed;
+  report.runs = result.runs;
+  report.merged = std::move(result.merged);
+  report.health = std::move(result.health);
+  report.read_totals();
+  for (std::size_t i = 0; i < result.per_run.size(); ++i) {
+    if (fault::run_unrecovered(result.per_run[i])) {
+      report.unrecovered_runs.push_back(i);
+      report.unrecovered_health.emplace(i, result.per_run_health[i]);
+    }
+  }
+  return report.to_json();
 }
 
 campaign::EngineOptions engine_options(const char* name, std::size_t runs,
@@ -192,7 +229,7 @@ void memory_table() {
   const std::size_t threads = bench_threads();
   const std::size_t iters = 400;
 
-  std::printf("(a) aggregation memory: retained runner vs streaming engine "
+  std::printf("(a) aggregation memory: retained fold vs streaming engine "
               "(peak RSS per forked child)\n\n");
   std::printf("%-26s | %-8s %-12s %-10s\n", "engine", "runs", "peak RSS[MB]",
               "wall[ms]");
@@ -200,10 +237,8 @@ void memory_table() {
 
   const auto scenario = make_scenario(iters, 0, /*heavy_health=*/true);
   const ChildResult retained = measure_in_child([&] {
-    const auto report =
-        fault::CampaignRunner(campaign_options("e14_mem", n, threads))
-            .run(scenario);
-    return fault::fnv1a(report.to_json());
+    return fault::fnv1a(retained_report_json(
+        campaign_options("e14_mem", n, threads), scenario));
   });
   const ChildResult streaming = measure_in_child([&] {
     campaign::CampaignEngine engine(
@@ -216,7 +251,7 @@ void memory_table() {
     return fault::fnv1a(engine.run(scenario).report.to_json());
   });
 
-  std::printf("%-26s | %-8zu %-12.1f %-10.1f\n", "retained (CampaignRunner)",
+  std::printf("%-26s | %-8zu %-12.1f %-10.1f\n", "retained (fold)",
               n, retained.rss_kb / 1024.0, retained.wall_ms);
   std::printf("%-26s | %-8zu %-12.1f %-10.1f\n", "streaming (engine)", n,
               streaming.rss_kb / 1024.0, streaming.wall_ms);
@@ -329,10 +364,8 @@ void identity_table() {
   std::printf("(c) determinism: campaign JSON across engines/threads/"
               "batches\n\n");
 
-  const auto baseline =
-      fault::CampaignRunner(campaign_options("e14_ident", n, 1))
-          .run(scenario);
-  const std::string expect = baseline.to_json();
+  const std::string expect =
+      retained_report_json(campaign_options("e14_ident", n, 1), scenario);
 
   struct Config {
     const char* label;
@@ -356,7 +389,7 @@ void identity_table() {
     const auto result = campaign::CampaignEngine(eo).run(scenario);
     const bool same = result.report.to_json() == expect;
     all_identical = all_identical && same;
-    std::printf("  %-22s vs retained runner: %s\n", c.label,
+    std::printf("  %-22s vs retained fold: %s\n", c.label,
                 same ? "byte-identical" : "DIFFERS");
   }
   std::printf("\n");

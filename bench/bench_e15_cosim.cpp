@@ -11,8 +11,8 @@
 //   (b) bit-rate sweep at 16 nodes: the full farm against a shrinking
 //       bus, down to where status/command traffic saturates the wire.
 //   (c) determinism: the default-plan farm campaign's merged report JSON
-//       (retained runner AND streaming engine) plus the evidence
-//       MANIFEST.jsonl byte-compared across 1/2/8 sweep threads.
+//       plus the evidence MANIFEST.jsonl byte-compared across 1/2/8
+//       campaign threads.
 //   (d) campaign gate: the 16-node farm under the default fault plan —
 //       node kills, degrades, bus corruption, encoder glitches — must
 //       recover on EVERY run (e15.campaign.unrecovered == 0).
@@ -169,10 +169,6 @@ void identity_table() {
   bool reports_identical = true;
   bool manifests_identical = true;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const fault::CampaignReport report =
-        fault::CampaignRunner(campaign_options(threads))
-            .run(cosim::make_farm_scenario(cfg));
-
     const std::string dir = "E15_ident_t" + std::to_string(threads);
     std::filesystem::remove_all(dir);
     campaign::EngineOptions eo;
@@ -181,23 +177,21 @@ void identity_table() {
     eo.write_run_artifacts = false;
     const campaign::EngineResult er =
         campaign::CampaignEngine(eo).run(cosim::make_farm_scenario(cfg));
+    const std::string json = er.report.to_json();
     const std::string manifest = slurp(er.evidence.manifest_path);
 
-    const bool engine_same = er.report.to_json() == report.to_json();
     bool json_same = true;
     bool manifest_same = true;
     if (threads == 1) {
-      ref_json = report.to_json();
+      ref_json = json;
       ref_manifest = manifest;
     } else {
-      json_same = report.to_json() == ref_json;
+      json_same = json == ref_json;
       manifest_same = manifest == ref_manifest;
     }
-    reports_identical = reports_identical && engine_same && json_same;
+    reports_identical = reports_identical && json_same;
     manifests_identical = manifests_identical && manifest_same;
-    std::printf("  t%zu: runner vs engine %s, vs t1 reference: report %s, "
-                "manifest %s\n",
-                threads, engine_same ? "byte-identical" : "DIFFER",
+    std::printf("  t%zu vs t1 reference: report %s, manifest %s\n", threads,
                 json_same ? "byte-identical" : "DIFFERS",
                 manifest_same ? "byte-identical" : "DIFFERS");
   }
@@ -220,16 +214,16 @@ void campaign_gate_table() {
               "(%zu runs, %zu threads)\n\n",
               runs, threads);
 
-  fault::CampaignOptions options;
-  options.name = "e15_farm";
-  options.seed = 777;
-  options.runs = runs;
-  options.threads = threads;
-  options.plan = fault::FaultPlan::defaults();
+  campaign::EngineOptions eo;
+  eo.campaign.name = "e15_farm";
+  eo.campaign.seed = 777;
+  eo.campaign.runs = runs;
+  eo.campaign.threads = threads;
+  eo.campaign.plan = fault::FaultPlan::defaults();
 
   bench::Stopwatch watch;
   const fault::CampaignReport report =
-      fault::CampaignRunner(options).run(cosim::make_farm_scenario(cfg));
+      campaign::CampaignEngine(eo).run(cosim::make_farm_scenario(cfg)).report;
   const double wall_ms = watch.elapsed_ms();
   const double runs_per_s =
       wall_ms > 0.0 ? 1000.0 * static_cast<double>(runs) / wall_ms : 0.0;

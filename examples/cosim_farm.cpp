@@ -11,6 +11,7 @@
 // supervisor detecting killed nodes through status staleness.
 #include <cstdio>
 
+#include "campaign/engine.hpp"
 #include "cosim/farm.hpp"
 #include "fault/campaign.hpp"
 
@@ -50,17 +51,17 @@ int main() {
 
   std::printf("default fault plan, 8 campaign runs (kills, degrades, bus "
               "corruption):\n");
-  fault::CampaignOptions options;
-  options.name = "farm_demo";
-  options.seed = 42;
-  options.runs = 8;
-  options.threads = 2;
-  options.plan = fault::FaultPlan::defaults();
+  campaign::EngineOptions eo;
+  eo.campaign.name = "farm_demo";
+  eo.campaign.seed = 42;
+  eo.campaign.runs = 8;
+  eo.campaign.threads = 2;
+  eo.campaign.plan = fault::FaultPlan::defaults();
   const fault::CampaignReport report =
-      fault::CampaignRunner(options).run(cosim::make_farm_scenario(cfg));
+      campaign::CampaignEngine(eo).run(cosim::make_farm_scenario(cfg)).report;
   std::printf("  %llu faults injected across %zu runs, %llu unrecovered\n",
               static_cast<unsigned long long>(report.faults_injected),
-              options.runs,
+              eo.campaign.runs,
               static_cast<unsigned long long>(report.unrecovered));
   const auto* killed = report.merged.find_counter("campaign.cosim.killed");
   const auto* stale = report.merged.find_counter("campaign.cosim.stale");

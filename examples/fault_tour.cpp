@@ -9,8 +9,8 @@
 //      retransmits through every loss (the board answers duplicates from
 //      its response cache without re-stepping the controller) and the
 //      degradation collapses.
-//   4. A deterministic campaign: fault::CampaignRunner fans N runs over
-//      worker threads and folds them in index order — the
+//   4. A deterministic campaign: campaign::CampaignEngine fans N runs
+//      over worker threads and folds them in index order — the
 //      CAMPAIGN_fault_tour.json report is byte-identical for any thread
 //      count.
 //
@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <string>
 
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
@@ -44,7 +45,7 @@ void act_one_reproducible_fault() {
   fault::FaultPlan plan;
   plan.serial_corrupt_rate = 0.01;
   for (int replay = 0; replay < 2; ++replay) {
-    fault::FaultInjector injector(fault::CampaignRunner::run_seed(42, 0),
+    fault::FaultInjector injector(fault::run_seed(42, 0),
                                   plan);
     auto& site = injector.site("serial.rs232.a2b");
     std::printf("replay %d, first byte indices hit:", replay);
@@ -63,7 +64,7 @@ void act_one_reproducible_fault() {
 
 double run_pil(bool with_faults, bool with_recovery, const char* label) {
   core::ServoSystem servo(tour_config());
-  fault::FaultInjector injector(fault::CampaignRunner::run_seed(42, 1),
+  fault::FaultInjector injector(fault::run_seed(42, 1),
                                 fault::FaultPlan::defaults().scaled(2.0));
   core::ServoSystem::PilRunOptions opts;
   opts.baud = 1000000;  // RTT must fit inside the period for retransmits
@@ -100,29 +101,32 @@ void act_two_three_lossy_link() {
 void act_four_campaign() {
   std::printf("=== 4. deterministic campaign ===\n\n");
 
-  fault::CampaignOptions opts;
-  opts.name = "fault_tour";
-  opts.seed = 42;
-  opts.runs = 4;
-  opts.threads = 4;
-  opts.plan = fault::FaultPlan::defaults();
+  // No evidence directory: the engine returns the report and writes no
+  // per-run artifacts.
+  campaign::EngineOptions eo;
+  eo.campaign.name = "fault_tour";
+  eo.campaign.seed = 42;
+  eo.campaign.runs = 4;
+  eo.campaign.threads = 4;
+  eo.campaign.plan = fault::FaultPlan::defaults();
+  const fault::CampaignScenario pil_run = [](fault::RunContext& ctx) {
+    core::ServoSystem servo(tour_config());
+    obs::MonitorHub hub;
+    core::ServoSystem::PilRunOptions run;
+    run.baud = 1000000;
+    run.faults = &ctx.injector;
+    run.monitors = &hub;
+    run.recovery.enabled = true;
+    const auto result = servo.run_pil(run);
+    ctx.metrics.merge(result.report.metrics);
+    ctx.metrics.stats("campaign.iae").add(result.iae);
+    ctx.health.merge(hub.report("pil"));
+    const auto* abandoned =
+        result.report.metrics.find_counter("pil.exchanges_abandoned");
+    return abandoned == nullptr || abandoned->value == 0;
+  };
   const fault::CampaignReport report =
-      fault::CampaignRunner(opts).run([](fault::RunContext& ctx) {
-        core::ServoSystem servo(tour_config());
-        obs::MonitorHub hub;
-        core::ServoSystem::PilRunOptions run;
-        run.baud = 1000000;
-        run.faults = &ctx.injector;
-        run.monitors = &hub;
-        run.recovery.enabled = true;
-        const auto result = servo.run_pil(run);
-        ctx.metrics.merge(result.report.metrics);
-        ctx.metrics.stats("campaign.iae").add(result.iae);
-        ctx.health.merge(hub.report("pil"));
-        const auto* abandoned =
-            result.report.metrics.find_counter("pil.exchanges_abandoned");
-        return abandoned == nullptr || abandoned->value == 0;
-      });
+      campaign::CampaignEngine(eo).run(pil_run).report;
 
   std::printf("%s\n", report.summary().c_str());
   std::printf("per-site injections:\n");

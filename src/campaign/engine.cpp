@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <stdexcept>
 #include <utility>
 
 #include "evidence/writer.hpp"
@@ -9,7 +10,13 @@
 namespace iecd::campaign {
 
 CampaignEngine::CampaignEngine(EngineOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)) {
+  if (const util::DiagnosticList d = fault::validate(options_.campaign.plan);
+      d.has_errors()) {
+    throw std::invalid_argument("CampaignEngine: invalid fault plan:\n" +
+                                d.to_string());
+  }
+}
 
 std::string CampaignEngine::checkpoint_filename() { return "CHECKPOINT.evd"; }
 
@@ -44,7 +51,12 @@ EngineResult CampaignEngine::execute(
   const fault::CampaignOptions& opts = options_.campaign;
   const std::size_t batch = std::max<std::size_t>(1, opts.batch);
   const std::string& dir = options_.evidence_dir;
-  std::filesystem::create_directories(dir);
+  // An empty directory writes nothing: no artifact, seal or checkpoint.
+  const bool record = !dir.empty();
+  const bool run_artifacts = record && options_.write_run_artifacts;
+  const std::size_t checkpoint_every =
+      record ? options_.checkpoint_every : 0;
+  if (record) std::filesystem::create_directories(dir);
   const std::string ckpt_path = checkpoint_path();
 
   EngineResult result;
@@ -59,7 +71,7 @@ EngineResult CampaignEngine::execute(
 
   std::vector<evidence::RunArtifact> artifacts;
 
-  if (options_.checkpoint_every > 0 && options_.resume) {
+  if (checkpoint_every > 0 && options_.resume) {
     CheckpointState loaded;
     if (load_checkpoint(ckpt_path, loaded) == CheckpointStatus::kOk &&
         loaded.name == state.name &&
@@ -71,7 +83,7 @@ EngineResult CampaignEngine::execute(
       // file invalidates the resume (fresh start is always safe).
       bool intact = true;
       std::vector<evidence::RunArtifact> described(
-          options_.write_run_artifacts ? loaded.watermark : 0);
+          run_artifacts ? loaded.watermark : 0);
       for (std::size_t i = 0; i < described.size(); ++i) {
         if (!evidence::describe_artifact_file(
                 dir, evidence::run_artifact_filename(i), described[i])) {
@@ -98,9 +110,8 @@ EngineResult CampaignEngine::execute(
         state.unrecovered_runs.push_back(index);
         state.unrecovered_health.emplace(index, group.health[k]);
       }
-      if (options_.write_run_artifacts) {
-        const std::uint64_t seed =
-            fault::CampaignRunner::run_seed(opts.seed, index);
+      if (run_artifacts) {
+        const std::uint64_t seed = fault::run_seed(opts.seed, index);
         evidence::EvidenceWriter writer = evidence::build_run_artifact(
             opts.name, index, seed, group.metrics[k], &group.health[k],
             nullptr);
@@ -113,8 +124,8 @@ EngineResult CampaignEngine::execute(
     // Seal at lane-group boundaries only, so the watermark stays
     // group-aligned and a resume reproduces the uninterrupted run's exact
     // group structure.
-    if (options_.checkpoint_every > 0 && state.watermark < opts.runs &&
-        state.watermark - last_checkpoint >= options_.checkpoint_every) {
+    if (checkpoint_every > 0 && state.watermark < opts.runs &&
+        state.watermark - last_checkpoint >= checkpoint_every) {
       if (save_checkpoint(ckpt_path, state)) {
         last_checkpoint = static_cast<std::size_t>(state.watermark);
         ++result.checkpoints_sealed;
@@ -147,6 +158,7 @@ EngineResult CampaignEngine::execute(
   report.unrecovered_health = std::move(state.unrecovered_health);
   report.read_totals();
 
+  if (!record) return result;
   result.evidence = evidence::finish_campaign_evidence(dir, opts, report,
                                                        std::move(artifacts));
 

@@ -1,16 +1,16 @@
 /// \file engine.hpp
-/// CampaignEngine: the fleet-scale fault-campaign driver — the
-/// work-stealing StreamRunner feeding one streaming, index-ordered sink
-/// that merges each run, retains only the unrecovered runs' health,
-/// writes per-run evidence as runs complete, and periodically seals a
-/// resume checkpoint (checkpoint.hpp).  Memory is O(sites + histograms +
-/// reorder window + unrecovered), never O(runs) — the difference the E14
-/// bench gates at 100k runs.
+/// CampaignEngine: runs every fault campaign — the work-stealing
+/// StreamRunner feeding one streaming, index-ordered sink that merges each
+/// run, retains only the unrecovered runs' health, writes per-run evidence
+/// as runs complete, and periodically seals a resume checkpoint
+/// (checkpoint.hpp).  Memory is O(sites + histograms + reorder window +
+/// unrecovered), never O(runs) — the difference the E14 bench gates at
+/// 100k runs against a retained fold.
 ///
 /// Contracts (all locked by the campaign suite):
-///   * the final CampaignReport and its JSON are byte-identical to
-///     fault::CampaignRunner's for the same options (modulo the retained
-///     per_run vectors, which the engine leaves empty);
+///   * a plan fault::validate rejects throws at construction, on the
+///     caller's thread, before any worker starts;
+///   * the report JSON matches tests/golden/campaign_reports.inc;
 ///   * outputs are byte-identical for any thread count, batch width,
 ///     placement and steal schedule;
 ///   * kill the process after any checkpoint seal, run the engine again,
@@ -31,12 +31,12 @@ namespace iecd::campaign {
 
 struct EngineOptions {
   /// Campaign identity + fault plan + threads/batch (fault layer options;
-  /// the engine runs its lane groups through fault::run_campaign_group,
-  /// so per-run registries are byte-identical to the retained runner's).
+  /// the engine runs its lane groups through fault::run_campaign_group).
   fault::CampaignOptions campaign;
   /// Evidence directory: run_<index>.evd artifacts stream in as runs
   /// complete, CHECKPOINT.evd lives here between seals, merged.evd and
-  /// MANIFEST.jsonl seal the finished campaign.
+  /// MANIFEST.jsonl seal the finished campaign.  Empty writes nothing — no
+  /// artifact, seal or checkpoint — and returns only the report.
   std::string evidence_dir;
   /// Seal a checkpoint after (at least) this many runs since the previous
   /// seal, at the next lane-group boundary.  0 disables checkpointing.
@@ -66,10 +66,10 @@ struct EngineOptions {
 };
 
 struct EngineResult {
-  /// Same content as fault::CampaignRunner's report except per_run /
-  /// per_run_health stay empty (streaming); unrecovered_health carries the
-  /// retained flight-recorder evidence instead.
+  /// The merged report; unrecovered_health carries the retained
+  /// flight-recorder evidence of the unrecovered runs.
   fault::CampaignReport report;
+  /// Empty when EngineOptions::evidence_dir is.
   evidence::CampaignEvidence evidence;
   StreamStats sched;
   bool resumed = false;
@@ -79,6 +79,7 @@ struct EngineResult {
 
 class CampaignEngine {
  public:
+  /// Throws std::invalid_argument when fault::validate rejects the plan.
   explicit CampaignEngine(EngineOptions options);
 
   const EngineOptions& options() const { return options_; }

@@ -10,9 +10,9 @@
 /// master, and folds a FarmResult.
 ///
 /// make_farm_scenario adapts a FarmConfig into a fault::CampaignScenario,
-/// so farms run under CampaignRunner and campaign::CampaignEngine
-/// unchanged — per-(run, site) fault streams, index-order merge, evidence
-/// artifacts and thread-count-invariant reports all included.
+/// so farms run under campaign::CampaignEngine unchanged — per-(run,
+/// site) fault streams, index-order merge, evidence artifacts and
+/// thread-count-invariant reports all included.
 #pragma once
 
 #include <cstdint>
@@ -123,7 +123,7 @@ class ServoFarm {
 /// farm's recovered verdict.
 bool run_farm_campaign_run(const FarmConfig& config, fault::RunContext& ctx);
 
-/// Closure form for CampaignRunner::run / campaign::CampaignEngine.
+/// Closure form for campaign::CampaignEngine::run.
 fault::CampaignScenario make_farm_scenario(FarmConfig config);
 
 }  // namespace iecd::cosim

@@ -156,8 +156,7 @@ CampaignEvidence finish_campaign_evidence(const std::string& dir,
   manifest += build_line() + "\n";
   for (std::size_t i = 0; i < evidence.runs.size(); ++i) {
     manifest += artifact_line("run", evidence.runs[i], i,
-                              fault::CampaignRunner::run_seed(options.seed, i),
-                              true) +
+                              fault::run_seed(options.seed, i), true) +
                 "\n";
   }
   manifest += artifact_line("merged", evidence.merged, 0, 0, false) + "\n";

@@ -26,69 +26,7 @@ void json_histogram(std::ostream& os, const obs::LatencyHistogram& h) {
 constexpr const char kSitePrefix[] = "fault.";
 constexpr const char kInjectedSuffix[] = ".injected";
 
-/// The retained fan-out both CampaignRunner::run overloads share: lane
-/// groups of CampaignOptions::batch runs through run_campaign_group, the
-/// same group form campaign::CampaignEngine executes.
-template <typename Scenario>
-CampaignReport run_retained(const CampaignOptions& opts,
-                            const Scenario& scenario) {
-  exec::SweepRunner::Result result =
-      exec::SweepRunner({opts.threads, opts.batch})
-          .run(opts.runs,
-               exec::SweepRunner::BatchHealthScenario(
-                   [&opts, &scenario](std::size_t first,
-                                      std::span<trace::MetricsRegistry> metrics,
-                                      std::span<obs::HealthReport> health) {
-                     run_campaign_group(opts, scenario, first, metrics,
-                                        health);
-                   }));
-  CampaignReport report;
-  report.name = opts.name;
-  report.seed = opts.seed;
-  report.runs = result.runs;
-  report.merged = std::move(result.merged);
-  report.health = std::move(result.health);
-  report.per_run = std::move(result.per_run);
-  report.per_run_health = std::move(result.per_run_health);
-  report.read_totals();
-  for (std::size_t i = 0; i < report.per_run.size(); ++i) {
-    if (run_unrecovered(report.per_run[i])) {
-      report.unrecovered_runs.push_back(i);
-      report.unrecovered_health.emplace(i, report.per_run_health[i]);
-    }
-  }
-  return report;
-}
-
-/// Campaign bookkeeping of one finished run.
-void finalize_run_bookkeeping(const FaultInjector& injector, bool recovered,
-                              trace::MetricsRegistry& metrics) {
-  injector.export_metrics(metrics);
-  metrics.counter("campaign.runs").increment();
-  if (!recovered) {
-    metrics.counter("campaign.unrecovered").increment();
-  }
-  metrics.counter("campaign.faults_injected").value +=
-      injector.total_injected();
-  metrics.counter("campaign.fault_opportunities").value +=
-      injector.total_opportunities();
-}
-
 }  // namespace
-
-void run_campaign_group(const CampaignOptions& opts,
-                        const CampaignScenario& scenario, std::size_t first,
-                        std::span<trace::MetricsRegistry> metrics,
-                        std::span<obs::HealthReport> health) {
-  for (std::size_t k = 0; k < metrics.size(); ++k) {
-    const std::size_t index = first + k;
-    FaultInjector injector(CampaignRunner::run_seed(opts.seed, index),
-                           opts.plan);
-    RunContext ctx{index, injector.seed(), injector, metrics[k], health[k]};
-    const bool recovered = scenario(ctx);
-    finalize_run_bookkeeping(injector, recovered, metrics[k]);
-  }
-}
 
 void run_campaign_group(const CampaignOptions& opts,
                         const BatchCampaignScenario& scenario,
@@ -103,8 +41,7 @@ void run_campaign_group(const CampaignOptions& opts,
   lanes.reserve(width);
   for (std::size_t k = 0; k < width; ++k) {
     const std::size_t index = first + k;
-    injectors.emplace_back(CampaignRunner::run_seed(opts.seed, index),
-                           opts.plan);
+    injectors.emplace_back(run_seed(opts.seed, index), opts.plan);
     lanes.push_back(RunContext{index, injectors.back().seed(),
                                injectors.back(), metrics[k], health[k]});
   }
@@ -112,18 +49,31 @@ void run_campaign_group(const CampaignOptions& opts,
   auto rec = std::make_unique<bool[]>(width);
   for (std::size_t k = 0; k < width; ++k) rec[k] = true;
   scenario(std::span<RunContext>(lanes), std::span<bool>(rec.get(), width));
+  // Campaign bookkeeping of the finished runs.
   for (std::size_t k = 0; k < width; ++k) {
-    finalize_run_bookkeeping(injectors[k], rec[k], metrics[k]);
+    injectors[k].export_metrics(metrics[k]);
+    metrics[k].counter("campaign.runs").increment();
+    if (!rec[k]) metrics[k].counter("campaign.unrecovered").increment();
+    metrics[k].counter("campaign.faults_injected").value +=
+        injectors[k].total_injected();
+    metrics[k].counter("campaign.fault_opportunities").value +=
+        injectors[k].total_opportunities();
   }
 }
 
-CampaignReport CampaignRunner::run(const CampaignScenario& scenario) const {
-  return run_retained(options_, scenario);
-}
-
-CampaignReport CampaignRunner::run(
-    const BatchCampaignScenario& scenario) const {
-  return run_retained(options_, scenario);
+void run_campaign_group(const CampaignOptions& opts,
+                        const CampaignScenario& scenario, std::size_t first,
+                        std::span<trace::MetricsRegistry> metrics,
+                        std::span<obs::HealthReport> health) {
+  run_campaign_group(
+      opts,
+      BatchCampaignScenario([&scenario](std::span<RunContext> lanes,
+                                        std::span<bool> recovered) {
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+          recovered[k] = scenario(lanes[k]);
+        }
+      }),
+      first, metrics, health);
 }
 
 bool run_unrecovered(const trace::MetricsRegistry& run) {
@@ -228,15 +178,9 @@ std::string CampaignReport::to_json() const {
   os << ",\"unrecovered_dumps\":[";
   first = true;
   for (std::size_t index : unrecovered_runs) {
-    const obs::HealthReport* hr = nullptr;
-    if (auto hit = unrecovered_health.find(index);
-        hit != unrecovered_health.end()) {
-      hr = &hit->second;
-    } else if (index < per_run_health.size()) {
-      hr = &per_run_health[index];
-    }
-    if (hr == nullptr) continue;
-    for (const auto& dump : hr->dumps) {
+    const auto hit = unrecovered_health.find(index);
+    if (hit == unrecovered_health.end()) continue;
+    for (const auto& dump : hit->second.dumps) {
       if (!first) os << ",";
       first = false;
       os << "\n{\"run\":" << index << ",\"trigger\":\""

@@ -1,10 +1,10 @@
 /// \file campaign.hpp
 /// Deterministic fault campaigns: N independent runs of one scenario, each
-/// with its own FaultInjector seeded from (campaign seed, run index), fanned
-/// out over exec::SweepRunner and merged in index order — the campaign
-/// report (per-site fault counts, IAE degradation, recovery-latency
-/// percentiles, flight-recorder dumps of unrecovered runs) is byte-identical
-/// for any thread count.
+/// with its own FaultInjector seeded from (campaign seed, run index).
+/// campaign::CampaignEngine fans the runs out and merges them in index
+/// order, so the campaign report (per-site fault counts, IAE degradation,
+/// recovery-latency percentiles, flight-recorder dumps of unrecovered
+/// runs) is byte-identical for any thread count and batch width.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/sweep.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "fault/rng.hpp"
@@ -27,8 +26,8 @@ struct CampaignOptions {
   std::string name = "campaign";
   std::uint64_t seed = 1;
   std::size_t runs = 8;
-  /// Worker threads for the fan-out (see exec::SweepOptions); the merged
-  /// report and JSON are identical for every value.
+  /// Worker threads for the fan-out; the merged report and JSON are
+  /// identical for every value.
   std::size_t threads = 1;
   /// Lane-group width: each work item covers up to `batch` consecutive run
   /// indices, which a BatchCampaignScenario advances in lockstep
@@ -64,15 +63,24 @@ using CampaignScenario = std::function<bool(RunContext&)>;
 using BatchCampaignScenario =
     std::function<void(std::span<RunContext> lanes, std::span<bool> recovered)>;
 
+/// Seed of run \p index: a SplitMix64 hop from the campaign seed, so
+/// replaying one run in isolation (one FaultInjector with this seed)
+/// reproduces its exact fault sequence.
+inline std::uint64_t run_seed(std::uint64_t campaign_seed, std::size_t index) {
+  return SplitMix64(campaign_seed + 0x9E3779B97F4A7C15ULL *
+                                        static_cast<std::uint64_t>(index + 1))
+      .next();
+}
+
 /// Executes campaign runs first .. first + metrics.size() - 1 of \p opts,
-/// one lane per run: a FaultInjector seeded with
-/// CampaignRunner::run_seed(opts.seed, index), the scenario, then the
-/// campaign bookkeeping (the injector's per-site counters and the
-/// campaign.* runs/unrecovered/faults_injected/fault_opportunities
-/// markers) into metrics[k].  Both drivers — CampaignRunner's retained
-/// fan-out and the streaming campaign::CampaignEngine — run their lane
-/// groups through these two functions, so per-run registries are
-/// byte-identical across them.
+/// one lane per run: a FaultInjector seeded with run_seed(opts.seed,
+/// index), the scenario, then the campaign bookkeeping (the injector's
+/// per-site counters and the campaign.* runs/unrecovered/faults_injected/
+/// fault_opportunities markers) into metrics[k].  campaign::CampaignEngine
+/// runs every lane group through this function; the scalar form runs the
+/// group's lanes one after another through the batched body, so a batched
+/// scenario whose lanes reproduce the scalar scenario bit-for-bit (the
+/// src/batch/ determinism contract) gives byte-identical registries.
 void run_campaign_group(const CampaignOptions& opts,
                         const CampaignScenario& scenario, std::size_t first,
                         std::span<trace::MetricsRegistry> metrics,
@@ -93,22 +101,19 @@ struct CampaignReport {
   std::size_t runs = 0;
 
   trace::MetricsRegistry merged;  ///< index-order fold of all runs
-  std::vector<trace::MetricsRegistry> per_run;
   obs::HealthReport health;       ///< same fold; "pil.recovery" percentiles
-  std::vector<obs::HealthReport> per_run_health;
 
   std::uint64_t unrecovered = 0;
   std::vector<std::size_t> unrecovered_runs;  ///< run indices, ascending
   /// Health reports of the unrecovered runs only, keyed by run index —
-  /// what to_json()'s unrecovered_dumps section reads.  The streaming
-  /// campaign engine retains just these (O(unrecovered), not O(runs));
-  /// the retained runner fills them from per_run_health.
+  /// what to_json()'s unrecovered_dumps section reads (O(unrecovered),
+  /// not O(runs)).  A single run's full record is its run_<index>.evd.
   std::map<std::size_t, obs::HealthReport> unrecovered_health;
   std::uint64_t faults_injected = 0;
   std::uint64_t fault_opportunities = 0;
 
   /// Sets unrecovered, faults_injected and fault_opportunities from the
-  /// merged campaign.* counters (both drivers' last fold step).
+  /// merged campaign.* counters (the fold's last step).
   void read_totals();
 
   /// Deterministic JSON artifact (CAMPAIGN_<name>.json in CI): campaign
@@ -121,36 +126,6 @@ struct CampaignReport {
   bool write_json(const std::string& path) const;
   /// One-line human summary for bench tables / logs.
   std::string summary() const;
-};
-
-class CampaignRunner {
- public:
-  explicit CampaignRunner(CampaignOptions options)
-      : options_(std::move(options)) {}
-
-  /// Seed of run \p index: a SplitMix64 hop from the campaign seed, so
-  /// replaying one run in isolation (one FaultInjector with this seed)
-  /// reproduces its exact fault sequence.
-  static std::uint64_t run_seed(std::uint64_t campaign_seed,
-                                std::size_t index) {
-    return SplitMix64(campaign_seed +
-                      0x9E3779B97F4A7C15ULL *
-                          static_cast<std::uint64_t>(index + 1))
-        .next();
-  }
-
-  const CampaignOptions& options() const { return options_; }
-
-  /// Both forms fan lane groups of CampaignOptions::batch runs out over
-  /// exec::SweepRunner and retain every run.  When each lane of a batched
-  /// scenario reproduces the scalar scenario bit-for-bit (the src/batch/
-  /// determinism contract), the two reports — and their JSON artifacts —
-  /// are byte-identical.
-  CampaignReport run(const CampaignScenario& scenario) const;
-  CampaignReport run(const BatchCampaignScenario& scenario) const;
-
- private:
-  CampaignOptions options_;
 };
 
 }  // namespace iecd::fault

@@ -69,8 +69,8 @@ class FaultInjector {
     std::uint64_t injected_ = 0;
   };
 
-  FaultInjector(std::uint64_t seed, FaultPlan plan)
-      : seed_(seed), plan_(plan) {}
+  /// Throws std::invalid_argument when validate(plan) reports an error.
+  FaultInjector(std::uint64_t seed, FaultPlan plan);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 
+#include "util/diagnostics.hpp"
+
 namespace iecd::fault {
 
 struct FaultPlan {
@@ -123,5 +125,11 @@ struct FaultPlan {
     return p;
   }
 };
+
+/// The rules every plan must meet: each *_rate in [0, 1];
+/// torque_pulse_rate_hz, torque_pulse_s and pil_delay_max_s finite and
+/// >= 0; torque_pulse_nm finite; node_degrade_factor finite and >= 1.  One
+/// error per broken field, named "fault.<field>".
+util::DiagnosticList validate(const FaultPlan& plan);
 
 }  // namespace iecd::fault

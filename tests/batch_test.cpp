@@ -11,12 +11,15 @@
 #include <vector>
 
 #include "batch/servo_batch.hpp"
+#include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "fault/sites.hpp"
 #include "plant/dc_motor.hpp"
 #include "util/rk4.hpp"
+
+#include "golden/campaign_reports.inc"
 
 namespace iecd {
 namespace {
@@ -454,12 +457,20 @@ TEST(CampaignBatch, BatchedMilCampaignReportByteIdenticalToScalar) {
   options.plan.torque_pulse_nm = 0.03;
   options.plan.torque_pulse_s = 0.02;
 
+  const auto run = [&options](std::size_t threads, std::size_t batch,
+                               const auto& scenario) {
+    campaign::EngineOptions eo;
+    eo.campaign = options;
+    eo.campaign.threads = threads;
+    eo.campaign.batch = batch;
+    return campaign::CampaignEngine(eo).run(scenario).report;
+  };
   const auto scalar_report =
-      fault::CampaignRunner(options).run(
-          fault::CampaignScenario([&](fault::RunContext& ctx) {
+      run(1, 1, fault::CampaignScenario([&](fault::RunContext& ctx) {
             return scalar_campaign_run(ctx, duration);
           }));
-  const std::string want = scalar_report.to_json();
+  const std::string want = golden::kServoMilBatchJson;
+  EXPECT_EQ(scalar_report.to_json(), want);
   EXPECT_EQ(scalar_report.runs, 6u);
 
   auto batch_scenario = fault::BatchCampaignScenario(
@@ -486,11 +497,7 @@ TEST(CampaignBatch, BatchedMilCampaignReportByteIdenticalToScalar) {
 
   for (std::size_t threads : {1u, 2u}) {
     for (std::size_t batch : {1u, 4u, 8u}) {
-      fault::CampaignOptions opts = options;
-      opts.threads = threads;
-      opts.batch = batch;
-      const auto report = fault::CampaignRunner(opts).run(batch_scenario);
-      EXPECT_EQ(report.to_json(), want)
+      EXPECT_EQ(run(threads, batch, batch_scenario).to_json(), want)
           << "threads=" << threads << " batch=" << batch;
     }
   }

@@ -2,9 +2,10 @@
 // completion orders, work-stealing scheduler output identity across
 // thread/batch/placement configurations, checkpoint codec round-trip
 // exactness, corrupt-checkpoint rejection, config-hash sensitivity,
-// engine-vs-retained-runner report identity, and the kill-at-every-
-// checkpoint resume byte-identity suite (fork + _exit after the k-th
-// seal, resume, byte-compare report and manifest).
+// engine report identity against the goldens pinned from the retained
+// runner it replaced, the write-nothing empty evidence directory, and the
+// kill-at-every-checkpoint resume byte-identity suite (fork + _exit after
+// the k-th seal, resume, byte-compare report and manifest).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,8 @@
 #include "fault/rng.hpp"
 #include "obs/health_report.hpp"
 #include "trace/metrics.hpp"
+
+#include "golden/campaign_reports.inc"
 
 #if defined(__unix__)
 #include <sys/wait.h>
@@ -501,9 +504,6 @@ fault::CampaignOptions engine_options(std::size_t runs, std::size_t threads,
 
 TEST(CampaignEngine, ReportMatchesRetainedRunnerByteForByte) {
   const std::size_t kRuns = 64;
-  fault::CampaignRunner runner(engine_options(kRuns, 1, 1));
-  const std::string expected =
-      runner.run(fault::CampaignScenario(engine_scenario)).to_json();
 
   struct Config {
     std::size_t threads, batch;
@@ -522,11 +522,32 @@ TEST(CampaignEngine, ReportMatchesRetainedRunnerByteForByte) {
     CampaignEngine engine(eo);
     EngineResult r = engine.run(fault::CampaignScenario(engine_scenario));
     EXPECT_FALSE(r.resumed);
-    EXPECT_TRUE(r.report.per_run.empty());       // streaming: nothing retained
-    EXPECT_TRUE(r.report.per_run_health.empty());
-    EXPECT_EQ(r.report.to_json(), expected)
+    EXPECT_EQ(r.report.to_json(), golden::kEngineTestJson)
         << "threads=" << c.threads << " batch=" << c.batch;
   }
+}
+
+TEST(CampaignEngine, EmptyEvidenceDirWritesNothing) {
+  // Run in a fresh, empty working directory with every writing option on:
+  // an empty evidence_dir must leave it empty.
+  const fs::path dir = fs::absolute(scratch_dir("empty_dir"));
+  EngineOptions eo;
+  eo.campaign = engine_options(64, 2, 4);
+  eo.checkpoint_every = 8;
+  eo.write_run_artifacts = true;
+  EngineResult r;
+  {
+    struct RestoreCwd {
+      fs::path saved = fs::current_path();
+      ~RestoreCwd() { fs::current_path(saved); }
+    } restore;
+    fs::current_path(dir);
+    r = CampaignEngine(eo).run(fault::CampaignScenario(engine_scenario));
+  }
+  EXPECT_TRUE(fs::is_empty(dir));
+  EXPECT_EQ(r.checkpoints_sealed, 0u);
+  EXPECT_TRUE(r.evidence.manifest_path.empty());
+  EXPECT_EQ(r.report.to_json(), golden::kEngineTestJson);
 }
 
 #if defined(__unix__)
@@ -647,12 +668,7 @@ TEST(CampaignEngine, ConfigMismatchDiscardsCheckpointAndStartsFresh) {
   EngineResult r = engine.run(fault::CampaignScenario(engine_scenario));
   EXPECT_FALSE(r.resumed);
 
-  fault::CampaignOptions clean = engine_options(kRuns, 1, 4);
-  clean.seed = 9999;
-  EXPECT_EQ(r.report.to_json(),
-            fault::CampaignRunner(clean)
-                .run(fault::CampaignScenario(engine_scenario))
-                .to_json());
+  EXPECT_EQ(r.report.to_json(), golden::kEngineTestSeed9999Json);
 }
 
 #endif  // __unix__

@@ -28,6 +28,8 @@
 #include "obs/health_report.hpp"
 #include "obs/monitor.hpp"
 
+#include "golden/campaign_reports.inc"
+
 namespace iecd::cosim {
 namespace {
 
@@ -459,8 +461,10 @@ TEST(CosimCampaign, DefaultPlanFarmRecoversEveryRun) {
   options.runs = 4;
   options.threads = 2;
   options.plan = fault::FaultPlan::defaults();
+  campaign::EngineOptions eo;
+  eo.campaign = options;
   const fault::CampaignReport report =
-      fault::CampaignRunner(options).run(make_farm_scenario(cfg));
+      campaign::CampaignEngine(eo).run(make_farm_scenario(cfg)).report;
   EXPECT_EQ(report.unrecovered, 0u) << report.summary();
   EXPECT_GT(report.faults_injected, 0u);
   // The farm-specific sites appear in the merged per-site counters.
@@ -482,14 +486,8 @@ TEST(CosimCampaign, ReportAndEvidenceAreThreadCountInvariant) {
     return options;
   };
 
-  std::string ref_json;
   std::string ref_manifest;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    // Runner report.
-    const fault::CampaignReport report =
-        fault::CampaignRunner(campaign_options(threads))
-            .run(make_farm_scenario(cfg));
-    // Engine report + evidence manifest.
     const fs::path dir = scratch_dir("ident_t" + std::to_string(threads));
     campaign::EngineOptions eo;
     eo.campaign = campaign_options(threads);
@@ -498,16 +496,13 @@ TEST(CosimCampaign, ReportAndEvidenceAreThreadCountInvariant) {
     campaign::CampaignEngine engine(eo);
     const campaign::EngineResult er = engine.run(make_farm_scenario(cfg));
 
-    EXPECT_EQ(report.to_json(), er.report.to_json()) << threads;
+    EXPECT_EQ(er.report.to_json(), golden::kCosimIdentJson)
+        << "campaign JSON differs at threads=" << threads;
     const std::string manifest = slurp(er.evidence.manifest_path);
     if (threads == 1) {
-      ref_json = report.to_json();
       ref_manifest = manifest;
-      EXPECT_FALSE(ref_json.empty());
       EXPECT_FALSE(ref_manifest.empty());
     } else {
-      EXPECT_EQ(report.to_json(), ref_json)
-          << "campaign JSON differs at threads=" << threads;
       EXPECT_EQ(manifest, ref_manifest)
           << "evidence MANIFEST differs at threads=" << threads;
     }

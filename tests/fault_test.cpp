@@ -2,7 +2,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <limits>
 #include <memory>
+#include <ostream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -10,9 +14,12 @@
 
 #include "beans/serial_bean.hpp"
 #include "blocks/math_blocks.hpp"
+#include "campaign/engine.hpp"
 #include "codegen/generator.hpp"
 #include "core/case_study.hpp"
 #include "core/model_sync.hpp"
+#include "evidence/reader.hpp"
+#include "evidence/sink.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -27,6 +34,8 @@
 #include "sim/can_bus.hpp"
 #include "sim/serial_link.hpp"
 #include "sim/world.hpp"
+
+#include "golden/campaign_reports.inc"
 
 namespace iecd::fault {
 namespace {
@@ -87,7 +96,7 @@ TEST(FaultInjector, ZeroRateSiteIsStreamSilent) {
 TEST(FaultInjector, SameSeedSameSiteReplaysIdenticalFaultSequence) {
   // The (campaign seed, site) pair fully determines the fault sequence —
   // the property that lets one fault be replayed in isolation.
-  const std::uint64_t seed = CampaignRunner::run_seed(31, 3);
+  const std::uint64_t seed = run_seed(31, 3);
   std::vector<int> first, second;
   for (std::vector<int>* out : {&first, &second}) {
     FaultInjector injector(seed, FaultPlan{});
@@ -108,12 +117,72 @@ TEST(FaultPlan, EmptyAndScaled) {
   EXPECT_DOUBLE_EQ(doubled.serial_corrupt_rate,
                    2.0 * FaultPlan::defaults().serial_corrupt_rate);
   EXPECT_EQ(doubled.irq_spike_cycles, FaultPlan::defaults().irq_spike_cycles);
+  for (const FaultPlan& plan : {FaultPlan{}, FaultPlan::defaults(), doubled}) {
+    EXPECT_TRUE(validate(plan).empty()) << validate(plan).to_string();
+  }
 }
 
+struct BadPlanField {
+  const char* field;
+  double FaultPlan::*member;
+  double value;
+};
+
+// CTest names a table row after gtest's print of its parameter.
+void PrintTo(const BadPlanField& row, std::ostream* os) { *os << row.field; }
+
+class FaultPlanRejects : public ::testing::TestWithParam<BadPlanField> {};
+
+// One error naming fault.<field>; the injector and the engine refuse it.
+TEST_P(FaultPlanRejects, WithOneDiagnosticAndNoRun) {
+  FaultPlan plan = FaultPlan::defaults();
+  plan.*GetParam().member = GetParam().value;
+  const util::DiagnosticList diags = validate(plan);
+  ASSERT_EQ(diags.size(), 1u) << diags.to_string();
+  EXPECT_EQ(diags.items()[0].severity, util::Severity::kError);
+  EXPECT_EQ(diags.items()[0].component,
+            std::string("fault.") + GetParam().field);
+  EXPECT_THROW(FaultInjector(1, plan), std::invalid_argument);
+  campaign::EngineOptions eo;
+  eo.campaign.plan = plan;
+  EXPECT_THROW(campaign::CampaignEngine{eo}, std::invalid_argument);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, FaultPlanRejects,
+    ::testing::Values(
+        BadPlanField{"serial_corrupt_rate", &FaultPlan::serial_corrupt_rate,
+                     kNaN},
+        BadPlanField{"serial_drop_rate", &FaultPlan::serial_drop_rate, 1.5},
+        BadPlanField{"serial_dup_rate", &FaultPlan::serial_dup_rate, -0.1},
+        BadPlanField{"can_corrupt_rate", &FaultPlan::can_corrupt_rate, kInf},
+        BadPlanField{"can_drop_rate", &FaultPlan::can_drop_rate, kNaN},
+        BadPlanField{"can_dup_rate", &FaultPlan::can_dup_rate, 2.0},
+        BadPlanField{"pil_truncate_rate", &FaultPlan::pil_truncate_rate, -kInf},
+        BadPlanField{"pil_delay_rate", &FaultPlan::pil_delay_rate, kNaN},
+        BadPlanField{"pil_delay_max_s", &FaultPlan::pil_delay_max_s, kInf},
+        BadPlanField{"irq_spike_rate", &FaultPlan::irq_spike_rate, 1.0001},
+        BadPlanField{"task_overrun_rate", &FaultPlan::task_overrun_rate, -1.0},
+        BadPlanField{"adc_stuck_rate", &FaultPlan::adc_stuck_rate, kNaN},
+        BadPlanField{"adc_noise_rate", &FaultPlan::adc_noise_rate, kInf},
+        BadPlanField{"encoder_glitch_rate", &FaultPlan::encoder_glitch_rate,
+                     3.0},
+        BadPlanField{"torque_pulse_rate_hz", &FaultPlan::torque_pulse_rate_hz,
+                     kInf},
+        BadPlanField{"torque_pulse_nm", &FaultPlan::torque_pulse_nm, kNaN},
+        BadPlanField{"torque_pulse_s", &FaultPlan::torque_pulse_s, -0.01},
+        BadPlanField{"node_kill_rate", &FaultPlan::node_kill_rate, kNaN},
+        BadPlanField{"node_degrade_rate", &FaultPlan::node_degrade_rate, 1.1},
+        BadPlanField{"node_degrade_factor", &FaultPlan::node_degrade_factor,
+                     0.5}));
+
 TEST(FaultCampaignSeeding, RunSeedsAreDistinctAndStable) {
-  EXPECT_EQ(CampaignRunner::run_seed(1, 0), CampaignRunner::run_seed(1, 0));
-  EXPECT_NE(CampaignRunner::run_seed(1, 0), CampaignRunner::run_seed(1, 1));
-  EXPECT_NE(CampaignRunner::run_seed(1, 0), CampaignRunner::run_seed(2, 0));
+  EXPECT_EQ(run_seed(1, 0), run_seed(1, 0));
+  EXPECT_NE(run_seed(1, 0), run_seed(1, 1));
+  EXPECT_NE(run_seed(1, 0), run_seed(2, 0));
 }
 
 // ------------------------------------------------------------- link sites
@@ -503,6 +572,15 @@ CampaignScenario servo_pil_scenario(double duration_s) {
   };
 }
 
+CampaignReport run_campaign(const CampaignOptions& opts,
+                            const CampaignScenario& scenario,
+                            const std::string& evidence_dir = "") {
+  campaign::EngineOptions eo;
+  eo.campaign = opts;
+  eo.evidence_dir = evidence_dir;
+  return campaign::CampaignEngine(eo).run(scenario).report;
+}
+
 TEST(FaultCampaignTest, ReportIsByteIdenticalAcrossThreadCounts) {
   CampaignOptions opts;
   opts.name = "thread-invariance";
@@ -511,12 +589,13 @@ TEST(FaultCampaignTest, ReportIsByteIdenticalAcrossThreadCounts) {
   opts.plan = FaultPlan::defaults();
   opts.threads = 1;
   const CampaignReport serial_report =
-      CampaignRunner(opts).run(servo_pil_scenario(0.08));
+      run_campaign(opts, servo_pil_scenario(0.08));
   opts.threads = 4;
   const CampaignReport parallel_report =
-      CampaignRunner(opts).run(servo_pil_scenario(0.08));
+      run_campaign(opts, servo_pil_scenario(0.08));
   EXPECT_GT(serial_report.faults_injected, 0u);
-  EXPECT_EQ(serial_report.to_json(), parallel_report.to_json());
+  EXPECT_EQ(serial_report.to_json(), golden::kThreadInvarianceJson);
+  EXPECT_EQ(parallel_report.to_json(), golden::kThreadInvarianceJson);
   EXPECT_EQ(serial_report.merged.report(), parallel_report.merged.report());
 }
 
@@ -527,7 +606,7 @@ TEST(FaultCampaignTest, DefaultRatesRecoverWithBoundedDegradation) {
   clean.seed = 7;
   clean.runs = 2;
   const CampaignReport clean_report =
-      CampaignRunner(clean).run(servo_pil_scenario(0.15));
+      run_campaign(clean, servo_pil_scenario(0.15));
   EXPECT_EQ(clean_report.unrecovered, 0u);
   EXPECT_EQ(clean_report.faults_injected, 0u);
 
@@ -535,7 +614,7 @@ TEST(FaultCampaignTest, DefaultRatesRecoverWithBoundedDegradation) {
   faulty.name = "defaults";
   faulty.plan = FaultPlan::defaults();
   const CampaignReport report =
-      CampaignRunner(faulty).run(servo_pil_scenario(0.15));
+      run_campaign(faulty, servo_pil_scenario(0.15));
   EXPECT_GT(report.faults_injected, 0u);
   EXPECT_GT(report.fault_opportunities, report.faults_injected);
   EXPECT_EQ(report.unrecovered, 0u) << report.summary();
@@ -558,23 +637,28 @@ TEST(FaultCampaignTest, DefaultRatesRecoverWithBoundedDegradation) {
 
 TEST(FaultCampaignTest, SingleRunReplaysInsideAndOutsideCampaign) {
   // Replaying run #2 of a campaign in isolation (one injector with the
-  // campaign's run seed) reproduces its exact per-site fault counts.
+  // campaign's run seed) reproduces the exact per-site fault counts its
+  // run artifact recorded.
   CampaignOptions opts;
   opts.seed = 13;
   opts.runs = 3;
   opts.plan = FaultPlan::defaults().scaled(2.0);
-  const CampaignReport report =
-      CampaignRunner(opts).run(servo_pil_scenario(0.06));
+  const std::filesystem::path dir = "fault_test_tmp/replay";
+  std::filesystem::remove_all(dir);
+  (void)run_campaign(opts, servo_pil_scenario(0.06), dir.string());
+  evidence::EvidenceReader run2;
+  const std::string artifact = (dir / evidence::run_artifact_filename(2));
+  ASSERT_EQ(run2.parse_file(artifact), evidence::Status::kOk) << run2.error();
 
-  FaultInjector replay(CampaignRunner::run_seed(opts.seed, 2), opts.plan);
+  FaultInjector replay(run_seed(opts.seed, 2), opts.plan);
   trace::MetricsRegistry metrics;
   obs::HealthReport health;
   RunContext ctx{2, replay.seed(), replay, metrics, health};
   (void)servo_pil_scenario(0.06)(ctx);
-  replay.export_metrics(metrics);
+  ASSERT_FALSE(replay.sites().empty());
   for (const auto& [name, site] : replay.sites()) {
     const auto* in_campaign =
-        report.per_run[2].find_counter("fault." + name + ".injected");
+        run2.metrics().find_counter("fault." + name + ".injected");
     ASSERT_NE(in_campaign, nullptr) << name;
     EXPECT_EQ(in_campaign->value, site.injected()) << name;
   }

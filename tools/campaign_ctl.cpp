@@ -17,12 +17,18 @@
 //       Prints the checkpoint's identity and watermark; exit 0 when a
 //       valid checkpoint exists, 1 otherwise.
 //
+// Numeric flags take a plain decimal integer: a sign, a blank or any
+// trailing character is a usage error naming the flag.
+//
 // Exit code: 0 success, 1 status-missing/failure, 2 usage, 42 when
 // --crash-after fired.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "campaign/engine.hpp"
@@ -44,6 +50,14 @@ int usage() {
       "                        [--no-artifacts] [--fresh]\n"
       "       campaign_ctl status --dir DIR\n");
   return 2;
+}
+
+/// Parses all of \p text as an unsigned decimal integer (no sign, no
+/// blank, no trailing character, no overflow).
+bool parse_number(const char* text, std::uint64_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 /// The synthetic run body: deterministic arithmetic seeded from the
@@ -95,35 +109,37 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   std::string dir;
-  std::size_t runs = 512;
-  std::size_t threads = 2;
-  std::size_t batch = 1;
+  std::uint64_t runs = 512;
+  std::uint64_t threads = 2;
+  std::uint64_t batch = 1;
   std::uint64_t seed = 2026;
-  std::size_t checkpoint_every = 64;
-  std::size_t crash_after = 0;
+  std::uint64_t checkpoint_every = 64;
+  std::uint64_t crash_after = 0;
   bool artifacts = true;
   bool fresh = false;
+  const std::map<std::string, std::uint64_t*> numeric = {
+      {"--runs", &runs},
+      {"--threads", &threads},
+      {"--batch", &batch},
+      {"--seed", &seed},
+      {"--checkpoint-every", &checkpoint_every},
+      {"--crash-after", &crash_after}};
 
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--dir" && (v = next())) {
+    const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
+    if (const auto flag = numeric.find(arg); flag != numeric.end() && v) {
+      if (!parse_number(v, *flag->second)) {
+        std::fprintf(stderr,
+                     "campaign_ctl: %s takes an unsigned decimal integer, "
+                     "got \"%s\"\n",
+                     arg.c_str(), v);
+        return 2;
+      }
+      ++i;
+    } else if (arg == "--dir" && v) {
       dir = v;
-    } else if (arg == "--runs" && (v = next())) {
-      runs = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--threads" && (v = next())) {
-      threads = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--batch" && (v = next())) {
-      batch = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--seed" && (v = next())) {
-      seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--checkpoint-every" && (v = next())) {
-      checkpoint_every = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--crash-after" && (v = next())) {
-      crash_after = std::strtoull(v, nullptr, 10);
+      ++i;
     } else if (arg == "--no-artifacts") {
       artifacts = false;
     } else if (arg == "--fresh") {
@@ -178,8 +194,8 @@ int main(int argc, char** argv) {
               result.resumed
                   ? std::to_string(result.resume_start).c_str()
                   : "",
-              runs, result.sched.threads_used,
-              batch,
+              static_cast<std::size_t>(runs), result.sched.threads_used,
+              static_cast<std::size_t>(batch),
               static_cast<unsigned long long>(result.checkpoints_sealed),
               static_cast<unsigned long long>(result.sched.steals),
               result.evidence.manifest_path.c_str());

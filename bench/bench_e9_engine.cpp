@@ -54,7 +54,7 @@ void table_hot_path() {
   auto& src = m.add<blocks::ConstantBlock>("src", 1.0);
   model::Block* prev = &src;
   for (int i = 0; i < chain; ++i) {
-    auto& g = m.add<blocks::GainBlock>("g" + std::to_string(i), 1.0001);
+    auto& g = m.add<blocks::GainBlock>('g' + std::to_string(i), 1.0001);
     m.connect(*prev, 0, g, 0);
     prev = &g;
   }
@@ -92,7 +92,7 @@ void table_obs_overhead() {
   auto& src = m.add<blocks::ConstantBlock>("src", 1.0);
   model::Block* prev = &src;
   for (int i = 0; i < chain; ++i) {
-    auto& g = m.add<blocks::GainBlock>("g" + std::to_string(i), 1.0001);
+    auto& g = m.add<blocks::GainBlock>('g' + std::to_string(i), 1.0001);
     m.connect(*prev, 0, g, 0);
     prev = &g;
   }
@@ -249,7 +249,7 @@ void BM_EngineGainChain(benchmark::State& state) {
   auto& src = m.add<blocks::ConstantBlock>("src", 1.0);
   model::Block* prev = &src;
   for (int i = 0; i < n; ++i) {
-    auto& g = m.add<blocks::GainBlock>("g" + std::to_string(i), 1.0001);
+    auto& g = m.add<blocks::GainBlock>('g' + std::to_string(i), 1.0001);
     m.connect(*prev, 0, g, 0);
     prev = &g;
   }

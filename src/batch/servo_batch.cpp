@@ -56,17 +56,9 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
   if (config_.minor_steps < 1) {
     throw std::invalid_argument("ServoBatch: minor_steps >= 1");
   }
-  if (config_.speed_filter_taps < 1) {
-    throw std::invalid_argument("ServoBatch: speed_filter_taps >= 1");
-  }
-  if (!(config_.period_s > 0.0)) {
-    throw std::invalid_argument("ServoBatch: period_s > 0");
-  }
   base_period_ns_ = to_ns(config_.period_s);
   base_period_ = static_cast<double>(base_period_ns_) * 1e-9;
-  const double cpr = static_cast<double>(config_.encoder_lines * 4);
-  cpr_ = cpr;
-  gain_ = 2.0 * std::numbers::pi / (cpr * config_.period_s);
+  cpr_ = static_cast<double>(config_.encoder_lines * 4);
 
   const std::size_t w = width_;
   auto fill = [w](LaneVector<>& v, double value = 0.0) {
@@ -74,8 +66,6 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
   };
   fill(sp_);
   fill(sp_time_);
-  fill(kp_);
-  fill(ki_);
   fill(stop_);
   fill(res_);
   fill(ind_);
@@ -85,16 +75,11 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
   fill(damping_);
   fill(supply_);
   load_.resize(w);
+  pi_.reserve(w);
   fill(cur_);
   fill(omega_);
   fill(theta_);
-  fill(integral_);
-  fill(prev_cnt_);
   fill(cnt_);
-  fill(spd_);
-  fill(filt_);
-  fill(err_);
-  fill(unsat_);
   fill(sat_);
   fill(duty_);
   fill(volt_);
@@ -108,13 +93,6 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
     fill(k3_[s]);
     fill(k4_[s]);
   }
-  const std::size_t rows =
-      config_.speed_filter_taps > 1
-          ? static_cast<std::size_t>(config_.speed_filter_taps - 1)
-          : 0;
-  window_.assign(rows * w, 0.0);
-  window_len_ = 0;
-
   active_.assign(w, 1);
   faulted_.assign(w, 0);
   remaining_ = w;
@@ -125,8 +103,9 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
     const ServoLane& lane = lanes[l];
     sp_[l] = lane.setpoint;
     sp_time_[l] = lane.setpoint_time;
-    kp_[l] = lane.kp;
-    ki_[l] = lane.ki;
+    pi_.emplace_back(SpeedPiParams{lane.kp, lane.ki, config_.period_s,
+                                   config_.encoder_lines,
+                                   config_.speed_filter_taps});
     stop_[l] = lane.duration_s > 0.0 ? lane.duration_s : config_.duration_s;
     stop_max = std::max(stop_max, stop_[l]);
     res_[l] = lane.motor.resistance;
@@ -195,35 +174,11 @@ void ServoBatch::controller_and_record(double t) {
     }
   }
 
-  // Wrapped 16-bit count difference (cnt_diff FunctionBlock), speed
-  // scaling (spd_gain GainBlock).
+  // Speed estimate, moving-average filter, set-point step, error sum and
+  // saturated PI: one controller kernel per lane (speed_pi.hpp).
   for (std::size_t l = 0; l < w; ++l) {
-    spd_[l] = gain_ * std::remainder(cnt_[l] - prev_cnt_[l], 65536.0);
-  }
-
-  // Moving-average filter output: current sample plus the window,
-  // newest to oldest (MovingAverageBlock::output's accumulation order).
-  for (std::size_t l = 0; l < w; ++l) filt_[l] = spd_[l];
-  for (std::size_t k = 0; k < window_len_; ++k) {
-    const double* IECD_RESTRICT row = window_.data() + k * w;
-    double* IECD_RESTRICT acc = filt_.data();
-    for (std::size_t l = 0; l < w; ++l) acc[l] += row[l];
-  }
-  const double inv_count = static_cast<double>(window_len_ + 1);
-  for (std::size_t l = 0; l < w; ++l) filt_[l] = filt_[l] / inv_count;
-
-  // Set-point step, error sum ("++-": set-point, keyboard offset, speed),
-  // PI with saturation (DiscretePidBlock::output, kd = 0).
-  for (std::size_t l = 0; l < w; ++l) {
-    const double sp = t >= sp_time_[l] ? sp_[l] : 0.0;
-    double acc = 0.0;
-    acc += sp;
-    acc += 0.0;  // keyboard set-point offset: no key events in MIL
-    acc -= filt_[l];
-    err_[l] = acc;
-    const double unsat = kp_[l] * acc + integral_[l] + 0.0;
-    unsat_[l] = unsat;
-    sat_[l] = unsat < 0.0 ? 0.0 : (1.0 < unsat ? 1.0 : unsat);
+    pi_[l].step(cnt_[l], t >= sp_time_[l] ? sp_[l] : 0.0);
+    sat_[l] = pi_[l].duty();
   }
 
   // Mode switch: the chart stays in "automatic" (out 1.0 >= 0.5) without
@@ -238,35 +193,10 @@ void ServoBatch::controller_and_record(double t) {
   // Scopes (discrete, one sample per major step): speed before this
   // step's integration, duty as just computed.
   times_.push_back(t);
-  const std::size_t base = times_.size() - 1;
-  (void)base;
   speed_hist_.insert(speed_hist_.end(), omega_.begin(), omega_.end());
   duty_hist_.insert(duty_hist_.end(), duty_.begin(), duty_.end());
   for (std::size_t l = 0; l < w; ++l) {
     lane_samples_[l] += active_[l];
-  }
-
-  // --- Update phase (UnitDelay, MovingAverage push, PI integrator with
-  // back-calculation anti-windup).
-  for (std::size_t l = 0; l < w; ++l) prev_cnt_[l] = cnt_[l];
-
-  const std::size_t rows =
-      config_.speed_filter_taps > 1
-          ? static_cast<std::size_t>(config_.speed_filter_taps - 1)
-          : 0;
-  if (rows > 0) {
-    const std::size_t new_len = std::min(window_len_ + 1, rows);
-    for (std::size_t k = new_len; k-- > 1;) {
-      std::copy_n(window_.data() + (k - 1) * w, w, window_.data() + k * w);
-    }
-    std::copy_n(spd_.data(), w, window_.data());
-    window_len_ = new_len;
-  }
-
-  const double T = config_.period_s;
-  for (std::size_t l = 0; l < w; ++l) {
-    const double aw = (sat_[l] - unsat_[l]) / std::max(kp_[l], 1e-9);
-    integral_[l] += ki_[l] * T * (err_[l] + aw);
   }
 }
 

@@ -1,10 +1,9 @@
 /// \file servo_batch.hpp
 /// Lane-batched MIL execution of the servo case study: N independent runs
 /// of the closed loop ServoSystem::run_mil() simulates — quadrature
-/// decoder latch, wrapped count difference, speed scaling and moving-
-/// average filter, PI with back-calculation anti-windup, mode switch, PWM
-/// duty latch, and the RK4-integrated DC motor — advanced in lockstep with
-/// every per-run scalar laid out as a SoA lane array (lanes.hpp).
+/// decoder latch, the speed-PI controller (one SpeedPi per lane), mode
+/// switch, PWM duty latch, and the RK4-integrated DC motor — advanced in
+/// lockstep with every other per-run scalar in SoA lane arrays (lanes.hpp).
 ///
 /// Determinism contract (locked by tests/batch_test.cpp): every lane is
 /// bit-identical to the scalar engine running the same configuration.
@@ -30,6 +29,7 @@
 #include <vector>
 
 #include "batch/lanes.hpp"
+#include "batch/speed_pi.hpp"
 #include "model/logging.hpp"
 #include "model/metrics.hpp"
 #include "plant/dc_motor.hpp"
@@ -44,7 +44,7 @@ struct ServoBatchConfig {
   double duration_s = 1.0;   ///< default stop time (lanes may override)
   int minor_steps = 4;       ///< RK4 substeps per major step
   int encoder_lines = 100;
-  int speed_filter_taps = 8;
+  int speed_filter_taps = kSpeedFilterTaps;
   /// PWM counter modulo.  0 = clamp-only pass-through (a bean that never
   /// solved its timing).  For parity with ServoSystem::run_mil read the
   /// solved value from the servo's PWM bean ("modulo" property; the
@@ -113,24 +113,21 @@ class ServoBatch {
   std::size_t width_ = 0;
   std::int64_t base_period_ns_ = 0;
   double base_period_ = 0.0;  ///< double(base_period_ns_) * 1e-9
-  double gain_ = 0.0;         ///< speed scaling 2*pi / (cpr * period)
   double cpr_ = 0.0;
   std::uint64_t major_ = 0;
 
   // Per-lane scenario parameters (SoA).
-  LaneVector<> sp_, sp_time_, kp_, ki_, stop_;
+  LaneVector<> sp_, sp_time_, stop_;
   LaneVector<> res_, ind_, kt_, ke_, inertia_, damping_, supply_;
   std::vector<plant::LoadTorque> load_;
   bool any_load_ = false;
 
-  // Per-lane controller + plant state (SoA).
+  // Per-lane controller and plant state.
+  std::vector<SpeedPi> pi_;
   LaneVector<> cur_, omega_, theta_;   ///< motor {i, w, theta}
-  LaneVector<> integral_, prev_cnt_;
-  LaneVector<> window_;  ///< moving-average window, rows newest-first
-  std::size_t window_len_ = 0;
 
   // Per-lane step scratch (SoA).
-  LaneVector<> cnt_, spd_, filt_, err_, unsat_, sat_, duty_, volt_;
+  LaneVector<> cnt_, sat_, duty_, volt_;
   LaneVector<> yi_, yw_, yt_, tau_;
   LaneVector<> k1_[3], k2_[3], k3_[3], k4_[3];
 

@@ -16,6 +16,10 @@ CampaignEngine::CampaignEngine(EngineOptions options)
     throw std::invalid_argument("CampaignEngine: invalid fault plan:\n" +
                                 d.to_string());
   }
+  if (options_.campaign.threads > kMaxCampaignThreads) {
+    throw std::invalid_argument(
+        "CampaignEngine: threads above kMaxCampaignThreads");
+  }
 }
 
 std::string CampaignEngine::checkpoint_filename() { return "CHECKPOINT.evd"; }

@@ -8,8 +8,9 @@
 /// 100k runs against a retained fold.
 ///
 /// Contracts (all locked by the campaign suite):
-///   * a plan fault::validate rejects throws at construction, on the
-///     caller's thread, before any worker starts;
+///   * a plan fault::validate rejects, or a thread count above
+///     kMaxCampaignThreads, throws at construction, on the caller's
+///     thread, before any worker starts;
 ///   * the report JSON matches tests/golden/campaign_reports.inc;
 ///   * outputs are byte-identical for any thread count, batch width,
 ///     placement and steal schedule;
@@ -28,6 +29,11 @@
 #include "fault/campaign.hpp"
 
 namespace iecd::campaign {
+
+/// Ceiling on fault::CampaignOptions::threads.  Below it the stream runner
+/// starts min(threads, lane groups) workers, so a well-formed but huge
+/// count would otherwise start one OS thread per group.
+inline constexpr std::size_t kMaxCampaignThreads = 256;
 
 struct EngineOptions {
   /// Campaign identity + fault plan + threads/batch (fault layer options;
@@ -79,7 +85,8 @@ struct EngineResult {
 
 class CampaignEngine {
  public:
-  /// Throws std::invalid_argument when fault::validate rejects the plan.
+  /// Throws std::invalid_argument when fault::validate rejects the plan or
+  /// campaign.threads exceeds kMaxCampaignThreads.
   explicit CampaignEngine(EngineOptions options);
 
   const EngineOptions& options() const { return options_; }

@@ -29,33 +29,20 @@ using blocks::UnitDelayBlock;
 
 util::DiagnosticList validate(const ServoConfig& config) {
   util::DiagnosticList d;
-  const auto require = [&d](bool ok, const char* field, const char* rule,
-                            double value) {
-    if (!ok) {
-      d.error(std::string("servo.") + field,
-              util::format("must be %s (got %g)", rule, value));
-    }
-  };
-  const auto positive = [](double v) { return v > 0 && std::isfinite(v); };
   const auto& m = config.motor;
-  require(config.encoder_lines > 0, "encoder_lines", "positive",
-          config.encoder_lines);
-  require(positive(config.period_s), "period_s", "positive", config.period_s);
-  require(positive(config.pwm_frequency_hz), "pwm_frequency_hz", "positive",
-          config.pwm_frequency_hz);
-  require(config.duration_s >= 0 && std::isfinite(config.duration_s),
-          "duration_s", ">= 0", config.duration_s);
-  require(std::isfinite(config.setpoint), "setpoint", "finite",
-          config.setpoint);
-  require(std::isfinite(config.setpoint_time), "setpoint_time", "finite",
-          config.setpoint_time);
-  require(std::isfinite(config.kp), "kp", "finite", config.kp);
-  require(std::isfinite(config.ki), "ki", "finite", config.ki);
-  const util::DiagnosticList motor = plant::validate(m);
-  for (util::Diagnostic item : motor.items()) {
-    item.component = "servo." + item.component;
-    d.add(std::move(item));
-  }
+  d.merge(batch::validate({config.kp, config.ki, config.period_s,
+                           config.encoder_lines, config.speed_filter_taps}),
+          "servo.");
+  d.require(config.pwm_frequency_hz > 0 &&
+                std::isfinite(config.pwm_frequency_hz),
+            "servo.pwm_frequency_hz", "positive", config.pwm_frequency_hz);
+  d.require(config.duration_s >= 0 && std::isfinite(config.duration_s),
+            "servo.duration_s", ">= 0", config.duration_s);
+  d.require(std::isfinite(config.setpoint), "servo.setpoint", "finite",
+            config.setpoint);
+  d.require(std::isfinite(config.setpoint_time), "servo.setpoint_time",
+            "finite", config.setpoint_time);
+  d.merge(plant::validate(m), "servo.");
   // Stiffness is judged only on otherwise valid constants and period.
   if (!d.has_errors()) {
     const double h = config.period_s / kPlantMinorSteps;

@@ -10,6 +10,7 @@
 
 #include <memory>
 
+#include "batch/speed_pi.hpp"
 #include "beans/bean_project.hpp"
 #include "blocks/discrete.hpp"
 #include "blocks/sinks.hpp"
@@ -44,7 +45,7 @@ struct ServoConfig {
   double manual_duty = 0.2;       ///< duty in manual mode
   double pwm_frequency_hz = 20000.0;
   int encoder_lines = 100;
-  int speed_filter_taps = 8;
+  int speed_filter_taps = batch::kSpeedFilterTaps;
   /// MIL hardware fidelity of the PE blocks.  false = the "trivial
   /// pass-through" simulation other code-generation targets offer (the
   /// ablation of the paper's fidelity claim); target/PIL/HIL behaviour is
@@ -57,9 +58,10 @@ struct ServoConfig {
 /// PIL host plant).
 inline constexpr int kPlantMinorSteps = 4;
 
-/// Numeric checks of a ServoConfig: counts, periods and frequencies a run
-/// divides by must be positive; gains, set-point and step instant finite;
-/// the duration non-negative; the motor must pass plant::validate, whose
+/// Numeric checks of a ServoConfig: the controller fields must pass
+/// batch::validate(SpeedPiParams) (reported as "servo.<field>"); the PWM
+/// frequency must be positive; set-point and step instant finite; the
+/// duration non-negative; the motor must pass plant::validate, whose
 /// errors are reported as "servo.motor.<field>".  A config that passes all
 /// of those must also be stable under the engine's RK4 substep: (period_s
 /// / kPlantMinorSteps) * plant::fastest_mode(motor) within
@@ -172,7 +174,7 @@ class ServoSystem {
     fault::FaultInjector* faults = nullptr;
     /// Timeout/retransmit recovery for the exchange protocol
     /// (HostEndpoint::Recovery); disabled by default.
-    pil::HostEndpoint::Recovery recovery;
+    pil::HostEndpoint::Recovery recovery{};
   };
   struct PilResult {
     model::SampleLog speed;

@@ -85,13 +85,15 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
       static_cast<std::int64_t>(DistributedConfig::kSensorFrameId),
       ctrl_writes);
   ctrl_can.set_property("acceptance_mask", std::int64_t{0x7FF}, ctrl_writes);
+  const batch::SpeedPiParams loop_params{config.kp, config.ki, config.period_s,
+                                         config.encoder_lines};
+  ctrl_writes.merge(batch::validate(loop_params));
   cosim::require_valid("distributed controller node", ctrl_project,
                        std::move(ctrl_writes));
   ctrl_project.bind(ctrl_mcu);
   bus.attach_controller(*ctrl_can.peripheral());  // bus node 1
 
-  cosim::SpeedLoop loop(config.kp, config.ki, config.period_s,
-                        config.encoder_lines);
+  batch::SpeedPi loop(loop_params);
   std::uint8_t ctrl_seq = 0;
 
   mcu::IsrHandler ctrl_rx;

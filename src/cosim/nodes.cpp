@@ -29,13 +29,14 @@ ServoNode::ServoNode(std::string name, std::size_t index,
       period_s_(config_.period_s * std::max(1.0, config_.period_factor)),
       mcu_(world(), mcu::find_derivative(mcu::kDefaultDerivative),
            this->name() + "_mcu"),
-      project_(this->name()),
-      loop_(config_.kp, config_.ki, period_s_, config_.encoder_lines) {
+      project_(this->name()) {
   qd_ = &project_.add<beans::QuadDecBean>("QD1");
   pwm_ = &project_.add<beans::PwmBean>("PWM1");
   timer_ = &project_.add<beans::TimerIntBean>("TI1");
   can_ = &project_.add<beans::CanBean>("CAN1");
-  util::DiagnosticList d;
+  const batch::SpeedPiParams loop{config_.kp, config_.ki, period_s_,
+                                  config_.encoder_lines};
+  util::DiagnosticList d = batch::validate(loop);
   qd_->set_property("encoder_lines",
                     static_cast<std::int64_t>(config_.encoder_lines), d);
   timer_->set_property("period_s", period_s_, d);
@@ -43,6 +44,7 @@ ServoNode::ServoNode(std::string name, std::size_t index,
                      static_cast<std::int64_t>(config_.command_frame_id), d);
   can_->set_property("acceptance_mask", std::int64_t{0x7FF}, d);
   require_valid(this->name(), project_, std::move(d));
+  loop_.emplace(loop);
   project_.bind(mcu_);
   bus.attach_controller(*can_->peripheral());
   pwm_->Enable();
@@ -60,19 +62,19 @@ ServoNode::ServoNode(std::string name, std::size_t index,
   tick.body = [this]() -> std::uint64_t {
     release_ += sim::from_seconds(period_s_);
     body_start_ = world().now();
-    loop_.step(static_cast<std::int16_t>(qd_->GetPosition()), setpoint_);
+    loop_->step(static_cast<std::int16_t>(qd_->GetPosition()), setpoint_);
     return 900;  // read + speed estimate + PI, software floating point
   };
   tick.commit = [this] {
     pwm_->SetRatio16(
-        static_cast<std::uint16_t>(std::lround(loop_.duty() * 65535.0)));
+        static_cast<std::uint16_t>(std::lround(loop_->duty() * 65535.0)));
     ++control_ticks_;
     if (config_.status_divider > 0 &&
         control_ticks_ % static_cast<std::uint64_t>(config_.status_divider) ==
             0) {
       sim::CanFrame frame;
       frame.id = config_.status_frame_base + static_cast<std::uint32_t>(index_);
-      const double bounded = std::clamp(loop_.smoothed(), -1000.0, 1000.0);
+      const double bounded = std::clamp(loop_->smoothed(), -1000.0, 1000.0);
       put_u16(frame.data, static_cast<std::uint16_t>(
                               static_cast<std::int16_t>(
                                   std::lround(bounded * 16.0))));

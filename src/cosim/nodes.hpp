@@ -3,12 +3,11 @@
 ///
 ///   * ServoNode — full MCU fidelity.  One WorldComponent holding an MCU
 ///     with QDEC + PWM + timer + CAN beans, its local DC motor and
-///     incremental encoder, and a self-contained 1 kHz SpeedLoop; the
+///     incremental encoder, and a 1 kHz control ISR that steps the
+///     case-study controller (batch::SpeedPi over kSpeedFilterTaps, the
+///     model's arithmetic) under the MCU's cycle-charged timing; the
 ///     set-point arrives over CAN (supervisor command frames) and the node
-///     periodically broadcasts a status frame.  The loop has the Section 7
-///     servo's structure (speed estimate, moving average, anti-windup PI)
-///     but filters over 4 taps where the model filters over 8, so farm
-///     results are close to the single-node case study, not identical.
+///     periodically broadcasts a status frame.
 ///   * SupervisorNode — model fidelity (MultiCoSim's lightweight swap): no
 ///     MCU, no world; broadcasts the set-point on a fixed period and
 ///     tracks per-node status freshness (a node whose status stops
@@ -17,15 +16,13 @@
 ///     high-priority ID, the networked-control "loaded bus" stressor.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <numbers>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "batch/speed_pi.hpp"
 #include "beans/bean_project.hpp"
 #include "beans/can_bean.hpp"
 #include "beans/pwm_bean.hpp"
@@ -40,64 +37,6 @@
 #include "util/diagnostics.hpp"
 
 namespace iecd::cosim {
-
-/// The hand-written MCU speed loop, the one both networked servo ISRs run
-/// (ServoNode's control tick and run_distributed_servo's controller node):
-/// the wrapped 16-bit decoder count difference scaled to rad/s, a 4-tap
-/// moving average, and a PI on a [0, 1] duty with back-calculation
-/// anti-windup.  One step() per control tick; the state is the
-/// application's statics.
-class SpeedLoop {
- public:
-  /// \p period_s is the period the firmware believes it runs at; the speed
-  /// estimate and the integrator are both calibrated from it.
-  SpeedLoop(double kp, double ki, double period_s, int encoder_lines)
-      : kp_(kp),
-        ki_(ki),
-        period_s_(period_s),
-        speed_gain_(2.0 * std::numbers::pi /
-                    (encoder_lines * 4.0 * period_s)) {}
-
-  /// One control tick on the latched decoder \p position.
-  void step(std::int16_t position, double setpoint) {
-    const double counts = static_cast<double>(position);
-    double speed = 0.0;
-    if (have_prev_) {
-      speed = std::remainder(counts - prev_counts_, 65536.0) * speed_gain_;
-    }
-    prev_counts_ = counts;
-    have_prev_ = true;
-    filt_[filt_idx_ & 3] = speed;
-    ++filt_idx_;
-    smoothed_ = (filt_[0] + filt_[1] + filt_[2] + filt_[3]) / 4.0;
-
-    const double error = setpoint - smoothed_;
-    const double unsat = kp_ * error + integral_;
-    duty_ = std::clamp(unsat, 0.0, 1.0);
-    integral_ += ki_ * period_s_ *
-                 (error + (duty_ - unsat) / std::max(kp_, 1e-9));
-  }
-
-  /// Filtered speed estimate [rad/s] after the last step().
-  double smoothed() const { return smoothed_; }
-  /// Duty command [0, 1] after the last step().
-  double duty() const { return duty_; }
-  /// Integrator state after the last step().
-  double integral() const { return integral_; }
-
- private:
-  double kp_;
-  double ki_;
-  double period_s_;
-  double speed_gain_;
-  double prev_counts_ = 0.0;
-  bool have_prev_ = false;
-  double filt_[4] = {0, 0, 0, 0};
-  int filt_idx_ = 0;
-  double smoothed_ = 0.0;
-  double integral_ = 0.0;
-  double duty_ = 0.0;
-};
 
 /// Little-endian 16-bit field codec shared by the farm and rig frames.
 inline void put_u16(sim::CanPayload& data, std::uint16_t v) {
@@ -187,9 +126,10 @@ class ServoNode : public WorldComponent {
 
   obs::TimingMonitor* monitor_ = nullptr;
 
-  // The MCU application's statics.
+  // The MCU application's statics (the loop is built once the node's
+  // configuration validated).
   double setpoint_ = 0.0;
-  SpeedLoop loop_;
+  std::optional<batch::SpeedPi> loop_;
 
   std::uint64_t control_ticks_ = 0;
   std::uint64_t status_sent_ = 0;

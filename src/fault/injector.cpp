@@ -5,7 +5,6 @@
 #include <string>
 
 #include "trace/metrics.hpp"
-#include "util/strings.hpp"
 
 namespace iecd::fault {
 
@@ -13,10 +12,7 @@ util::DiagnosticList validate(const FaultPlan& p) {
   util::DiagnosticList d;
   const auto require = [&d](bool ok, const char* field, const char* rule,
                             double value) {
-    if (!ok) {
-      d.error(std::string("fault.") + field,
-              util::format("must be %s (got %g)", rule, value));
-    }
+    d.require(ok, std::string("fault.") + field, rule, value);
   };
   const auto rate = [&require](double v, const char* field) {
     require(v >= 0.0 && v <= 1.0, field, "in [0, 1]", v);

@@ -37,7 +37,7 @@ void FlightRecorder::poll(sim::SimTime now) {
     if (p.counter) {
       const std::uint64_t value = p.counter();
       if (value > p.last) {
-        capture(p.name, now, "+" + std::to_string(value - p.last));
+        capture(p.name, now, '+' + std::to_string(value - p.last));
         p.last = value;
       }
     } else if (p.predicate && p.predicate()) {

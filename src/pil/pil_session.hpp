@@ -65,7 +65,7 @@ class PilSession {
     /// Timeout/retransmit recovery (see HostEndpoint::Recovery); disabled
     /// by default, which keeps the session bit-identical to the
     /// pre-recovery protocol.
-    HostEndpoint::Recovery recovery;
+    HostEndpoint::Recovery recovery{};
   };
 
   /// \p runtime must wrap the PIL variant of the application; \p serial is

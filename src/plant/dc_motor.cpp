@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/strings.hpp"
-
 namespace iecd::plant {
 
 void DcMotorDynamics::derivatives(const double state[3], double voltage,
@@ -55,23 +53,18 @@ void DcMotorBlock::derivatives(const model::SimContext& ctx,
 
 util::DiagnosticList validate(const DcMotorParams& p) {
   util::DiagnosticList d;
-  const auto require = [&d](bool ok, const char* field, const char* rule,
-                            double value) {
-    if (!ok) {
-      d.error(std::string("motor.") + field,
-              util::format("must be %s (got %g)", rule, value));
-    }
-  };
   const auto positive = [](double v) { return v > 0 && std::isfinite(v); };
-  require(positive(p.inertia), "inertia", "positive", p.inertia);
-  require(positive(p.inductance), "inductance", "positive", p.inductance);
-  require(positive(p.resistance), "resistance", "positive", p.resistance);
-  require(std::isfinite(p.kt), "kt", "finite", p.kt);
-  require(std::isfinite(p.ke), "ke", "finite", p.ke);
-  require(p.damping >= 0 && std::isfinite(p.damping), "damping", ">= 0",
-          p.damping);
-  require(std::isfinite(p.supply_voltage), "supply_voltage", "finite",
-          p.supply_voltage);
+  d.require(positive(p.inertia), "motor.inertia", "positive", p.inertia);
+  d.require(positive(p.inductance), "motor.inductance", "positive",
+            p.inductance);
+  d.require(positive(p.resistance), "motor.resistance", "positive",
+            p.resistance);
+  d.require(std::isfinite(p.kt), "motor.kt", "finite", p.kt);
+  d.require(std::isfinite(p.ke), "motor.ke", "finite", p.ke);
+  d.require(p.damping >= 0 && std::isfinite(p.damping), "motor.damping",
+            ">= 0", p.damping);
+  d.require(std::isfinite(p.supply_voltage), "motor.supply_voltage", "finite",
+            p.supply_voltage);
   return d;
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/strings.hpp"
+
 namespace iecd::util {
 
 const char* to_string(Severity severity) {
@@ -39,12 +41,22 @@ void DiagnosticList::error(std::string component, std::string message) {
       {Severity::kError, std::move(component), std::move(message)});
 }
 
+void DiagnosticList::require(bool ok, std::string component, const char* rule,
+                             double value) {
+  if (!ok) {
+    error(std::move(component), format("must be %s (got %g)", rule, value));
+  }
+}
+
 void DiagnosticList::add(Diagnostic diagnostic) {
   items_.push_back(std::move(diagnostic));
 }
 
-void DiagnosticList::merge(const DiagnosticList& other) {
-  items_.insert(items_.end(), other.items_.begin(), other.items_.end());
+void DiagnosticList::merge(const DiagnosticList& other,
+                           const std::string& prefix) {
+  for (const Diagnostic& item : other.items_) {
+    items_.push_back({item.severity, prefix + item.component, item.message});
+  }
 }
 
 bool DiagnosticList::has_errors() const {

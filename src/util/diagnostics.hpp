@@ -36,10 +36,15 @@ class DiagnosticList {
   void info(std::string component, std::string message);
   void warning(std::string component, std::string message);
   void error(std::string component, std::string message);
+  /// A numeric config rule: unless \p ok, an error on \p component that
+  /// reads "must be <rule> (got <value>)".
+  void require(bool ok, std::string component, const char* rule,
+               double value);
   void add(Diagnostic diagnostic);
 
-  /// Appends all diagnostics from \p other.
-  void merge(const DiagnosticList& other);
+  /// Appends all diagnostics from \p other, with \p prefix put before
+  /// each component (e.g. "servo." over a nested config's rule).
+  void merge(const DiagnosticList& other, const std::string& prefix = "");
 
   bool has_errors() const;
   bool has_warnings() const;

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "batch/servo_batch.hpp"
+#include "batch/speed_pi.hpp"
 #include "campaign/engine.hpp"
 #include "core/case_study.hpp"
 #include "exec/sweep.hpp"
@@ -247,6 +251,83 @@ TEST(BatchMask, NonFiniteLaneIsRetiredAndNeighborsStayExact) {
   const auto scalar = servo.run_mil();
   expect_lane_matches_scalar(batch.result(0), scalar, "neighbor 0");
   expect_lane_matches_scalar(batch.result(2), scalar, "neighbor 2");
+}
+
+// --------------------------------------------------- speed-PI kernel
+
+batch::SpeedPi default_pi() {
+  const core::ServoConfig c;
+  return batch::SpeedPi({c.kp, c.ki, c.period_s, c.encoder_lines});
+}
+
+/// One decoder count per control period, in rad/s, for the default servo.
+double one_count_speed() {
+  const core::ServoConfig c;
+  return 2.0 * std::numbers::pi / (c.encoder_lines * 4.0 * c.period_s);
+}
+
+TEST(SpeedPi, PositionWrapReadsAsOneCount) {
+  // The previous count starts at 0 (the model's prev_cnt UnitDelay), so the
+  // first sample reads the whole position; the wrap then reads one count,
+  // and the average is over the two samples seen.
+  const double one = one_count_speed();
+  batch::SpeedPi forward = default_pi();
+  forward.step(32767, 0.0);
+  forward.step(-32768, 0.0);
+  EXPECT_EQ(forward.smoothed(), (one + one * 32767.0) / 2.0);
+
+  batch::SpeedPi backward = default_pi();
+  backward.step(-32768, 0.0);
+  backward.step(32767, 0.0);
+  EXPECT_EQ(backward.smoothed(), (-one + one * -32768.0) / 2.0);
+}
+
+TEST(SpeedPi, AverageDividesBySamplesSeenUntilTheWindowFills) {
+  // Sample n reads n counts; the estimate sums the newest min(n, taps)
+  // samples, newest first, and divides by how many it summed.
+  const double one = one_count_speed();
+  batch::SpeedPi pi = default_pi();
+  double counts = 0.0;
+  for (int n = 1; n <= 2 * batch::kSpeedFilterTaps; ++n) {
+    counts += n;
+    pi.step(counts, 0.0);
+    const int seen = std::min(n, batch::kSpeedFilterTaps);
+    double acc = one * n;
+    for (int k = 1; k < seen; ++k) acc += one * (n - k);
+    EXPECT_EQ(pi.smoothed(), acc / seen) << "sample " << n;
+  }
+}
+
+TEST(SpeedPi, IntegratorBleedsOffAtTheDutyLimits) {
+  batch::SpeedPi pi = default_pi();
+  // Stalled shaft, unreachable set-point: the duty pins at 1, and the
+  // back-calculation holds the integrator at the limit.  A plain
+  // integrator would reach ki * T * 1000 * 2000 = 240.
+  for (int i = 0; i < 2000; ++i) pi.step(0, 1000.0);
+  EXPECT_EQ(pi.duty(), 1.0);
+  EXPECT_NEAR(pi.integral(), 1.0, 1e-9);
+
+  // Set-point below the shaft: the duty pins at 0 and the stored integral
+  // bleeds off towards 0 instead of winding negative.
+  pi.step(0, -1000.0);
+  EXPECT_EQ(pi.duty(), 0.0);
+  EXPECT_LT(pi.integral(), 1.0);
+  for (int i = 0; i < 2000; ++i) {
+    pi.step(0, -1000.0);
+    ASSERT_EQ(pi.duty(), 0.0) << "tick " << i;
+  }
+  EXPECT_NEAR(pi.integral(), 0.0, 1e-9);
+}
+
+TEST(SpeedPi, ConstructorRejectsWhatValidateReports) {
+  const batch::SpeedPiParams good{0.004, 0.12, 0.001, 100};
+  EXPECT_TRUE(batch::validate(good).empty());
+  batch::SpeedPiParams no_taps = good;
+  no_taps.speed_filter_taps = 0;
+  const auto diags = batch::validate(no_taps);
+  ASSERT_EQ(diags.size(), 1u) << diags.to_string();
+  EXPECT_EQ(diags.items()[0].component, "speed_filter_taps");
+  EXPECT_THROW(batch::SpeedPi{no_taps}, std::invalid_argument);
 }
 
 // -------------------------------------------------- shared RK4 refactor

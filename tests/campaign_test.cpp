@@ -14,6 +14,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -525,6 +526,16 @@ TEST(CampaignEngine, ReportMatchesRetainedRunnerByteForByte) {
     EXPECT_EQ(r.report.to_json(), golden::kEngineTestJson)
         << "threads=" << c.threads << " batch=" << c.batch;
   }
+}
+
+// A thread count above the ceiling is refused at construction, before any
+// worker starts; the ceiling itself constructs (and starts nothing).
+TEST(CampaignEngine, RejectsThreadsAboveTheCeiling) {
+  EngineOptions eo;
+  eo.campaign = engine_options(64, kMaxCampaignThreads, 4);
+  EXPECT_NO_THROW(CampaignEngine{eo});
+  eo.campaign.threads = kMaxCampaignThreads + 1;
+  EXPECT_THROW(CampaignEngine{eo}, std::invalid_argument);
 }
 
 TEST(CampaignEngine, EmptyEvidenceDirWritesNothing) {

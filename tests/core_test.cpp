@@ -400,15 +400,15 @@ void PrintTo(const BadField& field, std::ostream* os) {
 
 class ServoConfigRejects : public ::testing::TestWithParam<BadField> {};
 
-// One error diagnostic naming `component`, and run_mil() refuses to run.
+// One error diagnostic naming `component`, and the model refuses to run:
+// either its construction or run_mil() throws.
 void expect_rejected(ServoConfig cfg, const std::string& component) {
   const auto diags = validate(cfg);
   ASSERT_EQ(diags.size(), 1u) << diags.to_string();
   EXPECT_EQ(diags.items()[0].severity, util::Severity::kError);
   EXPECT_EQ(diags.items()[0].component, component);
   cfg.duration_s = std::min(cfg.duration_s, 0.01);  // keep a bad run short
-  ServoSystem servo(cfg);
-  EXPECT_THROW(servo.run_mil(), std::invalid_argument);
+  EXPECT_THROW(ServoSystem(cfg).run_mil(), std::invalid_argument);
 }
 
 TEST_P(ServoConfigRejects, WithOneDiagnosticAndRunMilThrows) {
@@ -425,6 +425,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         BadField{"servo.encoder_lines",
                  [](ServoConfig& c) { c.encoder_lines = 0; }},
+        BadField{"servo.speed_filter_taps",
+                 [](ServoConfig& c) { c.speed_filter_taps = 0; }},
         BadField{"servo.pwm_frequency_hz",
                  [](ServoConfig& c) { c.pwm_frequency_hz = -1.0; }},
         BadField{"servo.duration_s",

@@ -1,8 +1,8 @@
 // Co-simulation master suite (src/cosim/): step-negotiation exactness with
 // scripted components under adversarial registration/readiness orders,
-// shared-bus delivery timing, the nodes' hand-written speed loop, 16-node
-// farm behaviour (clean, killed, degraded, bit-exact golden, rejected
-// config), and campaign/evidence byte-identity across thread counts.
+// shared-bus delivery timing, 16-node farm behaviour (clean, killed,
+// degraded, bit-exact golden, rejected config), and campaign/evidence
+// byte-identity across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <numbers>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -147,7 +147,7 @@ TEST(CosimMaster, AdversarialRegistrationOrdersYieldIdenticalTraces) {
     std::vector<std::pair<std::string, sim::SimTime>> expected;
     for (std::size_t c = 0; c < kComponents; ++c) {
       for (const sim::SimTime t : events[c]) {
-        expected.push_back({"c" + std::to_string(c), t});
+        expected.push_back({'c' + std::to_string(c), t});
       }
     }
     std::sort(expected.begin(), expected.end(),
@@ -161,7 +161,7 @@ TEST(CosimMaster, AdversarialRegistrationOrdersYieldIdenticalTraces) {
       std::vector<std::unique_ptr<ScriptedComponent>> comps(kComponents);
       for (std::size_t c = 0; c < kComponents; ++c) {
         comps[c] = std::make_unique<ScriptedComponent>(
-            "c" + std::to_string(c), events[c], &trace);
+            'c' + std::to_string(c), events[c], &trace);
       }
       Master master;
       for (const std::size_t c : order) master.add(*comps[c]);
@@ -203,60 +203,6 @@ TEST(CosimBus, DeliversAtExactWireTime) {
   }
   EXPECT_EQ(gen.sent(), 10u);
   EXPECT_EQ(bus.can().stats().frames_delivered, 10u);
-}
-
-// ------------------------------------------------------------- speed loop
-
-SpeedLoop default_loop() {
-  const ServoNodeConfig node;
-  return SpeedLoop(node.kp, node.ki, node.period_s, node.encoder_lines);
-}
-
-/// One decoder count per control period, in rad/s, for the default node.
-double one_count_speed() {
-  const ServoNodeConfig node;
-  return 2.0 * std::numbers::pi / (node.encoder_lines * 4.0 * node.period_s);
-}
-
-TEST(SpeedLoop, FirstSampleReadsZeroSpeed) {
-  SpeedLoop loop = default_loop();
-  loop.step(1234, 0.0);  // no previous position to difference against
-  EXPECT_EQ(loop.smoothed(), 0.0);
-  EXPECT_EQ(loop.duty(), 0.0);
-}
-
-TEST(SpeedLoop, PositionWrapReadsAsOneCount) {
-  SpeedLoop forward = default_loop();
-  forward.step(32767, 0.0);
-  forward.step(-32768, 0.0);
-  // +1 count in one tap of the 4-tap average; the other three are 0.
-  EXPECT_EQ(forward.smoothed(), one_count_speed() / 4.0);
-
-  SpeedLoop backward = default_loop();
-  backward.step(-32768, 0.0);
-  backward.step(32767, 0.0);
-  EXPECT_EQ(backward.smoothed(), -one_count_speed() / 4.0);
-}
-
-TEST(SpeedLoop, IntegratorBleedsOffAtTheDutyLimits) {
-  SpeedLoop loop = default_loop();
-  // Stalled shaft, unreachable set-point: the duty pins at 1, and the
-  // back-calculation holds the integrator at the limit.  A plain
-  // integrator would reach ki * T * 1000 * 2000 = 240.
-  for (int i = 0; i < 2000; ++i) loop.step(0, 1000.0);
-  EXPECT_EQ(loop.duty(), 1.0);
-  EXPECT_NEAR(loop.integral(), 1.0, 1e-9);
-
-  // Set-point below the shaft: the duty pins at 0 and the stored integral
-  // bleeds off towards 0 instead of winding negative.
-  loop.step(0, -1000.0);
-  EXPECT_EQ(loop.duty(), 0.0);
-  EXPECT_LT(loop.integral(), 1.0);
-  for (int i = 0; i < 2000; ++i) {
-    loop.step(0, -1000.0);
-    ASSERT_EQ(loop.duty(), 0.0) << "tick " << i;
-  }
-  EXPECT_NEAR(loop.integral(), 0.0, 1e-9);
 }
 
 // ------------------------------------------------------------------- farm
@@ -380,14 +326,14 @@ TEST(FarmGolden, FifteenServosSupervisorAndChatter) {
                  {cfg.duration_s, cfg.settle_tolerance, nullptr, nullptr});
   const FarmResult r = farm.run();
   // Every node sees the same broadcast set-point at the same instant, so
-  // all fifteen end at the same speed: 99.75536952342256 rad/s.
+  // all fifteen end at the same speed: 99.84285668706673 rad/s.
   ASSERT_EQ(r.nodes.size(), 15u);
   for (const FarmNodeResult& n : r.nodes) {
-    EXPECT_EQ(bits(n.speed), 0x4058f057f969dfaeu)
+    EXPECT_EQ(bits(n.speed), 0x4058f5f15d2c8aa8u)
         << n.name << " " << std::hexfloat << n.speed;
   }
-  // 0.2446304765774414 rad/s
-  EXPECT_EQ(bits(r.mean_abs_error), 0x3fcf500d2c40a400u)
+  // 0.15714331293327177 rad/s
+  EXPECT_EQ(bits(r.mean_abs_error), 0x3fc41d45a6eab000u)
       << std::hexfloat << r.mean_abs_error;
   EXPECT_EQ(r.frames_delivered, 743u);
   EXPECT_EQ(r.negotiations, 2843u);
@@ -435,6 +381,21 @@ TEST(NodeConfigRejection, FarmRejectsZeroEncoderLines) {
     FAIL() << "encoder_lines = 0 built a farm";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("encoder_lines"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A non-finite gain stops the farm at construction, before any ISR could
+// turn a NaN duty into a PWM register write.
+TEST(NodeConfigRejection, FarmRejectsNonFiniteGain) {
+  FarmConfig cfg = small_farm(2, 0.1);
+  cfg.servo.kp = std::numeric_limits<double>::quiet_NaN();
+  try {
+    ServoFarm farm(make_farm_topology(cfg),
+                   {cfg.duration_s, cfg.settle_tolerance, nullptr, nullptr});
+    FAIL() << "kp = NaN built a farm";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("kp"), std::string::npos)
         << e.what();
   }
 }

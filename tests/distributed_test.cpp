@@ -92,21 +92,23 @@ TEST(DistributedServo, DeterministicAcrossRuns) {
 // every physics/latency metric must match BIT-FOR-BIT.  The iae and final
 // speed goldens were re-pinned when the plant's RK4 step became one step
 // per 50 us poll (sized by the motor's fastest mode) instead of a 20/20/10
-// us split of each poll interval, and again when the plant's step became
-// the motor's exact zero-order-hold map.  events_executed is
+// us split of each poll interval, again when the plant's step became the
+// motor's exact zero-order-hold map, and again when the controller node
+// began stepping the model's 8-tap controller (batch::SpeedPi) instead of
+// a 4-tap copy.  events_executed is
 // deliberately excluded — cross-world frame deliveries are separate queue
 // events, so the scheduler-pressure counter legitimately differs.
 // ---------------------------------------------------------------------------
 
 TEST(CosimDistributedRegression, HealthyBusMatchesMonolithicGoldens) {
   const auto r = run_distributed_servo(quick());
-  expect_bits(r.iae, 6.416035847427243, "iae");
+  expect_bits(r.iae, 6.225690532054507, "iae");
   expect_bits(r.loop_latency_us_mean, 359.70000000000334,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 359.69999999999999, "loop_latency_us_max");
   expect_bits(r.loop_latency_us_p99, 359.69999999999999, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.34182933333333332, "bus_utilisation");
-  expect_bits(r.speed.last_value(), 100.13136283121597, "final speed");
+  expect_bits(r.speed.last_value(), 100.01171046942481, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);
   EXPECT_EQ(r.loop_deadline_misses, 0u);
   EXPECT_EQ(r.sensor_frames, 599u);
@@ -141,13 +143,13 @@ TEST(CosimDistributedRegression, LoadedBusMatchesMonolithicGoldens) {
   auto cfg = quick();
   cfg.background_frames_per_s = 1500.0;
   const auto r = run_distributed_servo(cfg);
-  expect_bits(r.iae, 6.421387669206038, "iae");
+  expect_bits(r.iae, 6.233168802733253, "iae");
   expect_bits(r.loop_latency_us_mean, 491.95383973289086,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 624.79899999999998, "loop_latency_us_max");
   expect_bits(r.loop_latency_us_p99, 624.79302000000007, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.74218399999999995, "bus_utilisation");
-  expect_bits(r.speed.last_value(), 100.10070219552802, "final speed");
+  expect_bits(r.speed.last_value(), 99.98343882145765, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);
   EXPECT_EQ(r.background_frames, 899u);
   EXPECT_EQ(r.frames_delivered, 2097u);

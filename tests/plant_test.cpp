@@ -10,9 +10,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "batch/speed_pi.hpp"
 #include "blocks/sources.hpp"
 #include "blocks/math_blocks.hpp"
-#include "cosim/nodes.hpp"
 #include "mcu/derivative.hpp"
 #include "mcu/mcu.hpp"
 #include "model/engine.hpp"
@@ -389,7 +389,7 @@ std::vector<std::uint64_t> servo_rig_trace(bool observe) {
   IncrementalEncoder encoder(world, motor, qdec, {100});
   encoder.start();
   pwm.start();
-  cosim::SpeedLoop loop(0.004, 0.12, 0.001, 100);
+  batch::SpeedPi loop({0.004, 0.12, 0.001, 100});
   std::vector<std::uint64_t> trace;
   world.queue().schedule_every(sim::milliseconds(1), [&] {
     const std::int16_t position = qdec.position();

@@ -149,6 +149,13 @@ int main(int argc, char** argv) {
     }
   }
   if (dir.empty()) return usage();
+  if (threads > iecd::campaign::kMaxCampaignThreads) {
+    std::fprintf(stderr,
+                 "campaign_ctl: --threads takes at most %zu, got %llu\n",
+                 iecd::campaign::kMaxCampaignThreads,
+                 static_cast<unsigned long long>(threads));
+    return 2;
+  }
 
   if (cmd == "status") return cmd_status(dir);
   if (cmd != "run") return usage();

@@ -5,8 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "util/rk4.hpp"
-
 namespace iecd::batch {
 
 namespace {
@@ -21,30 +19,25 @@ std::int64_t to_ns(double seconds) {
 #define IECD_RESTRICT
 #endif
 
-/// Batched DcMotorDynamics::derivatives — the expressions match
-/// plant/dc_motor.cpp token for token, evaluated lane-adjacent so the
-/// compiler turns them into packed arithmetic.  W > 0 instantiates an
-/// explicit compile-time width (the common SIMD group sizes get fully
-/// unrolled vector bodies with no trip-count checks); W == 0 is the
-/// portable any-width fallback the remainder group uses.
-template <int W>
-void motor_derivs(std::size_t n, const double* IECD_RESTRICT yi,
-                  const double* IECD_RESTRICT yw,
-                  const double* IECD_RESTRICT volt,
-                  const double* IECD_RESTRICT tau,
-                  const double* IECD_RESTRICT res,
-                  const double* IECD_RESTRICT ind,
-                  const double* IECD_RESTRICT kt,
-                  const double* IECD_RESTRICT ke,
-                  const double* IECD_RESTRICT inertia,
-                  const double* IECD_RESTRICT damping,
-                  double* IECD_RESTRICT di, double* IECD_RESTRICT dw,
-                  double* IECD_RESTRICT dth) {
-  const std::size_t count = W > 0 ? static_cast<std::size_t>(W) : n;
-  for (std::size_t l = 0; l < count; ++l) {
-    di[l] = (volt[l] - res[l] * yi[l] - ke[l] * yw[l]) / ind[l];
-    dw[l] = (kt[l] * yi[l] - damping[l] * yw[l] - tau[l]) / inertia[l];
-    dth[l] = yw[l];
+/// ZohMap::step over lanes: lane l's map is coefficient k of row r at
+/// phi[r][k][l], gamma_u[r][l] and gamma_tau[r][l], and each lane's
+/// expression matches ZohMap::step token for token.  The state rows are
+/// restrict-qualified so the loop vectorizes without alias checks.
+void zoh_step_lanes(std::size_t n, const LaneVector<> (&phi)[3][3],
+                    const LaneVector<> (&gamma_u)[3],
+                    const LaneVector<> (&gamma_tau)[3],
+                    const double* IECD_RESTRICT u,
+                    const double* IECD_RESTRICT tau,
+                    double* IECD_RESTRICT x0, double* IECD_RESTRICT x1,
+                    double* IECD_RESTRICT x2) {
+  for (std::size_t l = 0; l < n; ++l) {
+    const double y0 = x0[l], y1 = x1[l], y2 = x2[l];
+    x0[l] = phi[0][0][l] * y0 + phi[0][1][l] * y1 + phi[0][2][l] * y2 +
+            gamma_u[0][l] * u[l] + gamma_tau[0][l] * tau[l];
+    x1[l] = phi[1][0][l] * y0 + phi[1][1][l] * y1 + phi[1][2][l] * y2 +
+            gamma_u[1][l] * u[l] + gamma_tau[1][l] * tau[l];
+    x2[l] = phi[2][0][l] * y0 + phi[2][1][l] * y1 + phi[2][2][l] * y2 +
+            gamma_u[2][l] * u[l] + gamma_tau[2][l] * tau[l];
   }
 }
 
@@ -53,9 +46,6 @@ void motor_derivs(std::size_t n, const double* IECD_RESTRICT yi,
 ServoBatch::ServoBatch(ServoBatchConfig config,
                        std::span<const ServoLane> lanes)
     : config_(config), width_(lanes.size()) {
-  if (config_.minor_steps < 1) {
-    throw std::invalid_argument("ServoBatch: minor_steps >= 1");
-  }
   base_period_ns_ = to_ns(config_.period_s);
   base_period_ = static_cast<double>(base_period_ns_) * 1e-9;
   cpr_ = static_cast<double>(config_.encoder_lines * 4);
@@ -67,13 +57,12 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
   fill(sp_);
   fill(sp_time_);
   fill(stop_);
-  fill(res_);
-  fill(ind_);
-  fill(kt_);
-  fill(ke_);
-  fill(inertia_);
-  fill(damping_);
   fill(supply_);
+  for (int r = 0; r < 3; ++r) {
+    for (auto& row : phi_[r]) fill(row);
+    fill(gamma_u_[r]);
+    fill(gamma_tau_[r]);
+  }
   load_.resize(w);
   pi_.reserve(w);
   fill(cur_);
@@ -83,16 +72,7 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
   fill(sat_);
   fill(duty_);
   fill(volt_);
-  fill(yi_);
-  fill(yw_);
-  fill(yt_);
   fill(tau_);
-  for (int s = 0; s < 3; ++s) {
-    fill(k1_[s]);
-    fill(k2_[s]);
-    fill(k3_[s]);
-    fill(k4_[s]);
-  }
   active_.assign(w, 1);
   faulted_.assign(w, 0);
   remaining_ = w;
@@ -108,13 +88,14 @@ ServoBatch::ServoBatch(ServoBatchConfig config,
                                    config_.speed_filter_taps});
     stop_[l] = lane.duration_s > 0.0 ? lane.duration_s : config_.duration_s;
     stop_max = std::max(stop_max, stop_[l]);
-    res_[l] = lane.motor.resistance;
-    ind_[l] = lane.motor.inductance;
-    kt_[l] = lane.motor.kt;
-    ke_[l] = lane.motor.ke;
-    inertia_[l] = lane.motor.inertia;
-    damping_[l] = lane.motor.damping;
     supply_[l] = lane.motor.supply_voltage;
+    // The map DcMotorBlock builds for the engine's base period.
+    const plant::ZohMap map = plant::zoh_map(lane.motor, base_period_);
+    for (int r = 0; r < 3; ++r) {
+      for (int c = 0; c < 3; ++c) phi_[r][c][l] = map.phi[r][c];
+      gamma_u_[r][l] = map.gamma_u[r];
+      gamma_tau_[r][l] = map.gamma_tau[r];
+    }
     load_[l] = lane.load;
     if (load_[l]) any_load_ = true;
   }
@@ -175,8 +156,9 @@ void ServoBatch::controller_and_record(double t) {
   }
 
   // Speed estimate, moving-average filter, set-point step, error sum and
-  // saturated PI: one controller kernel per lane (speed_pi.hpp).
+  // saturated PI: one controller kernel per active lane (speed_pi.hpp).
   for (std::size_t l = 0; l < w; ++l) {
+    if (!active_[l]) continue;
     pi_[l].step(cnt_[l], t >= sp_time_[l] ? sp_[l] : 0.0);
     sat_[l] = pi_[l].duty();
   }
@@ -202,59 +184,18 @@ void ServoBatch::controller_and_record(double t) {
 
 void ServoBatch::integrate(double t0) {
   const std::size_t w = width_;
-  // Drive gain: armature voltage = supply * duty, constant over the major
-  // step (the controller's output is held).
+  // Drive gain: armature voltage = supply * duty, held over the major step
+  // (the controller's output is held).
   for (std::size_t l = 0; l < w; ++l) volt_[l] = supply_[l] * duty_[l];
-
-  const double h =
-      base_period_ / static_cast<double>(config_.minor_steps);
-
-  auto eval = [&](double ts, const LaneVector<>& yi, const LaneVector<>& yw,
-                  LaneVector<>* k) {
-    if (any_load_) {
-      for (std::size_t l = 0; l < w; ++l) {
-        tau_[l] = load_[l] ? load_[l](ts, yw[l]) : 0.0;
-      }
+  // The load is read once, at the step's start, and held, as DcMotorBlock
+  // does; a finished or faulted lane reads none.
+  if (any_load_) {
+    for (std::size_t l = 0; l < w; ++l) {
+      tau_[l] = active_[l] && load_[l] ? load_[l](t0, omega_[l]) : 0.0;
     }
-    const double* pi = yi.data();
-    const double* pw = yw.data();
-    // Explicit-width kernels for the common SIMD group sizes; any other
-    // width takes the portable runtime-count loop.
-    auto call = [&](auto width_tag) {
-      motor_derivs<decltype(width_tag)::value>(
-          w, pi, pw, volt_.data(), tau_.data(), res_.data(), ind_.data(),
-          kt_.data(), ke_.data(), inertia_.data(), damping_.data(),
-          k[0].data(), k[1].data(), k[2].data());
-    };
-    switch (w) {
-      case 4: call(std::integral_constant<int, 4>{}); break;
-      case 8: call(std::integral_constant<int, 8>{}); break;
-      case 16: call(std::integral_constant<int, 16>{}); break;
-      default: call(std::integral_constant<int, 0>{}); break;
-    }
-  };
-
-  for (int m = 0; m < config_.minor_steps; ++m) {
-    const double t = t0 + h * m;
-    // Classic RK4 over the SoA lanes, via the shared stage/combination
-    // loops (util/rk4.hpp) — identical expressions to the scalar engine.
-    eval(t, cur_, omega_, k1_);
-    util::rk4_stage(cur_, k1_[0], 0.5 * h, yi_);
-    util::rk4_stage(omega_, k1_[1], 0.5 * h, yw_);
-    util::rk4_stage(theta_, k1_[2], 0.5 * h, yt_);
-    eval(t + 0.5 * h, yi_, yw_, k2_);
-    util::rk4_stage(cur_, k2_[0], 0.5 * h, yi_);
-    util::rk4_stage(omega_, k2_[1], 0.5 * h, yw_);
-    util::rk4_stage(theta_, k2_[2], 0.5 * h, yt_);
-    eval(t + 0.5 * h, yi_, yw_, k3_);
-    util::rk4_stage(cur_, k3_[0], h, yi_);
-    util::rk4_stage(omega_, k3_[1], h, yw_);
-    util::rk4_stage(theta_, k3_[2], h, yt_);
-    eval(t + h, yi_, yw_, k4_);
-    util::rk4_combine(cur_, h, k1_[0], k2_[0], k3_[0], k4_[0]);
-    util::rk4_combine(omega_, h, k1_[1], k2_[1], k3_[1], k4_[1]);
-    util::rk4_combine(theta_, h, k1_[2], k2_[2], k3_[2], k4_[2]);
   }
+  zoh_step_lanes(w, phi_, gamma_u_, gamma_tau_, volt_.data(), tau_.data(),
+                 cur_.data(), omega_.data(), theta_.data());
 }
 
 void ServoBatch::retire_nonfinite_lanes() {

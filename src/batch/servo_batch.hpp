@@ -2,20 +2,20 @@
 /// Lane-batched MIL execution of the servo case study: N independent runs
 /// of the closed loop ServoSystem::run_mil() simulates — quadrature
 /// decoder latch, the speed-PI controller (one SpeedPi per lane), mode
-/// switch, PWM duty latch, and the RK4-integrated DC motor — advanced in
-/// lockstep with every other per-run scalar in SoA lane arrays (lanes.hpp).
+/// switch, PWM duty latch, and the DC motor's exact zero-order-hold step —
+/// advanced in lockstep with every other per-run scalar in SoA lane arrays
+/// (lanes.hpp).
 ///
 /// Determinism contract (locked by tests/batch_test.cpp): every lane is
 /// bit-identical to the scalar engine running the same configuration.
 /// ServoBatch replicates the engine's arithmetic expression for expression
 /// — the major-step time grid double(k) * double(period_ns) * 1e-9, the
 /// stop test t >= stop - 1e-12, the block evaluation formulas, and the
-/// shared RK4 stage/combination loops (util/rk4.hpp) — so batch width,
-/// lane position and remainder grouping never change a trajectory, a
-/// metric, or a downstream evidence artifact.  Lanes never interact:
-/// per-lane divergence (saturation, early finish, a non-finite fault) is
-/// handled by masking the lane's bookkeeping, never by branching the
-/// shared instruction stream.
+/// motor's plant::ZohMap built for that period and stepped by
+/// ZohMap::step's expression — so batch width, lane position and remainder
+/// grouping never change a trajectory, a metric, or a downstream evidence
+/// artifact.  Lanes never interact: a lane that finished or faulted skips
+/// its controller step and load read, and the plant step keeps full width.
 ///
 /// Scope: the MIL loop with no operator key events (the stimulus
 /// run_mil() drives: mode chart in "automatic", keyboard set-point offset
@@ -42,7 +42,6 @@ namespace iecd::batch {
 struct ServoBatchConfig {
   double period_s = 0.001;   ///< control (sample) period
   double duration_s = 1.0;   ///< default stop time (lanes may override)
-  int minor_steps = 4;       ///< RK4 substeps per major step
   int encoder_lines = 100;
   int speed_filter_taps = kSpeedFilterTaps;
   /// PWM counter modulo.  0 = clamp-only pass-through (a bean that never
@@ -70,6 +69,8 @@ struct ServoLane {
   plant::DcMotorParams motor;
   /// Optional load-torque disturbance (fault campaigns); must be pure in
   /// (t, omega) — e.g. fault::make_load_torque's pre-drawn pulse schedule.
+  /// Read once per major step, at its start, and held over it, as
+  /// DcMotorBlock does.
   plant::LoadTorque load;
 };
 
@@ -94,7 +95,7 @@ class ServoBatch {
   const ServoBatchConfig& config() const { return config_; }
 
   /// Advances every still-active lane one major step (output -> update ->
-  /// RK4 integrate, exactly the engine's phase order).  Returns false once
+  /// exact plant step, exactly the engine's phase order).  Returns false once
   /// every lane reached its stop time.
   bool step();
   /// Steps until every lane is done.
@@ -116,9 +117,10 @@ class ServoBatch {
   double cpr_ = 0.0;
   std::uint64_t major_ = 0;
 
-  // Per-lane scenario parameters (SoA).
-  LaneVector<> sp_, sp_time_, stop_;
-  LaneVector<> res_, ind_, kt_, ke_, inertia_, damping_, supply_;
+  // Per-lane scenario parameters (SoA).  The motor is its ZohMap for one
+  // base period, coefficient by coefficient.
+  LaneVector<> sp_, sp_time_, stop_, supply_;
+  LaneVector<> phi_[3][3], gamma_u_[3], gamma_tau_[3];
   std::vector<plant::LoadTorque> load_;
   bool any_load_ = false;
 
@@ -127,9 +129,7 @@ class ServoBatch {
   LaneVector<> cur_, omega_, theta_;   ///< motor {i, w, theta}
 
   // Per-lane step scratch (SoA).
-  LaneVector<> cnt_, sat_, duty_, volt_;
-  LaneVector<> yi_, yw_, yt_, tau_;
-  LaneVector<> k1_[3], k2_[3], k3_[3], k4_[3];
+  LaneVector<> cnt_, sat_, duty_, volt_, tau_;
 
   // Lane masks and bookkeeping.
   std::vector<std::uint8_t> active_;   ///< still below its stop time

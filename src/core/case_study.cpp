@@ -12,7 +12,6 @@
 #include "fixpt/autoscale.hpp"
 #include "mcu/mcu.hpp"
 #include "sim/world.hpp"
-#include "util/strings.hpp"
 
 namespace iecd::core {
 
@@ -29,7 +28,6 @@ using blocks::UnitDelayBlock;
 
 util::DiagnosticList validate(const ServoConfig& config) {
   util::DiagnosticList d;
-  const auto& m = config.motor;
   d.merge(batch::validate({config.kp, config.ki, config.period_s,
                            config.encoder_lines, config.speed_filter_taps}),
           "servo.");
@@ -42,18 +40,7 @@ util::DiagnosticList validate(const ServoConfig& config) {
             config.setpoint);
   d.require(std::isfinite(config.setpoint_time), "servo.setpoint_time",
             "finite", config.setpoint_time);
-  d.merge(plant::validate(m), "servo.");
-  // Stiffness is judged only on otherwise valid constants and period.
-  if (!d.has_errors()) {
-    const double h = config.period_s / kPlantMinorSteps;
-    const double h_lambda = h * plant::fastest_mode(m);
-    if (!(h_lambda <= plant::kRk4StabilityLimit)) {
-      d.error("servo.motor",
-              util::format("too stiff for the %g s RK4 substep: h * |lambda| "
-                           "= %g exceeds the stability limit %g",
-                           h, h_lambda, plant::kRk4StabilityLimit));
-    }
-  }
+  d.merge(plant::validate(config.motor), "servo.");
   return d;
 }
 
@@ -253,7 +240,6 @@ ServoSystem::MilResult ServoSystem::run_mil() {
   codegen::Generator::restore_mil_mode(*controller_);
   model::EngineOptions options;
   options.stop_time = config_.duration_s;
-  options.minor_steps = kPlantMinorSteps;
   model::Engine engine(top_, options);
   engine.run();
 
@@ -399,7 +385,6 @@ ServoSystem::PilResult ServoSystem::run_pil(const PilRunOptions& options) {
   model::EngineOptions eopts;
   eopts.stop_time = duration + 1.0;
   eopts.base_period = config_.period_s;
-  eopts.minor_steps = kPlantMinorSteps;
   model::Engine engine(host, eopts);
   engine.initialize();
 

@@ -54,19 +54,13 @@ struct ServoConfig {
   plant::DcMotorParams motor;
 };
 
-/// RK4 substeps per control period in the model engine runs (MIL and the
-/// PIL host plant).
-inline constexpr int kPlantMinorSteps = 4;
-
 /// Numeric checks of a ServoConfig: the controller fields must pass
 /// batch::validate(SpeedPiParams) (reported as "servo.<field>"); the PWM
 /// frequency must be positive; set-point and step instant finite; the
 /// duration non-negative; the motor must pass plant::validate, whose
-/// errors are reported as "servo.motor.<field>".  A config that passes all
-/// of those must also be stable under the engine's RK4 substep: (period_s
-/// / kPlantMinorSteps) * plant::fastest_mode(motor) within
-/// plant::kRk4StabilityLimit.  No bean solving happens here; the bean
-/// project checks achievability.
+/// errors are reported as "servo.motor.<field>".  The motor's exact step
+/// is stable for any stiffness, so no step-size rule applies.  No bean
+/// solving happens here; the bean project checks achievability.
 util::DiagnosticList validate(const ServoConfig& config);
 
 /// The assembled single-model application plus its bean project.

@@ -88,6 +88,8 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   const batch::SpeedPiParams loop_params{config.kp, config.ki, config.period_s,
                                          config.encoder_lines};
   ctrl_writes.merge(batch::validate(loop_params));
+  ctrl_writes.require(std::isfinite(config.setpoint), "setpoint", "finite",
+                      config.setpoint);
   cosim::require_valid("distributed controller node", ctrl_project,
                        std::move(ctrl_writes));
   ctrl_project.bind(ctrl_mcu);

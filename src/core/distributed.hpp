@@ -84,7 +84,9 @@ struct DistributedResult {
 };
 
 /// Builds the three-node system, runs it, and reports control quality plus
-/// network statistics.  Deterministic.
+/// network statistics.  Deterministic.  Throws std::runtime_error naming
+/// the node for a configuration it rejects (a controller config
+/// batch::validate rejects, or a non-finite setpoint).
 DistributedResult run_distributed_servo(const DistributedConfig& config);
 
 }  // namespace iecd::core

@@ -8,12 +8,16 @@
 
 namespace iecd::cosim {
 
+void require_valid(const std::string& node, util::DiagnosticList diagnostics) {
+  if (diagnostics.has_errors()) {
+    throw std::runtime_error(node + ": " + diagnostics.to_string());
+  }
+}
+
 void require_valid(const std::string& node, beans::BeanProject& project,
                    util::DiagnosticList writes) {
   writes.merge(project.validate());
-  if (writes.has_errors()) {
-    throw std::runtime_error(node + ": " + writes.to_string());
-  }
+  require_valid(node, std::move(writes));
 }
 
 // ----------------------------------------------------------------- ServoNode
@@ -118,6 +122,7 @@ void ServoNode::kill_at(sim::SimTime when) {
 SupervisorNode::SupervisorNode(std::string name, Config config,
                                SharedCanBus& bus, std::size_t servo_nodes)
     : name_(std::move(name)), config_(config), bus_(&bus) {
+  require_valid(name_, validate(config_));
   port_ = bus.attach_model_port(
       name_, [this](const sim::CanFrame& frame, sim::SimTime when) {
         on_status(frame, when);
@@ -125,6 +130,18 @@ SupervisorNode::SupervisorNode(std::string name, Config config,
   command_interval_ = sim::from_seconds(config_.command_period_s);
   next_command_ = command_interval_;
   last_status_.assign(servo_nodes, 0);
+}
+
+util::DiagnosticList SupervisorNode::validate(const Config& c) {
+  util::DiagnosticList d;
+  d.require(c.setpoint >= 0 && c.setpoint <= 65535.0 / 256.0, "setpoint",
+            "within [0, 65535/256]", c.setpoint);
+  d.require(std::isfinite(c.setpoint_time), "setpoint_time", "finite",
+            c.setpoint_time);
+  d.require(std::isfinite(c.command_period_s) &&
+                sim::from_seconds(c.command_period_s) > 0,
+            "command_period_s", ">= 1 ns", c.command_period_s);
+  return d;
 }
 
 void SupervisorNode::advance_to(sim::SimTime t) {

@@ -49,6 +49,9 @@ inline std::uint16_t get_u16(const sim::CanPayload& data,
   return static_cast<std::uint16_t>(data[offset] | (data[offset + 1] << 8));
 }
 
+/// Throws std::runtime_error naming \p node if \p diagnostics holds an
+/// error.
+void require_valid(const std::string& node, util::DiagnosticList diagnostics);
 /// Validates \p project and throws std::runtime_error naming \p node if
 /// it, or the property writes that configured it (\p writes), reported an
 /// error.  A node never runs on a bean that rejected its configuration.
@@ -154,8 +157,16 @@ class SupervisorNode : public Component {
     double stale_timeout_s = 0.05;
   };
 
+  /// Throws std::runtime_error naming the node for a config validate()
+  /// rejects.
   SupervisorNode(std::string name, Config config, SharedCanBus& bus,
                  std::size_t servo_nodes);
+
+  /// The config rules: setpoint finite and within [0, 65535 / 256], since
+  /// it goes on the wire as lround(setpoint * 256) in a u16; setpoint_time
+  /// finite; command_period_s finite and at least one simulation tick
+  /// (1 ns), or the broadcast loop would never advance.
+  static util::DiagnosticList validate(const Config& config);
 
   const std::string& name() const override { return name_; }
   sim::SimTime horizon() const override { return next_command_; }

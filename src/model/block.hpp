@@ -120,6 +120,18 @@ class Block {
     (void)ctx;
     (void)dx;
   }
+  /// True when step_exact() is implemented.  The engine then advances this
+  /// block by one exact step per major step instead of RK4, provided every
+  /// block in its stage program is such a state holder reading only held
+  /// values (see model/engine.hpp).
+  virtual bool has_exact_step() const { return false; }
+  /// Advances the continuous states from ctx.t by \p h with every input
+  /// held at its current value, and leaves the outputs showing the new
+  /// state.
+  virtual void step_exact(const SimContext& ctx, double h) {
+    (void)ctx;
+    (void)h;
+  }
 
   // --- Code generation hooks ---
   /// Elementary operations one step of this block costs on the target.

@@ -11,11 +11,27 @@
 // view, GCC stops speculating that a block's update() is Block's no-op and
 // calls every one, which cost ~10 % on a flat 64-block chain.
 #include "trace/trace.hpp"
-#include "util/rk4.hpp"
 
 namespace iecd::model {
 
 namespace {
+
+// Classic RK4 over the engine's state vector.  The stage candidate is
+// out = y + a k (a = 0.5 h or h) and the combination y += h / 6 (k1 + 2 k2
+// + 2 k3 + k4), the expressions every RK4 golden was pinned with.
+void rk4_stage(const std::vector<double>& y, const std::vector<double>& k,
+               double a, std::vector<double>& out) {
+  for (std::size_t i = 0; i < y.size(); ++i) out[i] = y[i] + a * k[i];
+}
+
+void rk4_combine(std::vector<double>& y, double h,
+                 const std::vector<double>& k1, const std::vector<double>& k2,
+                 const std::vector<double>& k3,
+                 const std::vector<double>& k4) {
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+  }
+}
 
 std::int64_t to_ns(double seconds) {
   return static_cast<std::int64_t>(std::llround(seconds * 1e9));
@@ -197,18 +213,17 @@ void Engine::build_stage_program() {
   // Hoisting in program order: a source counts as held if it is no
   // candidate or was already found step-invariant.
   std::unordered_set<const Block*> invariant;
+  const auto held = [&](const Block* b) {
+    sources.clear();
+    b->append_sources(sources);
+    return std::none_of(sources.begin(), sources.end(), [&](const Block* s) {
+      return candidates.count(s) && !invariant.count(s);
+    });
+  };
   std::vector<Block*> stages;
   for (Block* b : stages_) {
     if (!cone.count(b)) continue;
-    bool hoist = b->continuous_state_count() == 0 && b->output_is_pure();
-    if (hoist) {
-      sources.clear();
-      b->append_sources(sources);
-      for (const Block* src : sources) {
-        if (candidates.count(src) && !invariant.count(src)) hoist = false;
-      }
-    }
-    if (hoist) {
+    if (b->continuous_state_count() == 0 && b->output_is_pure() && held(b)) {
       invariant.insert(b);
       hoisted_.push_back(b);
     } else {
@@ -216,6 +231,12 @@ void Engine::build_stage_program() {
     }
   }
   stages_ = std::move(stages);
+  // The exact path: every block left is a state holder with an exact step
+  // whose sources are all held (a holder can precede its hoisted sources
+  // in program order, so this waits for the whole hoisting pass).
+  exact_ = std::all_of(stages_.begin(), stages_.end(), [&](const Block* b) {
+    return b->continuous_state_count() > 0 && b->has_exact_step() && held(b);
+  });
 }
 
 bool Engine::program_stale() const {
@@ -249,21 +270,24 @@ void Engine::integrate(double t0) {
   // one evaluation with stage 1's context serves every stage.
   const SimContext ctx{t0, base_period_, true};
   for (Block* b : hoisted_) b->output(ctx);
+  if (exact_) {
+    // The holders keep their own states; states_ is read again whenever
+    // the program is rebuilt.
+    for (Block* b : stages_) b->step_exact(ctx, base_period_);
+    return;
+  }
   const double h =
       base_period_ / static_cast<double>(options_.minor_steps);
   for (int m = 0; m < options_.minor_steps; ++m) {
     const double t = t0 + h * m;
-    // Classic RK4 (stage/combination loops shared via util/rk4.hpp; the
-    // derivative evaluations stay here because they re-run the stage
-    // program between stages).
     eval_derivatives(t, states_, k1_);
-    util::rk4_stage(states_, k1_, 0.5 * h, scratch_);
+    rk4_stage(states_, k1_, 0.5 * h, scratch_);
     eval_derivatives(t + 0.5 * h, scratch_, k2_);
-    util::rk4_stage(states_, k2_, 0.5 * h, scratch_);
+    rk4_stage(states_, k2_, 0.5 * h, scratch_);
     eval_derivatives(t + 0.5 * h, scratch_, k3_);
-    util::rk4_stage(states_, k3_, h, scratch_);
+    rk4_stage(states_, k3_, h, scratch_);
     eval_derivatives(t + h, scratch_, k4_);
-    util::rk4_combine(states_, h, k1_, k2_, k3_, k4_);
+    rk4_combine(states_, h, k1_, k2_, k3_, k4_);
   }
   // Leave the blocks holding the integrated states.
   for (const StateSlice& s : layout_) {

@@ -19,6 +19,12 @@
 /// Block::output_is_pure() and reads only held values (discrete signals or
 /// other such blocks) is step-invariant: it runs once per major step, at
 /// the start of integrate() with stage 1's context.
+///
+/// When every block left in the stage program is a state holder with an
+/// exact step (Block::has_exact_step()) whose inputs are all held, the
+/// major step is one Block::step_exact() per holder over the base period
+/// instead of the RK4 stages.  The servo's DC motor is that case; every
+/// other model keeps RK4.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +38,7 @@ namespace iecd::model {
 struct EngineOptions {
   double stop_time = 1.0;    ///< [s]
   double base_period = 0.0;  ///< [s]; 0 derives it from the discrete rates
-  int minor_steps = 4;       ///< RK4 substeps per major step
+  int minor_steps = 4;       ///< RK4 substeps per major step (RK4 path)
 };
 
 class Engine {
@@ -105,6 +111,8 @@ class Engine {
   std::vector<Block*> hoisted_;
   /// The other cone blocks, run in every RK4 stage; both in program order.
   std::vector<Block*> stages_;
+  /// Every stage block steps exactly: integrate() calls step_exact().
+  bool exact_ = false;
   std::vector<StateSlice> layout_;
   /// Every model spliced into the program with the order epoch it had; a
   /// mismatch on any of them rebuilds the program.

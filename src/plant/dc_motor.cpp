@@ -7,19 +7,8 @@
 
 namespace iecd::plant {
 
-void DcMotorDynamics::derivatives(const double state[3], double voltage,
-                                  double load_torque, double dx[3]) const {
-  const double i = state[0];
-  const double w = state[1];
-  dx[0] = (voltage - params.resistance * i - params.ke * w) /
-          params.inductance;
-  dx[1] = (params.kt * i - params.damping * w - load_torque) / params.inertia;
-  dx[2] = w;
-}
-
 DcMotorBlock::DcMotorBlock(std::string name, DcMotorParams params)
-    : Block(std::move(name), 1, 3) {
-  dynamics_.params = params;
+    : Block(std::move(name), 1, 3), params_(params) {
   set_sample_time(model::SampleTime::continuous());
 }
 
@@ -46,9 +35,22 @@ void DcMotorBlock::derivatives(const model::SimContext& ctx,
                                std::span<double> dx) const {
   const double u = in(0);
   const double tau = load_ ? load_(ctx.t, state_[1]) : 0.0;
-  double out[3];
-  dynamics_.derivatives(state_, u, tau, out);
-  std::copy(out, out + 3, dx.begin());
+  const double i = state_[0];
+  const double w = state_[1];
+  const DcMotorParams& p = params_;
+  dx[0] = (u - p.resistance * i - p.ke * w) / p.inductance;
+  dx[1] = (p.kt * i - p.damping * w - tau) / p.inertia;
+  dx[2] = w;
+}
+
+void DcMotorBlock::step_exact(const model::SimContext& ctx, double h) {
+  if (h != map_h_) {
+    map_ = zoh_map(params_, h);
+    map_h_ = h;
+  }
+  const double tau = load_ ? load_(ctx.t, state_[1]) : 0.0;
+  map_.step(state_, in(0), tau);
+  DcMotorBlock::output(ctx);
 }
 
 util::DiagnosticList validate(const DcMotorParams& p) {
@@ -66,15 +68,6 @@ util::DiagnosticList validate(const DcMotorParams& p) {
   d.require(std::isfinite(p.supply_voltage), "motor.supply_voltage", "finite",
             p.supply_voltage);
   return d;
-}
-
-double fastest_mode(const DcMotorParams& p) {
-  const double trace = -(p.resistance / p.inductance + p.damping / p.inertia);
-  const double det = (p.resistance * p.damping + p.kt * p.ke) /
-                     (p.inductance * p.inertia);
-  const double disc = 0.25 * trace * trace - det;
-  return disc >= 0.0 ? 0.5 * std::abs(trace) + std::sqrt(disc)
-                     : std::sqrt(det);
 }
 
 namespace {
@@ -180,8 +173,7 @@ DcMotorSim::DcMotorSim(sim::World& world, DcMotorParams params,
   }
   if (!std::isfinite(sum)) {
     throw std::invalid_argument(
-        "DcMotorSim: the motor's step map is not finite (fastest mode " +
-        std::to_string(fastest_mode(params)) + " 1/s)");
+        "DcMotorSim: the motor's step map is not finite");
   }
   world.attach(*this);
 }

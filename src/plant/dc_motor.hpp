@@ -8,9 +8,10 @@
 /// Two couplings are provided: a model::Block for MIL simulation inside the
 /// plant subsystem, and an event-world component (a lazy integrator over
 /// ZohSignal voltage and load inputs) for HIL co-simulation against the
-/// simulated PWM peripheral.  The event-world plant steps by the motor's
-/// exact zero-order-hold map and samples its shaft for the incremental
-/// encoder on a fixed poll grid, so the encoder costs no queue events.
+/// simulated PWM peripheral.  Both step by the motor's exact zero-order-hold
+/// map (ZohMap).  The event-world plant samples its shaft for the
+/// incremental encoder on a fixed poll grid, so the encoder costs no queue
+/// events.
 #pragma once
 
 #include <algorithm>
@@ -42,55 +43,6 @@ util::DiagnosticList validate(const DcMotorParams& params);
 /// External load torque as a function of time and speed.
 using LoadTorque = std::function<double(double t, double omega)>;
 
-/// Shared dynamics: state = {current, omega, theta}.
-struct DcMotorDynamics {
-  DcMotorParams params;
-
-  void derivatives(const double state[3], double voltage, double load_torque,
-                   double dx[3]) const;
-};
-
-/// MIL plant block: input 0 = armature voltage [V], outputs 0..2 = speed
-/// [rad/s], angle [rad], current [A].
-class DcMotorBlock : public model::Block {
- public:
-  DcMotorBlock(std::string name, DcMotorParams params);
-  const char* type_name() const override { return "DCMotor"; }
-  bool has_direct_feedthrough() const override { return false; }
-
-  void set_load(LoadTorque load) { load_ = std::move(load); }
-
-  void initialize(const model::SimContext& ctx) override;
-  void output(const model::SimContext& ctx) override;
-  int continuous_state_count() const override { return 3; }
-  void read_states(std::span<double> into) const override;
-  void write_states(std::span<const double> from) override;
-  void derivatives(const model::SimContext& ctx,
-                   std::span<double> dx) const override;
-
-  const DcMotorParams& params() const { return dynamics_.params; }
-
- private:
-  DcMotorDynamics dynamics_;
-  LoadTorque load_;
-  double state_[3] = {0, 0, 0};
-};
-
-/// Encoder poll grid: the event-world plant takes one exact step per
-/// interval and hands its shaft angle to its sampler at every multiple.
-inline constexpr sim::SimTime kPollInterval = sim::microseconds(50);
-
-/// Classic RK4's stability limit on the negative real axis: a step h keeps
-/// a decaying mode of rate |lambda| stable only while h |lambda| stays
-/// within it.
-inline constexpr double kRk4StabilityLimit = 2.785;
-
-/// Magnitude of the fastest eigenvalue [1/s] of the electromechanical
-/// matrix [[-R/L, -Ke/L], [Kt/J, -b/J]]: the rate an explicit integrator
-/// must resolve.  It sizes core::validate's check of the model engine's RK4
-/// substep.  NaN or inf for non-finite or zero L, J.
-double fastest_mode(const DcMotorParams& params);
-
 /// The exact step of the motor over h seconds with the armature voltage u
 /// and the load torque tau held constant: x+ = phi x + gamma_u u +
 /// gamma_tau tau for x = (current, omega, theta), phi = e^{A h}.
@@ -112,6 +64,46 @@ struct ZohMap {
 /// and squaring, accurate to double precision for any stiffness.  Entries
 /// are NaN or inf for a motor whose matrix is not finite.
 ZohMap zoh_map(const DcMotorParams& params, double h);
+
+/// MIL plant block: input 0 = armature voltage [V], outputs 0..2 = speed
+/// [rad/s], angle [rad], current [A].
+///
+/// Under the model engine the block takes one exact ZohMap step per major
+/// step (the map is built once per step size): the voltage is the held
+/// drive, and the load closure is read once, at the step's start time and
+/// speed, and held over the step.  A model whose stage program has other
+/// continuous blocks integrates it by RK4 through derivatives() instead.
+class DcMotorBlock : public model::Block {
+ public:
+  DcMotorBlock(std::string name, DcMotorParams params);
+  const char* type_name() const override { return "DCMotor"; }
+  bool has_direct_feedthrough() const override { return false; }
+
+  void set_load(LoadTorque load) { load_ = std::move(load); }
+
+  void initialize(const model::SimContext& ctx) override;
+  void output(const model::SimContext& ctx) override;
+  int continuous_state_count() const override { return 3; }
+  void read_states(std::span<double> into) const override;
+  void write_states(std::span<const double> from) override;
+  void derivatives(const model::SimContext& ctx,
+                   std::span<double> dx) const override;
+  bool has_exact_step() const override { return true; }
+  void step_exact(const model::SimContext& ctx, double h) override;
+
+  const DcMotorParams& params() const { return params_; }
+
+ private:
+  DcMotorParams params_;
+  LoadTorque load_;
+  ZohMap map_{};
+  double map_h_ = 0.0;  ///< the step map_ was built for; 0 = none yet
+  double state_[3] = {0, 0, 0};
+};
+
+/// Encoder poll grid: the event-world plant takes one exact step per
+/// interval and hands its shaft angle to its sampler at every multiple.
+inline constexpr sim::SimTime kPollInterval = sim::microseconds(50);
 
 /// HIL plant: lives in the co-simulation world, integrates lazily up to any
 /// queried time using the PWM's zero-order-hold average output as the

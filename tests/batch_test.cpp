@@ -1,7 +1,6 @@
 // Batched SoA simulation core: the determinism contract (every lane
-// bit-identical to the scalar engine), divergence masking, the shared-RK4
-// refactor lock, the batched sweep/campaign plumbing, and the latch
-// kernels.
+// bit-identical to the scalar engine), divergence masking, the batched
+// sweep/campaign plumbing, and the latch kernels.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <vector>
@@ -21,7 +21,6 @@
 #include "fault/campaign.hpp"
 #include "fault/sites.hpp"
 #include "plant/dc_motor.hpp"
-#include "util/rk4.hpp"
 
 #include "golden/campaign_reports.inc"
 
@@ -228,9 +227,11 @@ TEST(BatchMask, NonFiniteLaneIsRetiredAndNeighborsStayExact) {
   base.duration_s = 0.2;
 
   std::vector<batch::ServoLane> lanes(3, lane_from(base));
-  // Middle lane: electrical time constant far below the integrator step —
-  // RK4 at h = 0.25 ms diverges to non-finite within a few majors.
-  lanes[1].motor.inductance = 1e-9;
+  // Middle lane: its load turns NaN at 50 ms, so its state goes
+  // non-finite in that major step.
+  lanes[1].load = [](double t, double) {
+    return t >= 0.05 ? std::numeric_limits<double>::quiet_NaN() : 0.0;
+  };
 
   core::ServoSystem probe(base);
   batch::ServoBatch batch(batch_config_from(base, pwm_modulo_of(probe)),
@@ -251,6 +252,32 @@ TEST(BatchMask, NonFiniteLaneIsRetiredAndNeighborsStayExact) {
   const auto scalar = servo.run_mil();
   expect_lane_matches_scalar(batch.result(0), scalar, "neighbor 0");
   expect_lane_matches_scalar(batch.result(2), scalar, "neighbor 2");
+}
+
+TEST(BatchMask, RetiredLaneReadsNoLoadAfterRetirement) {
+  // Lane 0 finishes at 0.1 s and lane 1 runs on to 0.3 s.  The load is
+  // read once per major step while a lane is active: at t = 0, 1, ..., 99
+  // ms for lane 0, and never again.
+  core::ServoConfig base;
+  base.duration_s = 0.3;
+  std::vector<batch::ServoLane> lanes(2, lane_from(base));
+  lanes[0].duration_s = 0.1;
+  int calls = 0;
+  double last_t = -1.0;
+  lanes[0].load = [&](double t, double) {
+    ++calls;
+    last_t = t;
+    return 0.001;
+  };
+  lanes[1].load = [](double, double) { return 0.001; };
+  core::ServoSystem probe(base);
+  batch::ServoBatch batch(batch_config_from(base, pwm_modulo_of(probe)),
+                          lanes);
+  batch.run();
+  EXPECT_EQ(calls, 100);
+  EXPECT_NEAR(last_t, 0.099, 1e-12);
+  EXPECT_EQ(batch.result(0).speed.size(), 100u);
+  EXPECT_EQ(batch.result(1).speed.size(), 300u);
 }
 
 // --------------------------------------------------- speed-PI kernel
@@ -328,40 +355,6 @@ TEST(SpeedPi, ConstructorRejectsWhatValidateReports) {
   ASSERT_EQ(diags.size(), 1u) << diags.to_string();
   EXPECT_EQ(diags.items()[0].component, "speed_filter_taps");
   EXPECT_THROW(batch::SpeedPi{no_taps}, std::invalid_argument);
-}
-
-// -------------------------------------------------- shared RK4 refactor
-
-TEST(BatchRk4Refactor, SharedStepMatchesInlineClassicRk4) {
-  // Reference: the inline loops dc_motor.cpp carried before the refactor.
-  plant::DcMotorDynamics dyn;
-  double ref[3] = {0.0, 0.0, 0.0};
-  double shared[3] = {0.0, 0.0, 0.0};
-  const double u = 9.0;
-  const double h = 2e-5;
-
-  for (int step = 0; step < 2000; ++step) {
-    const double t0 = h * step;
-    {
-      double k1[3], k2[3], k3[3], k4[3], y[3];
-      dyn.derivatives(ref, u, 0.0, k1);
-      for (int i = 0; i < 3; ++i) y[i] = ref[i] + 0.5 * h * k1[i];
-      dyn.derivatives(y, u, 0.0, k2);
-      for (int i = 0; i < 3; ++i) y[i] = ref[i] + 0.5 * h * k2[i];
-      dyn.derivatives(y, u, 0.0, k3);
-      for (int i = 0; i < 3; ++i) y[i] = ref[i] + h * k3[i];
-      dyn.derivatives(y, u, 0.0, k4);
-      for (int i = 0; i < 3; ++i) {
-        ref[i] += h / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]);
-      }
-    }
-    util::rk4_step(shared, t0, h, [&](double, const double* y, double* dx) {
-      dyn.derivatives(y, u, 0.0, dx);
-    });
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_EQ(bits(ref[i]), bits(shared[i])) << "state " << i;
-    }
-  }
 }
 
 // -------------------------------------------------------- latch kernels

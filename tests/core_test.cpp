@@ -7,11 +7,13 @@
 #include <limits>
 #include <string>
 
+#include "blocks/math_blocks.hpp"
 #include "core/case_study.hpp"
 #include "core/model_sync.hpp"
 #include "core/pe_blocks.hpp"
 #include "core/peert.hpp"
 #include "mcu/derivative.hpp"
+#include "model/engine.hpp"
 #include "rt/runtime.hpp"
 
 #include "golden/run_mil_default.inc"
@@ -446,15 +448,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadField{"servo.motor.damping",
                  [](ServoConfig& c) { c.motor.damping = kNaN; }},
         BadField{"servo.motor.damping",
-                 [](ServoConfig& c) { c.motor.damping = -1.0; }, "negative"},
-        // Finite but too stiff for the 250 us RK4 substep: h |lambda| is
-        // about 5000 and 25000.
-        BadField{"servo.motor",
-                 [](ServoConfig& c) { c.motor.inductance = 1e-7; },
-                 "stiff_inductance"},
-        BadField{"servo.motor",
-                 [](ServoConfig& c) { c.motor.inertia = 1e-12; },
-                 "stiff_inertia"}),
+                 [](ServoConfig& c) { c.motor.damping = -1.0; }, "negative"}),
     [](const ::testing::TestParamInfo<BadField>& info) {
       std::string name = info.param.component + std::strlen("servo.");
       for (char& ch : name) {
@@ -465,6 +459,66 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Motors far stiffer than the 1 ms control period (|lambda| h about 2e4
+// and 1e5), which an RK4 substep of 250 us could not integrate: the exact
+// step runs them, and the loop settles.
+class StiffMotorRuns : public ::testing::TestWithParam<BadField> {};
+
+TEST_P(StiffMotorRuns, MilToAFiniteSettledResult) {
+  ServoConfig cfg;
+  cfg.duration_s = 0.5;
+  GetParam().spoil(cfg);
+  const auto diags = validate(cfg);
+  EXPECT_TRUE(diags.empty()) << diags.to_string();
+  const auto r = ServoSystem(cfg).run_mil();
+  ASSERT_FALSE(r.speed.empty());
+  EXPECT_TRUE(std::isfinite(r.iae));
+  EXPECT_TRUE(std::isfinite(r.speed.last_value()));
+  EXPECT_TRUE(r.metrics.settled);
+  EXPECT_NEAR(r.speed.last_value(), cfg.setpoint, 0.05 * cfg.setpoint);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StiffMotors, StiffMotorRuns,
+    ::testing::Values(
+        BadField{"servo.motor",
+                 [](ServoConfig& c) { c.motor.inductance = 1e-7; },
+                 "stiff_inductance"},
+        BadField{"servo.motor",
+                 [](ServoConfig& c) { c.motor.inertia = 1e-12; },
+                 "stiff_inertia"}),
+    [](const ::testing::TestParamInfo<BadField>& info) {
+      return std::string(info.param.variant);
+    });
+
+// run_pil's host plant: a held duty command drives the motor through the
+// supply gain.  After every advance_to() the motor's outputs show the state
+// the engine committed, which is what the PIL sensor frame reads.
+TEST(ServoPilHost, SensorReadsTheCommittedMotorState) {
+  const ServoConfig cfg;
+  model::Model host("pil_host");
+  auto& duty_cmd = host.add<blocks::ConstantBlock>("duty_cmd", 0.0);
+  auto& drive =
+      host.add<blocks::GainBlock>("drive", cfg.motor.supply_voltage);
+  drive.set_sample_time(model::SampleTime::continuous());
+  auto& motor = host.add<plant::DcMotorBlock>("motor", cfg.motor);
+  host.connect(duty_cmd, 0, drive, 0);
+  host.connect(drive, 0, motor, 0);
+  model::Engine engine(host, {.stop_time = 1.0, .base_period = cfg.period_s});
+  engine.initialize();
+  for (int k = 1; k <= 50; ++k) {
+    duty_cmd.set_value(0.2 + 0.01 * (k % 7));
+    engine.advance_to(k * cfg.period_s);
+    double state[3];
+    motor.read_states(state);
+    ASSERT_GT(state[1], 0.0);
+    // Outputs: speed, angle, current; states: current, speed, angle.
+    EXPECT_EQ(motor.out(0).as_double(), state[1]) << "step " << k;
+    EXPECT_EQ(motor.out(1).as_double(), state[2]) << "step " << k;
+    EXPECT_EQ(motor.out(2).as_double(), state[0]) << "step " << k;
+  }
+}
 
 TEST(ServoConfigValidation, RejectsZeroPeriod) {
   ServoConfig cfg;

@@ -9,8 +9,10 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <limits>
+#include <ostream>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -398,6 +400,86 @@ TEST(NodeConfigRejection, FarmRejectsNonFiniteGain) {
     EXPECT_NE(std::string(e.what()).find("kp"), std::string::npos)
         << e.what();
   }
+}
+
+// The supervisor's set-point rules.  Each bad field is reported as one
+// diagnostic, and the farm refuses to build, so no command is ever put on
+// the wire (a zero period would loop forever in advance_to()).
+struct SupervisorField {
+  const char* component;
+  std::function<void(FarmConfig&)> spoil;
+  const char* variant = "";  ///< tells apart cases of one component
+};
+
+void PrintTo(const SupervisorField& field, std::ostream* os) {
+  *os << field.component;
+  if (*field.variant != '\0') *os << " (" << field.variant << ")";
+}
+
+class SupervisorConfigRejects
+    : public ::testing::TestWithParam<SupervisorField> {};
+
+TEST_P(SupervisorConfigRejects, WithOneDiagnosticAndTheFarmThrows) {
+  FarmConfig cfg = small_farm(2, 0.1);
+  GetParam().spoil(cfg);
+  const Topology topo = make_farm_topology(cfg);
+  const auto sup = std::find_if(
+      topo.nodes.begin(), topo.nodes.end(),
+      [](const NodeSpec& n) { return n.kind == NodeKind::kSupervisor; });
+  ASSERT_NE(sup, topo.nodes.end());
+  const auto diags = SupervisorNode::validate(sup->supervisor);
+  ASSERT_EQ(diags.size(), 1u) << diags.to_string();
+  EXPECT_EQ(diags.items()[0].component, GetParam().component);
+  try {
+    ServoFarm farm(topo, {cfg.duration_s, cfg.settle_tolerance, nullptr,
+                          nullptr});
+    FAIL() << "a bad supervisor config built a farm";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(GetParam().component),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, SupervisorConfigRejects,
+    ::testing::Values(
+        SupervisorField{"setpoint",
+                        [](FarmConfig& c) {
+                          c.setpoint = std::numeric_limits<double>::quiet_NaN();
+                        }},
+        SupervisorField{"setpoint", [](FarmConfig& c) { c.setpoint = -1.0; },
+                        "negative"},
+        SupervisorField{"setpoint", [](FarmConfig& c) { c.setpoint = 256.0; },
+                        "above_u16"},
+        SupervisorField{"setpoint_time",
+                        [](FarmConfig& c) {
+                          c.setpoint_time =
+                              std::numeric_limits<double>::infinity();
+                        }},
+        SupervisorField{"command_period_s",
+                        [](FarmConfig& c) { c.command_period_s = 0.0; },
+                        "zero"},
+        SupervisorField{"command_period_s",
+                        [](FarmConfig& c) {
+                          c.command_period_s =
+                              std::numeric_limits<double>::quiet_NaN();
+                        }}),
+    [](const ::testing::TestParamInfo<SupervisorField>& info) {
+      std::string name = info.param.component;
+      if (*info.param.variant != '\0') {
+        name += std::string("_") + info.param.variant;
+      }
+      return name;
+    });
+
+TEST(SupervisorConfigValidation, FullScaleSetpointIsAccepted) {
+  SupervisorNode::Config c;
+  c.setpoint = 65535.0 / 256.0;
+  c.setpoint_time = 0.0;
+  c.command_period_s = 1e-9;
+  const auto diags = SupervisorNode::validate(c);
+  EXPECT_TRUE(diags.empty()) << diags.to_string();
 }
 
 TEST(CosimTopology, UnknownBusAttachmentThrows) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -167,6 +168,20 @@ TEST(NodeConfigRejection, DistributedRigRejectsZeroEncoderLines) {
     FAIL() << "encoder_lines = 0 ran to the end";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("encoder_lines"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A NaN set-point would pass the PI clamp as a NaN duty into the
+// actuator frame's lround(); the controller node refuses it at build.
+TEST(NodeConfigRejection, DistributedRigRejectsNonFiniteSetpoint) {
+  auto cfg = quick();
+  cfg.setpoint = std::numeric_limits<double>::quiet_NaN();
+  try {
+    run_distributed_servo(cfg);
+    FAIL() << "setpoint = NaN ran to the end";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("setpoint"), std::string::npos)
         << e.what();
   }
 }

@@ -1,15 +1,16 @@
-// E13 — batched SoA simulation core (src/batch/): N Monte-Carlo runs of
-// the servo case study advanced per instruction stream instead of one
-// model-graph interpretation per run.  Table (a) sweeps the batch width
-// over an E4-style MIL gain sweep on one thread — the speedup is pure
-// instruction-stream economics (no extra cores): no per-block virtual
-// dispatch, SoA lane arrays the autovectorizer turns into packed
-// arithmetic, and one schedule evaluation shared by all lanes.  Table (b)
-// replays an E11-style MIL load-torque fault campaign through the batched
-// engine and byte-compares the campaign report against the scalar path.
-// Identity is asserted in-bench (bitwise IAE per run + byte-identical
-// campaign JSON); the full trajectory-level contract is locked by
-// tests/batch_test.cpp.
+// E13 — batched servo lanes (src/batch/): N Monte-Carlo runs of the servo
+// case study stepped in lockstep by one ServoBatch instead of one
+// model-graph interpretation per run.  Each lane runs the scalar kernels
+// run_mil's model runs (decoder latch, SpeedPi, PWM latch, ZohMap step),
+// so the batch width changes no per-lane arithmetic.  Table (a) sweeps the
+// batch width over an E4-style MIL gain sweep on one thread — the speedup
+// is interpretation economics, not extra cores: no model build per run, no
+// per-block virtual dispatch, and one schedule evaluation shared by all
+// lanes.  Table (b) replays an E11-style MIL load-torque fault campaign
+// through the batched engine and byte-compares the campaign report against
+// the scalar path.  Identity is asserted in-bench (bitwise IAE per run +
+// byte-identical campaign JSON); the full trajectory-level contract is
+// locked by tests/batch_test.cpp.
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -249,22 +250,20 @@ void campaign_table(std::int64_t pwm_modulo) {
 }
 
 void print_table() {
-  std::printf("E13: batched SoA/SIMD simulation core — runs per second vs "
-              "batch width (threads = 1)\n\n");
+  std::printf("E13: batched servo lanes — runs per second vs batch width "
+              "(threads = 1)\n\n");
   // The solved PWM modulo the scalar servo runs MIL with; the batch
   // engine gets the same value for bit parity.
-  core::ServoSystem probe(sweep_config(0));
-  const auto pwm_modulo =
-      probe.pwm_block().bean().properties().get_int("modulo");
+  const auto pwm_modulo = core::pwm_modulo(sweep_config(0));
 
   sweep_table(pwm_modulo);
   campaign_table(pwm_modulo);
 
-  std::printf("\nexpected shape: one instruction stream stepping N SoA "
-              "lanes beats N model-graph\ninterpretations well before any "
-              "parallelism — the CI gate holds batch.speedup_ratio\n(w8 vs "
-              "scalar) at >= 3x with every lane bit-identical to its "
-              "scalar run.\n\n");
+  std::printf("\nexpected shape: one schedule stepping N lanes through the "
+              "scalar kernels beats N\nmodel-graph interpretations well "
+              "before any parallelism — the CI gate holds\n"
+              "batch.speedup_ratio (w8 vs scalar) at >= 3x with every lane "
+              "bit-identical to its\nscalar run.\n\n");
 }
 
 // -------------------------------------------------- microbenchmarks
@@ -286,7 +285,7 @@ void BM_ServoBatchRun(benchmark::State& state) {
   for (std::size_t k = 0; k < width; ++k) lanes.push_back(lane_for(k));
   batch::ServoBatchConfig bc;
   bc.duration_s = 0.1;
-  bc.pwm_modulo = 3000;
+  bc.pwm_modulo = core::pwm_modulo(sweep_config(0));
   for (auto _ : state) {
     auto results = batch::run_servo_batch(bc, lanes);
     benchmark::DoNotOptimize(results.back().iae);

@@ -1,21 +1,23 @@
 /// \file servo_batch.hpp
 /// Lane-batched MIL execution of the servo case study: N independent runs
-/// of the closed loop ServoSystem::run_mil() simulates — quadrature
-/// decoder latch, the speed-PI controller (one SpeedPi per lane), mode
-/// switch, PWM duty latch, and the DC motor's exact zero-order-hold step —
-/// advanced in lockstep with every other per-run scalar in SoA lane arrays
-/// (lanes.hpp).
+/// of the closed loop ServoSystem::run_mil() simulates, advanced in
+/// lockstep on one major-step grid.  A lane is one run.  Each major step
+/// loops over the active lanes and steps each through the scalar kernels
+/// the model path runs: the quadrature-decoder latch
+/// (periph::angle_to_counts), the speed-PI controller (SpeedPi), the PWM
+/// duty latch (periph::quantize_duty), the two scopes (model::SampleLog),
+/// one load read and the motor's exact zero-order-hold step
+/// (plant::ZohMap::step).
 ///
 /// Determinism contract (locked by tests/batch_test.cpp): every lane is
 /// bit-identical to the scalar engine running the same configuration.
-/// ServoBatch replicates the engine's arithmetic expression for expression
-/// — the major-step time grid double(k) * double(period_ns) * 1e-9, the
-/// stop test t >= stop - 1e-12, the block evaluation formulas, and the
-/// motor's plant::ZohMap built for that period and stepped by
-/// ZohMap::step's expression — so batch width, lane position and remainder
-/// grouping never change a trajectory, a metric, or a downstream evidence
-/// artifact.  Lanes never interact: a lane that finished or faulted skips
-/// its controller step and load read, and the plant step keeps full width.
+/// ServoBatch keeps the engine's schedule — the major-step time grid
+/// double(k) * double(period_ns) * 1e-9, the stop test t >= stop - 1e-12,
+/// the phase order, the mode switch's "automatic" branch and the motor map
+/// built for that period — and leaves the arithmetic to the kernels above,
+/// so batch width, lane position and remainder grouping never change a
+/// trajectory, a metric, or a downstream evidence artifact.  Lanes never
+/// interact: a lane that finished or faulted is skipped.
 ///
 /// Scope: the MIL loop with no operator key events (the stimulus
 /// run_mil() drives: mode chart in "automatic", keyboard set-point offset
@@ -28,7 +30,6 @@
 #include <span>
 #include <vector>
 
-#include "batch/lanes.hpp"
 #include "batch/speed_pi.hpp"
 #include "model/logging.hpp"
 #include "model/metrics.hpp"
@@ -45,10 +46,9 @@ struct ServoBatchConfig {
   int encoder_lines = 100;
   int speed_filter_taps = kSpeedFilterTaps;
   /// PWM counter modulo.  0 = clamp-only pass-through (a bean that never
-  /// solved its timing).  For parity with ServoSystem::run_mil read the
-  /// solved value from the servo's PWM bean ("modulo" property; the
-  /// constructor derives it from pwm_frequency_hz — 3000 for the default
-  /// configuration).
+  /// solved its timing).  For parity with ServoSystem::run_mil pass
+  /// core::pwm_modulo(config), the value the servo's PWM bean solves
+  /// (3000 for the default configuration).
   std::int64_t pwm_modulo = 0;
   /// PE-block hardware fidelity (core::ServoConfig::mil_hw_fidelity):
   /// false = ideal pass-through decoder/actuator ablation.
@@ -63,8 +63,8 @@ struct ServoLane {
   double kp = 0.004;
   double ki = 0.12;
   /// Per-lane stop time; 0 = ServoBatchConfig::duration_s.  A lane whose
-  /// stop time passes is masked out (finishes early) while the rest of the
-  /// batch keeps stepping.
+  /// stop time passes finishes early while the rest of the batch keeps
+  /// stepping.
   double duration_s = 0.0;
   plant::DcMotorParams motor;
   /// Optional load-torque disturbance (fault campaigns); must be pure in
@@ -91,7 +91,7 @@ class ServoBatch {
  public:
   ServoBatch(ServoBatchConfig config, std::span<const ServoLane> lanes);
 
-  std::size_t width() const { return width_; }
+  std::size_t width() const { return lanes_.size(); }
   const ServoBatchConfig& config() const { return config_; }
 
   /// Advances every still-active lane one major step (output -> update ->
@@ -106,60 +106,35 @@ class ServoBatch {
   bool lane_faulted(std::size_t lane) const;
 
  private:
-  void controller_and_record(double t);
-  void integrate(double t);
-  void retire_nonfinite_lanes();
+  /// One run: its scenario, controller, motor state and scopes.
+  struct Lane {
+    double setpoint;
+    double setpoint_time;
+    double stop;
+    double supply;
+    plant::ZohMap map;  ///< the motor over one base period
+    plant::LoadTorque load;
+    SpeedPi pi;
+    double x[3] = {0.0, 0.0, 0.0};  ///< motor {current, omega, theta}
+    model::SampleLog speed{};
+    model::SampleLog duty{};
+    bool active = true;  ///< below its stop time and not faulted
+    bool faulted = false;
+  };
+
+  void step_lane(Lane& lane, double t);
+  static ServoLaneResult lane_result(const Lane& lane, model::SampleLog speed,
+                                     model::SampleLog duty);
+  friend std::vector<ServoLaneResult> run_servo_batch(
+      const ServoBatchConfig& config, std::span<const ServoLane> lanes);
 
   ServoBatchConfig config_;
-  std::size_t width_ = 0;
   std::int64_t base_period_ns_ = 0;
-  double base_period_ = 0.0;  ///< double(base_period_ns_) * 1e-9
   double cpr_ = 0.0;
   std::uint64_t major_ = 0;
-
-  // Per-lane scenario parameters (SoA).  The motor is its ZohMap for one
-  // base period, coefficient by coefficient.
-  LaneVector<> sp_, sp_time_, stop_, supply_;
-  LaneVector<> phi_[3][3], gamma_u_[3], gamma_tau_[3];
-  std::vector<plant::LoadTorque> load_;
-  bool any_load_ = false;
-
-  // Per-lane controller and plant state.
-  std::vector<SpeedPi> pi_;
-  LaneVector<> cur_, omega_, theta_;   ///< motor {i, w, theta}
-
-  // Per-lane step scratch (SoA).
-  LaneVector<> cnt_, sat_, duty_, volt_, tau_;
-
-  // Lane masks and bookkeeping.
-  std::vector<std::uint8_t> active_;   ///< still below its stop time
-  std::vector<std::uint8_t> faulted_;
-  std::size_t remaining_ = 0;
-
-  // Recorded trajectories: time grid shared across lanes, values strided
-  // by width (speed_hist_[major * width + lane]).  A lane's log length is
-  // the count of majors it was active for (lane_samples_).
-  std::vector<double> times_;
-  std::vector<double> speed_hist_, duty_hist_;
-  std::vector<std::size_t> lane_samples_;
+  std::vector<Lane> lanes_;
+  std::size_t remaining_ = 0;  ///< lanes still active
 };
-
-// ---------------------------------------------------------------- latches
-// Lane kernels for the PE-block hardware latches, one call per batch
-// instead of one virtual dispatch per run.  Each replicates the scalar
-// expression exactly (core/pe_blocks.cpp).
-
-/// PwmPeBlock::quantize_duty over lanes.  modulo <= 0 is the unvalidated
-/// pass-through (clamp only).
-void pwm_latch_lanes(std::span<const double> ratio, std::int64_t modulo,
-                     std::span<double> duty);
-
-/// QuadDecPeBlock::angle_to_counts over lanes, widened back to double (the
-/// value the decoder block outputs into the diagram).  Non-finite angles
-/// latch 0 instead of invoking the scalar path's undefined int64 cast; the
-/// batch engine retires such lanes as faulted.
-void qdec_latch_lanes(std::span<const double> angle_rad, double cpr,
-                      std::span<double> counts);
 
 /// Convenience: construct, run and extract every lane.
 std::vector<ServoLaneResult> run_servo_batch(const ServoBatchConfig& config,

@@ -7,6 +7,7 @@
 #include "blocks/custom.hpp"
 #include "blocks/math_blocks.hpp"
 #include "blocks/routing.hpp"
+#include "beans/pwm_bean.hpp"
 #include "beans/serial_bean.hpp"
 #include "fault/sites.hpp"
 #include "fixpt/autoscale.hpp"
@@ -42,6 +43,14 @@ util::DiagnosticList validate(const ServoConfig& config) {
             "finite", config.setpoint_time);
   d.merge(plant::validate(config.motor), "servo.");
   return d;
+}
+
+std::int64_t pwm_modulo(const ServoConfig& config) {
+  beans::PwmBean pwm("PWM1");
+  util::DiagnosticList diagnostics;
+  pwm.set_property("frequency_hz", config.pwm_frequency_hz, diagnostics);
+  pwm.validate(mcu::find_derivative(config.derivative), diagnostics);
+  return pwm.properties().get_int("modulo");
 }
 
 ServoSystem::ServoSystem(ServoConfig config)

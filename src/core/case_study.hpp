@@ -63,6 +63,13 @@ struct ServoConfig {
 /// solving happens here; the bean project checks achievability.
 util::DiagnosticList validate(const ServoConfig& config);
 
+/// The PWM counter modulo ServoSystem(config)'s PWM bean solves for
+/// config.pwm_frequency_hz on config.derivative: the duty granularity
+/// run_mil() latches, and the ServoBatchConfig::pwm_modulo that keeps a
+/// batch lane bit-identical to it.  0 when the frequency is not
+/// achievable.
+std::int64_t pwm_modulo(const ServoConfig& config);
+
 /// The assembled single-model application plus its bean project.
 class ServoSystem {
  public:

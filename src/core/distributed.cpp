@@ -169,7 +169,7 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
 
   // --- Background chatter (higher-priority frames) --------------------
   std::optional<cosim::TrafficGenNode> chatter;
-  if (config.background_frames_per_s > 0) {
+  if (config.background_frames_per_s != 0.0) {
     cosim::TrafficGenNode::Config traffic;
     traffic.frame_id = DistributedConfig::kBackgroundFrameId;
     traffic.frames_per_s = config.background_frames_per_s;

@@ -50,7 +50,9 @@ struct DistributedConfig {
   double ki = 0.12;
   std::uint32_t can_bitrate = 500000;
   /// Background traffic: a chatter node injecting higher-priority frames
-  /// at this rate (0 = none).  Models a loaded vehicle bus.
+  /// at this rate (0 = none; any other rate must pass
+  /// cosim::TrafficGenNode::validate or the run throws).  Models a loaded
+  /// vehicle bus.
   double background_frames_per_s = 0.0;
   int encoder_lines = 100;
   plant::DcMotorParams motor;

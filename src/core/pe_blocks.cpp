@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "periph/pwm.hpp"
+#include "periph/quadrature_decoder.hpp"
 #include "util/strings.hpp"
 
 namespace iecd::core {
@@ -129,13 +131,6 @@ void PwmPeBlock::initialize(const model::SimContext&) {
   modulo_ = pwm_->properties().get_int("modulo");
 }
 
-double PwmPeBlock::quantize_duty(double ratio, std::int64_t modulo) {
-  const double clamped = std::clamp(ratio, 0.0, 1.0);
-  if (modulo <= 0) return clamped;  // not validated yet: pass through
-  const double steps = static_cast<double>(modulo);
-  return std::round(clamped * steps) / steps;
-}
-
 void PwmPeBlock::output(const model::SimContext& ctx) {
   (void)ctx;
   if (mode_ == IoMode::kMil && !hw_fidelity_) {
@@ -143,7 +138,7 @@ void PwmPeBlock::output(const model::SimContext& ctx) {
     return;
   }
   // MIL: the plant sees the duty at the counter's true granularity.
-  set_out(0, quantize_duty(in(0), modulo_));
+  set_out(0, periph::quantize_duty(in(0), modulo_));
 }
 
 void PwmPeBlock::target_init(const model::SimContext&) { pwm_->Enable(); }
@@ -191,14 +186,6 @@ void QuadDecPeBlock::initialize(const model::SimContext&) {
   cpr_ = static_cast<double>(qdec_->counts_per_rev());
 }
 
-std::int16_t QuadDecPeBlock::angle_to_counts(double angle_rad, double cpr) {
-  const double counts =
-      std::floor(angle_rad / (2.0 * std::numbers::pi) * cpr);
-  // 16-bit wraparound exactly like the hardware position register.
-  const auto wide = static_cast<std::int64_t>(counts);
-  return static_cast<std::int16_t>(static_cast<std::uint16_t>(wide & 0xFFFF));
-}
-
 void QuadDecPeBlock::output(const model::SimContext& ctx) {
   switch (mode_) {
     case IoMode::kMil:
@@ -207,7 +194,7 @@ void QuadDecPeBlock::output(const model::SimContext& ctx) {
         set_out(0, in(0) / (2.0 * std::numbers::pi) * cpr_);
         break;
       }
-      if (!ctx.minor) latched_ = angle_to_counts(in(0), cpr_);
+      if (!ctx.minor) latched_ = periph::angle_to_counts(in(0), cpr_);
       set_out(0, static_cast<double>(latched_));
       break;
     case IoMode::kTarget:
@@ -219,7 +206,7 @@ void QuadDecPeBlock::output(const model::SimContext& ctx) {
 
 void QuadDecPeBlock::target_read(const model::SimContext&) {
   if (mode_ == IoMode::kPil) {
-    latched_ = angle_to_counts(pil_input(), cpr_);
+    latched_ = periph::angle_to_counts(pil_input(), cpr_);
     return;
   }
   latched_ = qdec_->GetPosition();

@@ -138,10 +138,6 @@ class PwmPeBlock : public PeBlock {
   std::vector<std::string> required_methods() const override;
   std::string emit_target_c(bool pil, const std::string& var) const override;
 
-  /// Duty granularity quantization (MIL fidelity) for a counter with
-  /// \p modulo steps.
-  static double quantize_duty(double ratio, std::int64_t modulo);
-
  private:
   beans::PwmBean* pwm_;
   std::int64_t modulo_ = 0;
@@ -163,10 +159,6 @@ class QuadDecPeBlock : public PeBlock {
   mcu::OpCounts io_ops() const override;
   std::vector<std::string> required_methods() const override;
   std::string emit_target_c(bool pil, const std::string& var) const override;
-
-  /// Angle -> wrapped int16 counts (MIL / PIL quantization) at \p cpr
-  /// counts per revolution.
-  static std::int16_t angle_to_counts(double angle_rad, double cpr);
 
  protected:
   void on_fidelity_changed() override {

@@ -35,7 +35,7 @@ Topology make_farm_topology(const FarmConfig& config) {
   sup.supervisor.status_frame_base = config.servo.status_frame_base;
   sup.supervisor.stale_timeout_s = config.stale_timeout_s;
   topo.nodes.push_back(std::move(sup));
-  if (config.traffic_frames_per_s > 0.0) {
+  if (config.traffic_frames_per_s != 0.0) {
     NodeSpec chatter;
     chatter.name = "chatter";
     chatter.kind = NodeKind::kTraffic;

@@ -37,7 +37,8 @@ struct FarmConfig {
   double duration_s = 1.0;
   double setpoint = 100.0;  ///< [rad/s]
   double setpoint_time = 0.05;
-  /// Background chatter at the high-priority E10 ID (0 = none).
+  /// Background chatter at the high-priority E10 ID (0 = none; any other
+  /// rate must pass TrafficGenNode::validate or the farm throws).
   double traffic_frames_per_s = 0.0;
   /// Template for every servo node's controller.
   ServoNodeConfig servo;

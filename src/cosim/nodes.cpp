@@ -182,6 +182,7 @@ std::vector<std::size_t> SupervisorNode::stale_nodes(sim::SimTime now) const {
 TrafficGenNode::TrafficGenNode(std::string name, Config config,
                                SharedCanBus& bus)
     : name_(std::move(name)), config_(config), bus_(&bus) {
+  require_valid(name_, validate(config_));
   // Plain bus node with no receive path — identical wire behaviour to the
   // monolithic E10 chatter node (null rx callback).
   port_ = bus.can().attach_node(name_, nullptr);
@@ -189,6 +190,16 @@ TrafficGenNode::TrafficGenNode(std::string name, Config config,
     interval_ = sim::from_seconds(1.0 / config_.frames_per_s);
     next_send_ = interval_;
   }
+}
+
+util::DiagnosticList TrafficGenNode::validate(const Config& c) {
+  util::DiagnosticList d;
+  d.require(c.frames_per_s == 0.0 ||
+                (c.frames_per_s > 0.0 && std::isfinite(c.frames_per_s) &&
+                 sim::from_seconds(1.0 / c.frames_per_s) > 0),
+            "frames_per_s", "0, or finite with an interval >= 1 ns",
+            c.frames_per_s);
+  return d;
 }
 
 void TrafficGenNode::advance_to(sim::SimTime t) {

@@ -208,7 +208,14 @@ class TrafficGenNode : public Component {
     std::size_t payload_len = 8;
   };
 
+  /// Throws std::runtime_error naming the node for a config validate()
+  /// rejects.
   TrafficGenNode(std::string name, Config config, SharedCanBus& bus);
+
+  /// The config rule: frames_per_s finite and >= 0, and when positive a
+  /// send interval of at least one simulation tick (1 ns), or the send
+  /// loop would never advance.
+  static util::DiagnosticList validate(const Config& config);
 
   const std::string& name() const override { return name_; }
   sim::SimTime horizon() const override { return next_send_; }

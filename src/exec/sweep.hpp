@@ -21,7 +21,7 @@
 ///
 /// Batched execution: runs are tiled into ceil(runs / SweepOptions::batch)
 /// contiguous lane groups.  A BatchScenario advances each group in
-/// lockstep (typically through the SoA engines in src/batch/); a scalar
+/// lockstep (typically through batch::ServoBatch in src/batch/); a scalar
 /// Scenario runs the group's runs one after another.  The merge is
 /// untouched — still a fold in index order — so a batched sweep's report
 /// is byte-identical to the scalar sweep whenever each lane's scenario is.

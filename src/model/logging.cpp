@@ -1,21 +1,8 @@
 #include "model/logging.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace iecd::model {
-
-void SampleLog::record(double t, double value) {
-  if (!times_.empty() && t < times_.back()) {
-    throw std::invalid_argument("SampleLog: non-monotonic timestamp");
-  }
-  if (!times_.empty() && t == times_.back()) {
-    values_.back() = value;  // same-instant overwrite (minor re-evaluation)
-    return;
-  }
-  times_.push_back(t);
-  values_.push_back(value);
-}
 
 double SampleLog::last_value() const {
   return values_.empty() ? 0.0 : values_.back();

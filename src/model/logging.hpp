@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -11,7 +12,24 @@ namespace iecd::model {
 /// One recorded channel: strictly increasing timestamps with values.
 class SampleLog {
  public:
-  void record(double t, double value);
+  /// Appends (t, value); a repeated t overwrites the last value (a minor
+  /// re-evaluation), and an earlier t throws std::invalid_argument.
+  void record(double t, double value) {
+    if (!times_.empty() && t <= times_.back()) {
+      if (t < times_.back()) {
+        throw std::invalid_argument("SampleLog: non-monotonic timestamp");
+      }
+      values_.back() = value;
+      return;
+    }
+    times_.push_back(t);
+    values_.push_back(value);
+  }
+  /// Room for \p n samples before record() reallocates.
+  void reserve(std::size_t n) {
+    times_.reserve(n);
+    values_.reserve(n);
+  }
 
   std::size_t size() const { return times_.size(); }
   bool empty() const { return times_.empty(); }

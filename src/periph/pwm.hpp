@@ -8,6 +8,8 @@
 /// integrates) or subscribe to edge callbacks for waveform-level tests.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 
@@ -15,6 +17,17 @@
 #include "sim/zoh_signal.hpp"
 
 namespace iecd::periph {
+
+/// The duty a counter with \p modulo counts per period can hold: the
+/// ratio clamped to [0, 1] and rounded to the nearest count.  modulo <= 0
+/// (a bean that never solved its timing) clamps only.  The MIL PWM block
+/// and every batch lane latch their duty through this one function.
+inline double quantize_duty(double ratio, std::int64_t modulo) {
+  const double clamped = std::clamp(ratio, 0.0, 1.0);
+  if (modulo <= 0) return clamped;
+  const double steps = static_cast<double>(modulo);
+  return std::round(clamped * steps) / steps;
+}
 
 struct PwmConfig {
   std::uint32_t prescaler = 1;

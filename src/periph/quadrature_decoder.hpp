@@ -6,12 +6,30 @@
 /// lines -> 400 counts per revolution.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <numbers>
 
 #include "periph/peripheral.hpp"
 
 namespace iecd::periph {
+
+/// The position register a shaft at \p angle_rad shows with \p cpr counts
+/// per revolution: the angle floored to whole counts and wrapped to 16 bits
+/// like the hardware register.  A non-finite angle, or one beyond int64's
+/// range in counts, latches 0 instead of reaching an undefined conversion.
+/// The MIL and PIL decoder block and every batch lane latch through this
+/// one function.
+inline std::int16_t angle_to_counts(double angle_rad, double cpr) {
+  const double counts =
+      std::floor(angle_rad / (2.0 * std::numbers::pi) * cpr);
+  std::int64_t wide = 0;
+  if (counts >= -9.2e18 && counts <= 9.2e18) {
+    wide = static_cast<std::int64_t>(counts);
+  }
+  return static_cast<std::int16_t>(static_cast<std::uint16_t>(wide & 0xFFFF));
+}
 
 struct QuadDecConfig {
   bool clear_on_index = false;      ///< reset position at the index pulse

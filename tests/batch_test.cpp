@@ -1,6 +1,7 @@
-// Batched SoA simulation core: the determinism contract (every lane
-// bit-identical to the scalar engine), divergence masking, the batched
-// sweep/campaign plumbing, and the latch kernels.
+// Batched servo core: the determinism contract (every lane bit-identical
+// to the scalar engine), divergence masking, the batched sweep/campaign
+// plumbing, and the hardware latch conversions the lanes share with the
+// PE blocks.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,8 @@
 #include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "fault/sites.hpp"
+#include "periph/pwm.hpp"
+#include "periph/quadrature_decoder.hpp"
 #include "plant/dc_motor.hpp"
 
 #include "golden/campaign_reports.inc"
@@ -51,19 +54,14 @@ void expect_metrics_identical(const model::StepMetrics& a,
   EXPECT_EQ(a.settled, b.settled);
 }
 
-std::int64_t pwm_modulo_of(core::ServoSystem& servo) {
-  return servo.pwm_block().bean().properties().get_int("modulo");
-}
-
-batch::ServoBatchConfig batch_config_from(const core::ServoConfig& c,
-                                          std::int64_t pwm_modulo = 0) {
+batch::ServoBatchConfig batch_config_from(const core::ServoConfig& c) {
   batch::ServoBatchConfig cfg;
   cfg.period_s = c.period_s;
   cfg.duration_s = c.duration_s;
   cfg.encoder_lines = c.encoder_lines;
   cfg.speed_filter_taps = c.speed_filter_taps;
   cfg.hw_fidelity = c.mil_hw_fidelity;
-  cfg.pwm_modulo = pwm_modulo;
+  cfg.pwm_modulo = core::pwm_modulo(c);
   return cfg;
 }
 
@@ -97,7 +95,7 @@ TEST(BatchIdentity, Width1MatchesScalarMil) {
 
   const batch::ServoLane lane = lane_from(config);
   const auto results = batch::run_servo_batch(
-      batch_config_from(config, pwm_modulo_of(servo)), {&lane, 1});
+      batch_config_from(config), {&lane, 1});
   ASSERT_EQ(results.size(), 1u);
   expect_lane_matches_scalar(results[0], scalar, "width-1");
 }
@@ -120,9 +118,8 @@ TEST(BatchIdentity, HeterogeneousLanesEachMatchOwnScalarRun) {
     lanes.push_back(lane_from(c));
   }
 
-  core::ServoSystem probe(base);
   const auto results = batch::run_servo_batch(
-      batch_config_from(base, pwm_modulo_of(probe)), lanes);
+      batch_config_from(base), lanes);
   ASSERT_EQ(results.size(), lanes.size());
   for (std::size_t k = 0; k < lanes.size(); ++k) {
     core::ServoSystem servo(configs[k]);
@@ -143,8 +140,9 @@ TEST(BatchIdentity, ValidatedPwmModuloMatchesScalar) {
   const auto scalar = servo.run_mil();
 
   const batch::ServoLane lane = lane_from(config);
-  const auto results = batch::run_servo_batch(
-      batch_config_from(config, modulo), {&lane, 1});
+  batch::ServoBatchConfig bc = batch_config_from(config);
+  bc.pwm_modulo = modulo;
+  const auto results = batch::run_servo_batch(bc, {&lane, 1});
   expect_lane_matches_scalar(results[0], scalar, "validated-modulo");
 }
 
@@ -173,7 +171,7 @@ TEST(BatchIdentity, CoarseScheduleConfigMatchesScalar) {
 
   const batch::ServoLane lane = lane_from(config);
   const auto results = batch::run_servo_batch(
-      batch_config_from(config, pwm_modulo_of(servo)), {&lane, 1});
+      batch_config_from(config), {&lane, 1});
   expect_lane_matches_scalar(results[0], scalar, "coarse");
 }
 
@@ -191,7 +189,7 @@ TEST(BatchIdentity, LoadTorqueLaneMatchesScalar) {
   batch::ServoLane lane = lane_from(config);
   lane.load = pulse;
   const auto results = batch::run_servo_batch(
-      batch_config_from(config, pwm_modulo_of(servo)), {&lane, 1});
+      batch_config_from(config), {&lane, 1});
   expect_lane_matches_scalar(results[0], scalar, "load-torque");
 }
 
@@ -208,9 +206,8 @@ TEST(BatchMask, EarlyFinishingLanesKeepNeighborsBitIdentical) {
     lane.duration_s = d;
     lanes.push_back(lane);
   }
-  core::ServoSystem probe(base);
   const auto results = batch::run_servo_batch(
-      batch_config_from(base, pwm_modulo_of(probe)), lanes);
+      batch_config_from(base), lanes);
 
   for (int k = 0; k < 4; ++k) {
     core::ServoConfig c = base;
@@ -233,8 +230,7 @@ TEST(BatchMask, NonFiniteLaneIsRetiredAndNeighborsStayExact) {
     return t >= 0.05 ? std::numeric_limits<double>::quiet_NaN() : 0.0;
   };
 
-  core::ServoSystem probe(base);
-  batch::ServoBatch batch(batch_config_from(base, pwm_modulo_of(probe)),
+  batch::ServoBatch batch(batch_config_from(base),
                           lanes);
   batch.run();
 
@@ -270,8 +266,7 @@ TEST(BatchMask, RetiredLaneReadsNoLoadAfterRetirement) {
     return 0.001;
   };
   lanes[1].load = [](double, double) { return 0.001; };
-  core::ServoSystem probe(base);
-  batch::ServoBatch batch(batch_config_from(base, pwm_modulo_of(probe)),
+  batch::ServoBatch batch(batch_config_from(base),
                           lanes);
   batch.run();
   EXPECT_EQ(calls, 100);
@@ -357,42 +352,60 @@ TEST(SpeedPi, ConstructorRejectsWhatValidateReports) {
   EXPECT_THROW(batch::SpeedPi{no_taps}, std::invalid_argument);
 }
 
-// -------------------------------------------------------- latch kernels
+// ---------------------------------------------------- hardware latches
+// The one definition of each PE latch conversion, which the MIL blocks,
+// the PIL decoder input and every batch lane call.
 
-TEST(PlantBatch, LatchKernelsMatchPeBlocks) {
-  core::ServoSystem servo(core::ServoConfig{});
-  const double cpr =
-      static_cast<double>(servo.config().encoder_lines * 4);
+/// An angle in the middle of decoder count \p count at \p cpr.
+double angle_of_count(double count, double cpr) {
+  return (count + 0.5) / cpr * (2.0 * std::numbers::pi);
+}
 
-  std::vector<double> angles, ratios;
-  for (int i = -40; i <= 40; ++i) {
-    angles.push_back(0.37 * i);
-    ratios.push_back(0.03 * i);
+TEST(PeLatch, DecoderWrapsLikeTheSixteenBitRegister) {
+  const double cpr = 400.0;
+  EXPECT_EQ(periph::angle_to_counts(angle_of_count(0, cpr), cpr), 0);
+  EXPECT_EQ(periph::angle_to_counts(angle_of_count(-1, cpr), cpr), -1);
+  EXPECT_EQ(periph::angle_to_counts(angle_of_count(32767, cpr), cpr), 32767);
+  EXPECT_EQ(periph::angle_to_counts(angle_of_count(32768, cpr), cpr), -32768);
+  EXPECT_EQ(periph::angle_to_counts(angle_of_count(-32768, cpr), cpr),
+            -32768);
+  EXPECT_EQ(periph::angle_to_counts(angle_of_count(-32769, cpr), cpr), 32767);
+  EXPECT_EQ(periph::angle_to_counts(angle_of_count(65536 + 5, cpr), cpr), 5);
+}
+
+TEST(PeLatch, DecoderLatchesZeroForAnAngleNoRegisterCanHold) {
+  const double cpr = 400.0;
+  for (double angle : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(), 1e30,
+                       -1e30}) {
+    EXPECT_EQ(periph::angle_to_counts(angle, cpr), 0) << angle;
   }
-  const std::size_t n = angles.size();
-  std::vector<double> counts(n), duty(n);
+}
 
-  batch::qdec_latch_lanes(angles, cpr, counts);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(counts[i], static_cast<double>(
-                             core::QuadDecPeBlock::angle_to_counts(angles[i],
-                                                                   cpr)));
-  }
-
-  // Solved-modulo path (the servo constructor derives the modulo from
-  // pwm_frequency_hz).
-  const auto modulo = pwm_modulo_of(servo);
+TEST(PeLatch, PwmQuantizesToTheSolvedModulo) {
+  const std::int64_t modulo = core::pwm_modulo(core::ServoConfig{});
   ASSERT_GT(modulo, 0);
-  batch::pwm_latch_lanes(ratios, modulo, duty);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(bits(duty[i]),
-              bits(core::PwmPeBlock::quantize_duty(ratios[i], modulo)));
+  const double steps = static_cast<double>(modulo);
+  EXPECT_EQ(periph::quantize_duty(0.5 + 0.4 / steps, modulo), 0.5);
+  EXPECT_EQ(periph::quantize_duty(0.6 / steps, modulo), 1.0 / steps);
+  EXPECT_EQ(periph::quantize_duty(-0.2, modulo), 0.0);
+  EXPECT_EQ(periph::quantize_duty(1.3, modulo), 1.0);
+  for (int i = 0; i <= 100; ++i) {
+    const double ratio = 0.0101 * i;
+    const double duty = periph::quantize_duty(ratio, modulo);
+    EXPECT_EQ(periph::quantize_duty(duty, modulo), duty) << ratio;
+    EXPECT_LE(std::abs(duty - std::min(ratio, 1.0)), 0.5 / steps + 1e-15)
+        << ratio;
   }
+}
 
-  // Unsolved bean (modulo 0): clamp-only pass-through.
-  batch::pwm_latch_lanes(ratios, 0, duty);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(bits(duty[i]), bits(std::clamp(ratios[i], 0.0, 1.0)));
+TEST(PeLatch, PwmClampsOnlyAtModuloZero) {
+  for (int i = -40; i <= 40; ++i) {
+    const double ratio = 0.03 * i;
+    EXPECT_EQ(bits(periph::quantize_duty(ratio, 0)),
+              bits(std::clamp(ratio, 0.0, 1.0)))
+        << ratio;
   }
 }
 
@@ -551,7 +564,6 @@ TEST(CampaignBatch, BatchedMilCampaignReportByteIdenticalToScalar) {
       [&](std::span<fault::RunContext> lanes, std::span<bool> recovered) {
         core::ServoConfig config;
         config.duration_s = duration;
-        core::ServoSystem probe(config);
         std::vector<batch::ServoLane> bl;
         for (auto& lane : lanes) {
           batch::ServoLane b = lane_from(config);
@@ -559,7 +571,7 @@ TEST(CampaignBatch, BatchedMilCampaignReportByteIdenticalToScalar) {
           bl.push_back(std::move(b));
         }
         const auto results = batch::run_servo_batch(
-            batch_config_from(config, pwm_modulo_of(probe)), bl);
+            batch_config_from(config), bl);
         for (std::size_t k = 0; k < lanes.size(); ++k) {
           lanes[k].metrics.stats("campaign.iae").add(results[k].iae);
           if (results[k].metrics.settled) {

@@ -386,6 +386,21 @@ TEST(ServoConfigValidation, DefaultConfigValidatesClean) {
   EXPECT_TRUE(diags.empty()) << diags.to_string();
 }
 
+// core::pwm_modulo is the value the servo's own PWM bean solves, for the
+// default switching frequency and for another one.
+TEST(ServoPwmModulo, EqualsTheSolvedBeanModulo) {
+  ServoConfig slow;
+  slow.pwm_frequency_hz = 8000.0;
+  for (const ServoConfig& cfg : {ServoConfig{}, slow}) {
+    ServoSystem servo(cfg);
+    EXPECT_EQ(pwm_modulo(cfg),
+              servo.pwm_block().bean().properties().get_int("modulo"))
+        << cfg.pwm_frequency_hz;
+  }
+  EXPECT_EQ(pwm_modulo(ServoConfig{}), 3000);
+  EXPECT_NE(pwm_modulo(slow), pwm_modulo(ServoConfig{}));
+}
+
 struct BadField {
   const char* component;
   std::function<void(ServoConfig&)> spoil;

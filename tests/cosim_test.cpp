@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "campaign/engine.hpp"
+#include "core/distributed.hpp"
 #include "cosim/farm.hpp"
 #include "cosim/master.hpp"
 #include "cosim/nodes.hpp"
@@ -480,6 +481,69 @@ TEST(SupervisorConfigValidation, FullScaleSetpointIsAccepted) {
   c.command_period_s = 1e-9;
   const auto diags = SupervisorNode::validate(c);
   EXPECT_TRUE(diags.empty()) << diags.to_string();
+}
+
+// The chatter rate rule.  A bad rate is one diagnostic, and both the farm
+// and the CAN rig refuse to run it: an infinite or over-fast rate would
+// round the send interval to 0 ns and loop forever in advance_to(), and a
+// NaN or negative rate would silently mean no traffic.
+struct TrafficRate {
+  const char* name;
+  double frames_per_s;
+};
+
+void PrintTo(const TrafficRate& rate, std::ostream* os) { *os << rate.name; }
+
+class TrafficConfigRejects : public ::testing::TestWithParam<TrafficRate> {};
+
+TEST_P(TrafficConfigRejects, WithOneDiagnosticAndTheFarmAndRigThrow) {
+  TrafficGenNode::Config traffic;
+  traffic.frames_per_s = GetParam().frames_per_s;
+  const auto diags = TrafficGenNode::validate(traffic);
+  ASSERT_EQ(diags.size(), 1u) << diags.to_string();
+  EXPECT_EQ(diags.items()[0].component, "frames_per_s");
+
+  FarmConfig cfg = small_farm(2, 0.1);
+  cfg.traffic_frames_per_s = GetParam().frames_per_s;
+  try {
+    ServoFarm farm(make_farm_topology(cfg),
+                   {cfg.duration_s, cfg.settle_tolerance, nullptr, nullptr});
+    FAIL() << "a bad chatter rate built a farm";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("frames_per_s"), std::string::npos)
+        << e.what();
+  }
+
+  core::DistributedConfig rig;
+  rig.duration_s = 0.1;
+  rig.background_frames_per_s = GetParam().frames_per_s;
+  try {
+    core::run_distributed_servo(rig);
+    FAIL() << "a bad chatter rate ran the rig";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("frames_per_s"), std::string::npos)
+        << e.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, TrafficConfigRejects,
+    ::testing::Values(
+        TrafficRate{"nan", std::numeric_limits<double>::quiet_NaN()},
+        TrafficRate{"inf", std::numeric_limits<double>::infinity()},
+        TrafficRate{"negative", -300.0},
+        TrafficRate{"sub_ns_interval", 3e9}),
+    [](const ::testing::TestParamInfo<TrafficRate>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(TrafficConfigValidation, SilenceAndAOneNanosecondIntervalAreAccepted) {
+  for (double rate : {0.0, 300.0, 1e9}) {
+    TrafficGenNode::Config c;
+    c.frames_per_s = rate;
+    const auto diags = TrafficGenNode::validate(c);
+    EXPECT_TRUE(diags.empty()) << rate << ": " << diags.to_string();
+  }
 }
 
 TEST(CosimTopology, UnknownBusAttachmentThrows) {

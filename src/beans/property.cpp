@@ -208,6 +208,12 @@ void PropertySet::set_derived(const std::string& name,
   values_[index_of(name)] = value;
 }
 
+void PropertySet::reset_derived() {
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    if (specs_[i].read_only) values_[i] = specs_[i].default_value;
+  }
+}
+
 const PropertyValue& PropertySet::get(const std::string& name) const {
   return values_[index_of(name)];
 }

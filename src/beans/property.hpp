@@ -77,6 +77,9 @@ class PropertySet {
 
   /// Unchecked write used by the expert system for derived properties.
   void set_derived(const std::string& name, const PropertyValue& value);
+  /// Puts every derived property back to its declared default, the value
+  /// of a bean nothing has been solved for.
+  void reset_derived();
 
   const PropertyValue& get(const std::string& name) const;
   bool get_bool(const std::string& name) const;

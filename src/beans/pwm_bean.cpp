@@ -54,6 +54,7 @@ ResourceDemand PwmBean::demand() const {
 
 void PwmBean::validate(const mcu::DerivativeSpec& cpu,
                        util::DiagnosticList& diagnostics) {
+  properties().reset_derived();  // a failed solve keeps no earlier timing
   if (cpu.pwm_channels <= 0) {
     diagnostics.error(name(), "no PWM module on " + cpu.name);
     return;

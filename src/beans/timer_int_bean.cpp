@@ -47,6 +47,7 @@ ResourceDemand TimerIntBean::demand() const {
 
 void TimerIntBean::validate(const mcu::DerivativeSpec& cpu,
                             util::DiagnosticList& diagnostics) {
+  properties().reset_derived();  // a failed solve keeps no earlier timing
   if (cpu.timer_channels <= 0) {
     diagnostics.error(name(), "no timer channel available on " + cpu.name);
     return;

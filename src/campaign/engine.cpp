@@ -1,6 +1,5 @@
 #include "campaign/engine.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +18,9 @@ CampaignEngine::CampaignEngine(EngineOptions options)
   if (options_.campaign.threads > kMaxCampaignThreads) {
     throw std::invalid_argument(
         "CampaignEngine: threads above kMaxCampaignThreads");
+  }
+  if (options_.campaign.batch == 0) {
+    throw std::invalid_argument("CampaignEngine: batch must be at least 1");
   }
 }
 
@@ -53,7 +55,6 @@ EngineResult CampaignEngine::run(
 EngineResult CampaignEngine::execute(
     const StreamRunner::GroupFn& group_fn) const {
   const fault::CampaignOptions& opts = options_.campaign;
-  const std::size_t batch = std::max<std::size_t>(1, opts.batch);
   const std::string& dir = options_.evidence_dir;
   // An empty directory writes nothing: no artifact, seal or checkpoint.
   const bool record = !dir.empty();
@@ -81,7 +82,7 @@ EngineResult CampaignEngine::execute(
         loaded.name == state.name &&
         loaded.config_hash == state.config_hash &&
         loaded.total_runs == opts.runs && loaded.watermark <= opts.runs &&
-        (loaded.watermark % batch == 0 || loaded.watermark == opts.runs)) {
+        (loaded.watermark % opts.batch == 0 || loaded.watermark == opts.runs)) {
       // Re-describe the completed runs' artifacts instead of storing
       // O(runs) descriptors in the checkpoint; any missing or corrupt
       // file invalidates the resume (fresh start is always safe).
@@ -144,7 +145,7 @@ EngineResult CampaignEngine::execute(
 
   StreamOptions so;
   so.threads = opts.threads;
-  so.batch = batch;
+  so.batch = opts.batch;
   so.stealing = options_.stealing;
   so.placement = options_.contiguous ? Placement::kContiguous
                                      : Placement::kCyclic;

@@ -8,9 +8,9 @@
 /// 100k runs against a retained fold.
 ///
 /// Contracts (all locked by the campaign suite):
-///   * a plan fault::validate rejects, or a thread count above
-///     kMaxCampaignThreads, throws at construction, on the caller's
-///     thread, before any worker starts;
+///   * a plan fault::validate rejects, a thread count above
+///     kMaxCampaignThreads or a batch width of 0 throws at construction,
+///     on the caller's thread, before any worker starts;
 ///   * the report JSON matches tests/golden/campaign_reports.inc;
 ///   * outputs are byte-identical for any thread count, batch width,
 ///     placement and steal schedule;
@@ -85,8 +85,8 @@ struct EngineResult {
 
 class CampaignEngine {
  public:
-  /// Throws std::invalid_argument when fault::validate rejects the plan or
-  /// campaign.threads exceeds kMaxCampaignThreads.
+  /// Throws std::invalid_argument when fault::validate rejects the plan,
+  /// campaign.threads exceeds kMaxCampaignThreads or campaign.batch is 0.
   explicit CampaignEngine(EngineOptions options);
 
   const EngineOptions& options() const { return options_; }

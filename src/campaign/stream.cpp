@@ -95,7 +95,10 @@ StreamStats StreamRunner::run(std::size_t runs, std::size_t start,
   StreamStats stats;
   stats.runs = runs;
   stats.start = start;
-  const std::size_t batch = std::max<std::size_t>(1, options_.batch);
+  // A width above the run count tiles like one group of every run, and
+  // clamping it first keeps the tiling and window arithmetic from wrapping.
+  const std::size_t batch = std::clamp<std::size_t>(
+      options_.batch, 1, std::max<std::size_t>(runs, 1));
   assert((start % batch == 0 || start >= runs) &&
          "resume start must sit on a lane-group boundary");
   if (start > runs) start = runs;

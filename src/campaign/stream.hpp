@@ -41,7 +41,8 @@ struct StreamOptions {
   /// inline in index order (the sequential reference execution).
   std::size_t threads = 0;
   /// Lane-group width: each work item covers up to `batch` consecutive
-  /// run indices (1 = scalar tiling).
+  /// run indices (1 = scalar tiling; 0 runs as 1, and a width above the
+  /// run count as one group of every run).
   std::size_t batch = 1;
   /// Reorder window in RUNS: a group may start only once the fold is
   /// within `window` runs of it, bounding buffered state to O(window).

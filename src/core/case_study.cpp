@@ -246,6 +246,11 @@ ServoSystem::MilResult ServoSystem::run_mil() {
     throw std::invalid_argument("ServoSystem: invalid config:\n" +
                                 d.to_string());
   }
+  if (pwm_block_->bean().properties().get_int("modulo") <= 0) {
+    throw std::invalid_argument("ServoSystem: PWM1 has no solved modulo "
+                                "(frequency not achievable on " +
+                                config_.derivative + ")");
+  }
   codegen::Generator::restore_mil_mode(*controller_);
   model::EngineOptions options;
   options.stop_time = config_.duration_s;
@@ -411,7 +416,7 @@ ServoSystem::PilResult ServoSystem::run_pil(const PilRunOptions& options) {
     fault::wire_runtime(*options.faults, runtime);
     fault::wire_pil(*options.faults, session);
   }
-  session.set_plant_buffered(
+  session.set_plant(
       [&](std::vector<double>& out) {
         // Sensor frame: the shaft angle the encoder interface measures.
         out.push_back(motor.out(1).as_double());

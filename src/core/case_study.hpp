@@ -107,7 +107,8 @@ class ServoSystem {
   };
   /// Model-in-the-loop: the closed loop entirely inside the engine.
   /// Throws std::invalid_argument when core::validate(config()) reports an
-  /// error.
+  /// error or the PWM bean holds no solved modulo (frequency not
+  /// achievable on the derivative).
   MilResult run_mil();
 
   /// Code generation through the PEERT target.

@@ -11,11 +11,19 @@ Block::Block(std::string name, int inputs, int outputs)
       inputs_(static_cast<std::size_t>(inputs)),
       outputs_(static_cast<std::size_t>(outputs)),
       out_types_(static_cast<std::size_t>(outputs), DataType::kDouble),
-      out_fmts_(static_cast<std::size_t>(outputs)) {
+      out_fmts_(static_cast<std::size_t>(outputs)),
+      in_src_(static_cast<std::size_t>(inputs), &zero_value()) {
   if (inputs < 0 || outputs < 0) {
     throw std::invalid_argument("Block: negative port count");
   }
-  slots_ = outputs_.data();
+}
+
+Block::~Block() {
+  for (int i = 0; i < input_count(); ++i) bind_input(i, nullptr, 0);
+  while (!sinks_.empty()) {
+    const auto [sink, port] = sinks_.back();
+    sink->bind_input(port, nullptr, 0);
+  }
 }
 
 const Value& Block::zero_value() {
@@ -23,10 +31,15 @@ const Value& Block::zero_value() {
   return kZero;
 }
 
-const Value& Block::in_walk(int port) const {
-  const Connection& c = inputs_.at(static_cast<std::size_t>(port));
-  if (!c.src) return zero_value();
-  return c.src->out(c.src_port);
+void Block::bind_input(int port, Block* src, int src_port) {
+  const auto p = static_cast<std::size_t>(port);
+  if (const Block* old = inputs_[p].src) {
+    std::erase(old->sinks_, std::pair<Block*, int>{this, port});
+  }
+  inputs_[p] = {src, src_port};
+  in_src_[p] = src ? &src->outputs_[static_cast<std::size_t>(src_port)]
+                   : &zero_value();
+  if (src) src->sinks_.emplace_back(this, port);
 }
 
 void Block::throw_bad_port(int port, bool output) const {
@@ -43,7 +56,7 @@ void Block::set_output_type(int port, DataType type,
   out_types_.at(static_cast<std::size_t>(port)) = type;
   out_fmts_.at(static_cast<std::size_t>(port)) = fmt;
   // Re-quantize the current latched value so type changes apply instantly.
-  Value& slot = slots_[static_cast<std::size_t>(port)];
+  Value& slot = outputs_[static_cast<std::size_t>(port)];
   slot = Value::quantize(slot.as_double(), type, fmt);
 }
 

@@ -12,6 +12,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mcu/cost_model.hpp"
@@ -56,7 +57,9 @@ struct EmitContext {
 class Block {
  public:
   Block(std::string name, int inputs, int outputs);
-  virtual ~Block() = default;
+  /// Unbinds every input this block drives, so a consumer in any model
+  /// reads 0 once its driver is gone.
+  virtual ~Block();
 
   Block(const Block&) = delete;
   Block& operator=(const Block&) = delete;
@@ -149,14 +152,13 @@ class Block {
   }
 
   // --- Port access ---
-  /// Latched output value.  Storage lives in the owning model's contiguous
-  /// signal-slot arena once the model is compiled (Model::sorted()), in the
-  /// block's own fallback vector otherwise; either way this is one load.
+  /// Latched output value.  It lives in this block for the block's whole
+  /// lifetime, so the reference stays valid across graph edits and runs.
   const Value& out(int port) const {
     if (static_cast<std::size_t>(port) >= outputs_.size()) {
       throw_bad_port(port, /*output=*/true);
     }
-    return slots_[static_cast<std::size_t>(port)];
+    return outputs_[static_cast<std::size_t>(port)];
   }
   /// Latched value at the block feeding input \p port (engine executed it
   /// earlier in sorted order).  Unconnected inputs read 0.0.
@@ -171,14 +173,14 @@ class Block {
 
  protected:
   /// Writes an output, quantizing to the port's declared type.  The
-  /// dominant double->double case is a single store into the signal slot.
+  /// dominant double->double case is a single store.
   void set_out(int port, double real) {
     const auto p = static_cast<std::size_t>(port);
     if (p >= outputs_.size()) throw_bad_port(port, /*output=*/true);
     if (out_types_[p] == DataType::kDouble) {
-      slots_[p].assign_double(real);
+      outputs_[p].assign_double(real);
     } else {
-      slots_[p] = Value::quantize(real, out_types_[p], out_fmts_[p]);
+      outputs_[p] = Value::quantize(real, out_types_[p], out_fmts_[p]);
     }
   }
   /// Writes a whole value: a plain copy when it already has the port's
@@ -187,19 +189,17 @@ class Block {
     const auto p = static_cast<std::size_t>(port);
     if (p >= outputs_.size()) throw_bad_port(port, /*output=*/true);
     if (v.type() == out_types_[p]) {
-      slots_[p] = v;
+      outputs_[p] = v;
     } else {
       set_out(port, v.as_double());
     }
   }
-  /// Reference to the value feeding input \p port: a resolved slot pointer
-  /// when the owning model is compiled, a connection walk otherwise.
+  /// Reference to the value feeding input \p port: the driver's output,
+  /// bound by Model::connect, or the shared zero when unconnected.
   const Value& in_ref(int port) const {
     const auto p = static_cast<std::size_t>(port);
-    if (p < in_cache_.size()) {
-      if (const Value* src = in_cache_[p]) return *src;
-    }
-    return in_walk(port);
+    if (p >= in_src_.size()) throw_bad_port(port, /*output=*/false);
+    return *in_src_[p];
   }
   double in(int port) const { return in_ref(port).as_double(); }
   bool in_bool(int port) const { return in_ref(port).as_bool(); }
@@ -207,25 +207,26 @@ class Block {
  private:
   friend class Model;
 
-  const Value& in_walk(int port) const;
+  /// Points input \p port at \p src's output \p src_port (nullptr: at the
+  /// shared zero) and keeps the drivers' sink lists in step.
+  void bind_input(int port, Block* src, int src_port);
   [[noreturn]] void throw_bad_port(int port, bool output) const;
   /// Shared slot for unconnected inputs (always reads double 0).
   static const Value& zero_value();
 
   std::string name_;
   std::vector<Connection> inputs_;
-  std::vector<Value> outputs_;  ///< fallback storage when not compiled
+  /// The only storage of the outputs; sized once, so never reallocated.
+  std::vector<Value> outputs_;
   std::vector<DataType> out_types_;
   std::vector<std::optional<fixpt::FixedFormat>> out_fmts_;
   SampleTime sample_time_ = SampleTime::inherited();
   double resolved_period_ = 0.0;
   bool resolved_continuous_ = false;
-  /// Active output storage: outputs_.data() until the owning model compiles
-  /// its signal arena, then a pointer into that arena.
-  Value* slots_ = nullptr;
-  /// Per-input resolved source slots (filled by Model::compile; nullptr
-  /// entries — e.g. cross-model sources — keep the walking fallback).
-  std::vector<const Value*> in_cache_;
+  /// Per-input source value: the driver's output or zero_value().
+  std::vector<const Value*> in_src_;
+  /// The (consumer, input port) pairs this block's outputs drive.
+  mutable std::vector<std::pair<Block*, int>> sinks_;
 };
 
 }  // namespace iecd::model

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "util/strings.hpp"
 
@@ -27,7 +26,7 @@ void Model::connect(Block& src, int src_port, Block& dst, int dst_port) {
     throw std::out_of_range(dst.name() + ": no input port " +
                             std::to_string(dst_port));
   }
-  dst.inputs_[static_cast<std::size_t>(dst_port)] = {&src, src_port};
+  dst.bind_input(dst_port, &src, src_port);
   invalidate();
 }
 
@@ -47,13 +46,7 @@ bool Model::remove(const std::string& block_name) {
       std::find_if(blocks_.begin(), blocks_.end(),
                    [&](const auto& b) { return b->name() == block_name; });
   if (it == blocks_.end()) return false;
-  // Disconnect any inputs fed by the removed block.
-  for (const auto& b : blocks_) {
-    for (auto& conn : b->inputs_) {
-      if (conn.src == it->get()) conn = {};
-    }
-  }
-  blocks_.erase(it);
+  blocks_.erase(it);  // ~Block unbinds the inputs it drove, in any model
   invalidate();
   return true;
 }
@@ -104,67 +97,9 @@ void Model::compute_order() const {
                            util::join(loop, " -> "));
   }
   order_valid_ = true;
-  compile();
-}
-
-void Model::compile() const {
-  // Pass 1: gather every block's latched outputs into one contiguous arena
-  // (slot ids are implicit: block-insertion order, then port order).
-  std::size_t total = 0;
-  for (const auto& b : blocks_) total += b->outputs_.size();
-  arena_.clear();
-  arena_.reserve(total);
-  for (const auto& b : blocks_) {
-    for (std::size_t p = 0; p < b->outputs_.size(); ++p) {
-      arena_.push_back(b->slots_[p]);
-    }
-  }
-  // Pass 2: repoint block storage at its arena range (reserve above
-  // guarantees no reallocation happened while filling).
-  std::size_t base = 0;
-  for (const auto& b : blocks_) {
-    b->slots_ = arena_.data() + base;
-    base += b->outputs_.size();
-  }
-  // Pass 3: resolve each input connection to a direct slot pointer.
-  // Cross-model sources (a block owned by another Model, e.g. across a
-  // subsystem boundary) keep the nullptr -> walking fallback, because their
-  // storage can move when that model recompiles.
-  std::unordered_set<const Block*> members;
-  members.reserve(blocks_.size());
-  for (const auto& b : blocks_) members.insert(b.get());
-  for (const auto& b : blocks_) {
-    b->in_cache_.assign(b->inputs_.size(), nullptr);
-    for (std::size_t i = 0; i < b->inputs_.size(); ++i) {
-      const Block::Connection& c = b->inputs_[i];
-      if (!c.src) {
-        b->in_cache_[i] = &Block::zero_value();
-      } else if (members.count(c.src) != 0) {
-        b->in_cache_[i] = c.src->slots_ + c.src_port;
-      }
-    }
-  }
-  compiled_ = true;
-}
-
-void Model::decompile() {
-  if (!compiled_) return;
-  for (const auto& b : blocks_) {
-    // Latched values survive the move back to per-block storage.  A block
-    // added after the last compile already points at its own vector; the
-    // copy below is then a no-op self-assignment.
-    for (std::size_t p = 0; p < b->outputs_.size(); ++p) {
-      b->outputs_[p] = b->slots_[p];
-    }
-    b->slots_ = b->outputs_.data();
-    b->in_cache_.clear();
-  }
-  arena_.clear();
-  compiled_ = false;
 }
 
 void Model::invalidate() {
-  decompile();
   order_valid_ = false;
   ++order_epoch_;
 }

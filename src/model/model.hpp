@@ -4,13 +4,12 @@
 /// and detects algebraic loops — the consistency layer Simulink provides
 /// before any simulation or code generation can run.
 ///
-/// Compilation: computing the order also "compiles" the model for the hot
-/// path — block outputs move into one contiguous signal-slot arena (integer
-/// slot ids, assigned in block-insertion order) and every input connection
-/// is resolved to a direct slot pointer, so the major-step loop touches no
-/// strings, no hash maps and no per-port indirection chains.  Any graph
-/// edit (add/connect/remove) decompiles back to per-block storage and bumps
-/// order_epoch(), letting engines refresh their cached dispatch lists.
+/// Signals: every block output lives in its block, and connect() points
+/// the consumer's input straight at it, so an input read is one load
+/// whichever model owns the driver.  Removing a block points the inputs it
+/// drove back at the shared zero.  Any graph edit (add/connect/remove)
+/// bumps order_epoch(), letting engines refresh their cached dispatch
+/// lists.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +41,8 @@ class Model {
   }
 
   /// Connects src.out[src_port] -> dst.in[dst_port].  An input accepts only
-  /// one driver; reconnecting replaces it.
+  /// one driver; reconnecting replaces it.  \p src may belong to another
+  /// model.
   void connect(Block& src, int src_port, Block& dst, int dst_port);
 
   Block* find(const std::string& block_name);
@@ -58,7 +58,6 @@ class Model {
   util::DiagnosticList check() const;
 
   /// Execution order.  Throws std::logic_error on algebraic loops.
-  /// Also compiles the signal-slot arena (see file comment).
   const std::vector<Block*>& sorted() const;
 
   /// Bumped on every graph edit (add/connect/remove); engines key their
@@ -69,16 +68,11 @@ class Model {
   void ensure_unique(const std::string& block_name) const;
   void invalidate();
   void compute_order() const;
-  void compile() const;
-  void decompile();
 
   std::string name_;
   std::vector<std::unique_ptr<Block>> blocks_;
   mutable std::vector<Block*> order_;
   mutable bool order_valid_ = false;
-  /// Contiguous storage for every block output (the signal-slot arena).
-  mutable std::vector<Value> arena_;
-  mutable bool compiled_ = false;
   std::uint64_t order_epoch_ = 0;
 };
 

@@ -26,22 +26,6 @@ HostEndpoint::HostEndpoint(sim::World& world, sim::SerialChannel& tx,
 }
 
 void HostEndpoint::set_plant(
-    std::function<std::vector<double>()> sample,
-    std::function<void(const std::vector<double>&)> apply,
-    std::function<void(double)> advance) {
-  if (sample) {
-    sample_into_ = [s = std::move(sample)](std::vector<double>& out) {
-      const auto values = s();
-      out.insert(out.end(), values.begin(), values.end());
-    };
-  } else {
-    sample_into_ = nullptr;
-  }
-  apply_ = std::move(apply);
-  advance_ = std::move(advance);
-}
-
-void HostEndpoint::set_plant_buffered(
     std::function<void(std::vector<double>&)> sample_into,
     std::function<void(const std::vector<double>&)> apply,
     std::function<void(double)> advance) {

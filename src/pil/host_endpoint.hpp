@@ -63,19 +63,13 @@ class HostEndpoint {
   HostEndpoint(sim::World& world, sim::SerialChannel& tx,
                sim::SerialChannel& rx, Options options);
 
-  /// Plant coupling: \p sample reads the plant outputs, \p apply writes
+  /// Plant coupling: \p sample_into appends the plant outputs to the
+  /// scratch vector it is handed (cleared by the caller), \p apply writes
   /// the actuator values, \p advance integrates the plant model up to the
   /// given time [s].
-  void set_plant(std::function<std::vector<double>()> sample,
+  void set_plant(std::function<void(std::vector<double>&)> sample_into,
                  std::function<void(const std::vector<double>&)> apply,
                  std::function<void(double)> advance);
-
-  /// Allocation-free plant coupling: \p sample_into appends the plant
-  /// outputs to the scratch vector it is handed (cleared by the caller).
-  void set_plant_buffered(
-      std::function<void(std::vector<double>&)> sample_into,
-      std::function<void(const std::vector<double>&)> apply,
-      std::function<void(double)> advance);
 
   /// Starts the periodic exchange.
   void start();

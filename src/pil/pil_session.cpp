@@ -57,18 +57,11 @@ PilSession::PilSession(sim::World& world, rt::Runtime& runtime,
 }
 
 void PilSession::set_plant(
-    std::function<std::vector<double>()> sample,
-    std::function<void(const std::vector<double>&)> apply,
-    std::function<void(double)> advance) {
-  host_->set_plant(std::move(sample), std::move(apply), std::move(advance));
-}
-
-void PilSession::set_plant_buffered(
     std::function<void(std::vector<double>&)> sample_into,
     std::function<void(const std::vector<double>&)> apply,
     std::function<void(double)> advance) {
-  host_->set_plant_buffered(std::move(sample_into), std::move(apply),
-                            std::move(advance));
+  host_->set_plant(std::move(sample_into), std::move(apply),
+                   std::move(advance));
 }
 
 void PilSession::set_monitors(obs::MonitorHub* hub) {

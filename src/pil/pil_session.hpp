@@ -76,15 +76,9 @@ class PilSession {
              Options options);
 
   /// Plant coupling (see HostEndpoint::set_plant).
-  void set_plant(std::function<std::vector<double>()> sample,
+  void set_plant(std::function<void(std::vector<double>&)> sample_into,
                  std::function<void(const std::vector<double>&)> apply,
                  std::function<void(double)> advance);
-
-  /// Allocation-free plant coupling (see HostEndpoint::set_plant_buffered).
-  void set_plant_buffered(
-      std::function<void(std::vector<double>&)> sample_into,
-      std::function<void(const std::vector<double>&)> apply,
-      std::function<void(double)> advance);
 
   /// Online observability: per-exchange round-trip TimingMonitor
   /// ("pil.exchange", deadline = the exchange interval), board UART TX

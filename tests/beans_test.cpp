@@ -173,6 +173,30 @@ TEST(Bean, MethodEnablementGatesDriverEmission) {
   EXPECT_EQ(src.header.find("TI1_Disable"), std::string::npos);
 }
 
+// A failed solve clears what an earlier one derived, so nothing binds or
+// simulates at the stale timing.
+TEST(Bean, FailedSolveClearsEarlierDerivedTiming) {
+  const auto& cpu = mcu::find_derivative("DSC56F8367");
+  util::DiagnosticList diags;
+  TimerIntBean timer("TI1");
+  timer.validate(cpu, diags);
+  EXPECT_GT(timer.properties().get_int("modulo"), 0);
+  timer.set_property("period_s", 1.0, diags);  // beyond the prescalers
+  timer.validate(cpu, diags);
+  EXPECT_EQ(timer.properties().get_int("prescaler"), 0);
+  EXPECT_EQ(timer.properties().get_int("modulo"), 0);
+  EXPECT_EQ(timer.properties().get_real("achieved_period_s"), 0.0);
+  PwmBean pwm("PWM1");
+  pwm.validate(cpu, diags);
+  EXPECT_EQ(pwm.properties().get_int("modulo"), 3000);
+  pwm.set_property("frequency_hz", 7.3e6, diags);
+  pwm.validate(cpu, diags);
+  EXPECT_EQ(pwm.properties().get_int("prescaler"), 0);
+  EXPECT_EQ(pwm.properties().get_int("modulo"), 0);
+  EXPECT_EQ(pwm.properties().get_real("achieved_frequency_hz"), 0.0);
+  EXPECT_TRUE(diags.has_errors());
+}
+
 TEST(Bean, InspectorRenderShowsTypeMethodsEvents) {
   AdcBean bean("AD1");
   const std::string text = bean.inspector_render();

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -536,6 +537,30 @@ TEST(CampaignEngine, RejectsThreadsAboveTheCeiling) {
   EXPECT_NO_THROW(CampaignEngine{eo});
   eo.campaign.threads = kMaxCampaignThreads + 1;
   EXPECT_THROW(CampaignEngine{eo}, std::invalid_argument);
+}
+
+// A zero lane-group width is refused at construction as well.
+TEST(CampaignEngine, RejectsZeroBatch) {
+  EngineOptions eo;
+  eo.campaign = engine_options(64, 1, 0);
+  EXPECT_THROW(CampaignEngine{eo}, std::invalid_argument);
+}
+
+// A width above the run count runs every run in one group, so the report
+// is batch = runs's (the pinned golden), up to the widest width.
+TEST(CampaignEngine, WidthAboveRunsRunsOneGroupOfEveryRun) {
+  const std::size_t kRuns = 64;
+  for (const std::size_t batch :
+       {kRuns, kRuns + 1, std::numeric_limits<std::size_t>::max()}) {
+    EngineOptions eo;
+    eo.campaign = engine_options(kRuns, 2, batch);
+    CampaignEngine engine(eo);
+    const EngineResult r =
+        engine.run(fault::CampaignScenario(engine_scenario));
+    EXPECT_EQ(r.sched.groups, 1u) << "batch=" << batch;
+    EXPECT_EQ(r.report.to_json(), golden::kEngineTestJson)
+        << "batch=" << batch;
+  }
 }
 
 TEST(CampaignEngine, EmptyEvidenceDirWritesNothing) {

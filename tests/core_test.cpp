@@ -401,6 +401,23 @@ TEST(ServoPwmModulo, EqualsTheSolvedBeanModulo) {
   EXPECT_NE(pwm_modulo(slow), pwm_modulo(ServoConfig{}));
 }
 
+// An unachievable PWM frequency leaves no modulo from the bean's earlier
+// 20 kHz solve, and run_mil() refuses to run instead of quantising the
+// duty at that stale granularity.
+TEST(ServoPwmModulo, UnachievableFrequencyMakesRunMilThrow) {
+  for (const double hz : {7.3e6, 9.1e6, 6.9e6}) {
+    ServoConfig cfg;
+    cfg.pwm_frequency_hz = hz;
+    cfg.duration_s = 0.01;
+    ServoSystem servo(cfg);
+    EXPECT_TRUE(servo.validate().has_errors()) << hz;
+    EXPECT_EQ(servo.pwm_block().bean().properties().get_int("modulo"), 0)
+        << hz;
+    EXPECT_EQ(pwm_modulo(cfg), 0) << hz;
+    EXPECT_THROW(servo.run_mil(), std::invalid_argument) << hz;
+  }
+}
+
 struct BadField {
   const char* component;
   std::function<void(ServoConfig&)> spoil;

@@ -427,8 +427,9 @@ TEST(PilRecoveryTest, RetransmitRecoversFromDroppedResponse) {
         }
         return fault;
       });
-  session.set_plant([] { return std::vector<double>{1.0}; },
-                    [](const std::vector<double>&) {}, [](double) {});
+  session.set_plant(
+      [](std::vector<double>& out) { out.push_back(1.0); },
+      [](const std::vector<double>&) {}, [](double) {});
   const pil::PilReport report = session.run();
   EXPECT_GE(session.host().retransmits(), 1u);
   EXPECT_GE(session.host().recovered_exchanges(), 1u);
@@ -466,9 +467,9 @@ TEST(PilRecoveryTest, PersistentLossAbandonsAndHoldsLastOutput) {
         sim::SerialChannel::ByteFaultAction::kDrop, 0};
   });
   std::size_t applied = 0;
-  session.set_plant([] { return std::vector<double>{1.0}; },
-                    [&](const std::vector<double>&) { ++applied; },
-                    [](double) {});
+  session.set_plant(
+      [](std::vector<double>& out) { out.push_back(1.0); },
+      [&](const std::vector<double>&) { ++applied; }, [](double) {});
   const pil::PilReport report = session.run();
   EXPECT_GT(report.exchanges, 10u);
   EXPECT_GE(session.host().exchanges_abandoned(), 10u);
@@ -487,8 +488,9 @@ TEST(PilRecoveryTest, DisabledRecoveryKeepsLegacyCountersZero) {
   opts.baud = 1000000;
   pil::PilSession session(rig.world, *rig.runtime, *rig.serial, rig.buffer,
                           opts);
-  session.set_plant([] { return std::vector<double>{1.0}; },
-                    [](const std::vector<double>&) {}, [](double) {});
+  session.set_plant(
+      [](std::vector<double>& out) { out.push_back(1.0); },
+      [](const std::vector<double>&) {}, [](double) {});
   (void)session.run();
   EXPECT_EQ(session.host().retransmits(), 0u);
   EXPECT_EQ(session.host().recovered_exchanges(), 0u);

@@ -119,6 +119,66 @@ TEST(ModelGraph, RemoveDisconnectsDownstream) {
   EXPECT_EQ(m.block_count(), 1u);
 }
 
+// A block's outputs live in the block, so a reference taken before the
+// model is sorted reads what the engine latched.
+TEST(ModelGraph, OutReferenceTakenBeforeRunReadsTheLatchedValue) {
+  Model m("ref");
+  auto& c = m.add<ConstantBlock>("c", 2.0);
+  auto& g = m.add<GainBlock>("g", 3.0);
+  m.connect(c, 0, g, 0);
+  const Value& y = g.out(0);
+  Engine eng(m, {.stop_time = 0.01});
+  eng.run();
+  EXPECT_EQ(&y, &g.out(0));
+  EXPECT_DOUBLE_EQ(y.as_double(), 6.0);
+}
+
+// An input fed from another model reads its driver's live value, and the
+// shared zero once that driver is removed.
+TEST(ModelGraph, CrossModelInputReadsItsDriverUntilRemoved) {
+  Model drivers("drivers");
+  Model consumers("consumers");
+  auto& c = drivers.add<ConstantBlock>("c", 4.0);
+  auto& g = consumers.add<GainBlock>("g", 0.5);
+  consumers.connect(c, 0, g, 0);
+  const SimContext ctx{};
+  c.output(ctx);
+  g.output(ctx);
+  EXPECT_DOUBLE_EQ(g.out(0).as_double(), 2.0);
+  c.set_value(-6.0);
+  c.output(ctx);
+  g.output(ctx);
+  EXPECT_DOUBLE_EQ(g.out(0).as_double(), -3.0);
+  EXPECT_TRUE(drivers.remove("c"));
+  EXPECT_FALSE(g.input_connected(0));
+  g.output(ctx);
+  EXPECT_DOUBLE_EQ(g.out(0).as_double(), 0.0);
+}
+
+// A consumer that dies before its driver leaves the driver nothing to
+// unbind: removing the driver afterwards touches no freed block.
+TEST(ModelGraph, ConsumerModelMayDieBeforeItsDriver) {
+  Model drivers("drivers");
+  auto& c = drivers.add<ConstantBlock>("c", 1.0);
+  {
+    Model consumers("consumers");
+    auto& g = consumers.add<GainBlock>("g", 1.0);
+    consumers.connect(c, 0, g, 0);
+    consumers.connect(c, 0, g, 0);  // rebinding keeps one sink entry
+  }
+  EXPECT_TRUE(drivers.remove("c"));
+}
+
+TEST(ModelGraph, OutOfRangeInputPortThrows) {
+  Model m("ports");
+  auto& c = m.add<ConstantBlock>("c", 1.0);
+  auto& g = m.add<GainBlock>("g", 1.0);
+  EXPECT_THROW(m.connect(c, 0, g, 1), std::out_of_range);
+  EXPECT_THROW(m.connect(c, 1, g, 0), std::out_of_range);
+  EXPECT_THROW(g.in_value(1), std::out_of_range);
+  EXPECT_THROW(g.in_value(-1), std::out_of_range);
+}
+
 TEST(ModelGraph, DuplicateNamesRejected) {
   Model m("d");
   m.add<ConstantBlock>("x", 1.0);

@@ -65,11 +65,11 @@ TEST(PilSessionTest, ExchangesFramesAndRunsController) {
   double last_actuator = -1.0;
   int samples = 0;
   session.set_plant(
-      [&]() -> std::vector<double> {
+      [&](std::vector<double>& out) {
         ++samples;
         // The plant "angle" maps to counts via the QuadDec block; feed a
         // quarter revolution (100 counts at 400 cpr).
-        return {3.14159265 / 2.0};
+        out.push_back(3.14159265 / 2.0);
       },
       [&](const std::vector<double>& a) {
         ASSERT_EQ(a.size(), 1u);
@@ -100,8 +100,9 @@ TEST(PilSessionTest, RoundTripScalesWithBaud) {
     PilRig rig;
     PilSession session(rig.world, *rig.runtime, *rig.serial, rig.buffer,
                        {0.005, 0.25, baud});
-    session.set_plant([] { return std::vector<double>{1.0}; },
-                      [](const std::vector<double>&) {}, [](double) {});
+    session.set_plant(
+        [](std::vector<double>& out) { out.push_back(1.0); },
+        [](const std::vector<double>&) {}, [](double) {});
     const auto report = session.run();
     if (baud == 460800u) {
       rtt_fast = report.round_trip_us().mean();
@@ -117,8 +118,9 @@ TEST(PilSessionTest, CorruptionCausesBoundedFrameLossAndRecovery) {
   PilRig rig;
   PilSession session(rig.world, *rig.runtime, *rig.serial, rig.buffer,
                      {0.001, 0.2, 115200});
-  session.set_plant([] { return std::vector<double>{1.0}; },
-                    [](const std::vector<double>&) {}, [](double) {});
+  session.set_plant(
+      [](std::vector<double>& out) { out.push_back(1.0); },
+      [](const std::vector<double>&) {}, [](double) {});
   // Corrupt one wire byte early in the run (host -> target direction).
   // Depending on which byte it hits, the frame dies via CRC check or via
   // lost sync; either way the damage is bounded and the stream recovers.
@@ -137,8 +139,9 @@ TEST(PilSessionTest, PayloadCorruptionIsCaughtByCrc) {
   PilRig rig;
   PilSession session(rig.world, *rig.runtime, *rig.serial, rig.buffer,
                      {0.001, 0.2, 115200});
-  session.set_plant([] { return std::vector<double>{1.0}; },
-                    [](const std::vector<double>&) {}, [](double) {});
+  session.set_plant(
+      [](std::vector<double>& out) { out.push_back(1.0); },
+      [](const std::vector<double>&) {}, [](double) {});
   rig.world.queue().schedule_at(sim::milliseconds(5) + sim::microseconds(300),
                                 [&] {
                                   session.link().a_to_b().corrupt_next_byte(
@@ -153,8 +156,9 @@ TEST(PilSessionTest, SlowLinkMissesDeadlines) {
   PilRig rig;
   PilSession session(rig.world, *rig.runtime, *rig.serial, rig.buffer,
                      {0.001, 0.2, 9600});
-  session.set_plant([] { return std::vector<double>{1.0}; },
-                    [](const std::vector<double>&) {}, [](double) {});
+  session.set_plant(
+      [](std::vector<double>& out) { out.push_back(1.0); },
+      [](const std::vector<double>&) {}, [](double) {});
   const auto report = session.run();
   EXPECT_GT(report.deadline_misses, 100u);
   EXPECT_GT(report.comm_overhead_ratio, 1.0);
@@ -167,7 +171,7 @@ TEST(PilSessionTest, AdvanceCallbackSeesMonotonicTime) {
   double last_t = -1.0;
   bool monotonic = true;
   session.set_plant(
-      [] { return std::vector<double>{0.0}; },
+      [](std::vector<double>& out) { out.push_back(0.0); },
       [](const std::vector<double>&) {},
       [&](double t) {
         if (t < last_t) monotonic = false;
@@ -188,8 +192,9 @@ TEST(HostEndpointTest, CountsMissWhenResponseNeverComes) {
   HostEndpoint host(world, link.a_to_b(), link.b_to_a(), opts);
   util::SampleSeries round_trip_us;
   host.set_latency_series(&round_trip_us, nullptr);
-  host.set_plant([] { return std::vector<double>{1.0}; },
-                 [](const std::vector<double>&) {}, [](double) {});
+  host.set_plant(
+      [](std::vector<double>& out) { out.push_back(1.0); },
+      [](const std::vector<double>&) {}, [](double) {});
   host.start();  // nobody answers on the other end
   world.run_for(sim::milliseconds(50));
   host.stop();
@@ -221,8 +226,9 @@ TEST(PilDeterminism, TwoIdenticalRunsProduceIdenticalReports) {
     PilRig rig;
     PilSession session(rig.world, *rig.runtime, *rig.serial, rig.buffer,
                        {0.001, 0.2, 115200});
-    session.set_plant([] { return std::vector<double>{1.23}; },
-                      [](const std::vector<double>&) {}, [](double) {});
+    session.set_plant(
+        [](std::vector<double>& out) { out.push_back(1.23); },
+        [](const std::vector<double>&) {}, [](double) {});
     return session.run();
   };
   const auto a = run_once();

@@ -156,6 +156,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(threads));
     return 2;
   }
+  if (batch == 0) {
+    std::fprintf(stderr, "campaign_ctl: --batch takes at least 1, got 0\n");
+    return 2;
+  }
 
   if (cmd == "status") return cmd_status(dir);
   if (cmd != "run") return usage();

@@ -1,5 +1,6 @@
 #include "batch/speed_pi.hpp"
 
+#include <cmath>
 #include <numbers>
 #include <stdexcept>
 
@@ -17,15 +18,23 @@ util::DiagnosticList validate(const SpeedPiParams& p) {
   return d;
 }
 
-SpeedPi::SpeedPi(const SpeedPiParams& params)
-    : kp_(params.kp), ki_(params.ki), period_s_(params.period_s) {
+namespace {
+
+const SpeedPiParams& checked(const SpeedPiParams& params) {
   if (const util::DiagnosticList d = validate(params); d.has_errors()) {
     throw std::invalid_argument("SpeedPi: invalid controller:\n" +
                                 d.to_string());
   }
-  const double cpr = static_cast<double>(params.encoder_lines * 4);
-  gain_ = 2.0 * std::numbers::pi / (cpr * params.period_s);
-  window_.assign(static_cast<std::size_t>(params.speed_filter_taps - 1), 0.0);
+  return params;
 }
+
+}  // namespace
+
+SpeedPi::SpeedPi(const SpeedPiParams& params)
+    : period_s_(checked(params).period_s),
+      gain_(2.0 * std::numbers::pi /
+            (static_cast<double>(params.encoder_lines * 4) * params.period_s)),
+      filter_(params.speed_filter_taps),
+      pi_({params.kp, params.ki, 0.0, 10.0}, 0.0, 1.0) {}
 
 }  // namespace iecd::batch

@@ -1,18 +1,16 @@
 /// \file speed_pi.hpp
-/// The servo's PI speed controller as one scalar kernel: the arithmetic of
-/// the case-study controller graph (core/case_study.cpp) from the latched
-/// decoder count to the saturated duty, in the engine's expression order,
-/// so a run that steps it is bit-identical to the model.  Each ServoBatch
-/// lane, the farm's ServoNode ISR and the CAN rig's controller node step
-/// it.  Like the model's prev_cnt UnitDelay, the previous count starts at
-/// 0, and the moving average divides by the samples seen until it fills.
+/// The servo's PI speed controller as one scalar step: the case-study
+/// controller graph (core/case_study.cpp) from the latched decoder count to
+/// the saturated duty, composed from the kernels its blocks run
+/// (periph::count_delta, blocks::MovingAverage, blocks::PidLaw) in the
+/// engine's expression order, so a run that steps it is bit-identical to
+/// the model.  Each ServoBatch lane, the farm's ServoNode ISR and the CAN
+/// rig's controller node step it.  Like the model's prev_cnt UnitDelay,
+/// the previous count starts at 0.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
-#include <cstddef>
-#include <vector>
-
+#include "blocks/discrete.hpp"
+#include "periph/quadrature_decoder.hpp"
 #include "util/diagnostics.hpp"
 
 namespace iecd::batch {
@@ -45,44 +43,30 @@ class SpeedPi {
   /// keyboard offset, PI clamped to [0, 1]), then the update phase (count
   /// delay, window push, integrator with back-calculation anti-windup).
   void step(double counts, double setpoint) {
-    const double speed = gain_ * std::remainder(counts - prev_counts_, 65536.0);
-    double acc = speed;
-    for (std::size_t k = 0; k < window_len_; ++k) acc += window_[k];
-    smoothed_ = acc / static_cast<double>(window_len_ + 1);
+    const double speed = gain_ * periph::count_delta(counts, prev_counts_);
+    smoothed_ = filter_.output(speed);
     const double error = 0.0 + setpoint + 0.0 - smoothed_;
-    const double unsat = kp_ * error + integral_ + 0.0;  // + 0.0: no D term
-    duty_ = unsat < 0.0 ? 0.0 : (1.0 < unsat ? 1.0 : unsat);
+    pi_.output(error, period_s_);
 
     prev_counts_ = counts;
-    if (!window_.empty()) {
-      if (window_len_ < window_.size()) ++window_len_;
-      for (std::size_t k = window_len_ - 1; k > 0; --k) {
-        window_[k] = window_[k - 1];
-      }
-      window_[0] = speed;
-    }
-    const double aw = (duty_ - unsat) / std::max(kp_, 1e-9);
-    integral_ += ki_ * period_s_ * (error + aw);
+    filter_.update(speed);
+    pi_.update(error, period_s_);
   }
 
   /// Saturated PI output in [0, 1] after the last step().
-  double duty() const { return duty_; }
+  double duty() const { return pi_.last_output(); }
   /// Filtered speed estimate [rad/s] after the last step().
   double smoothed() const { return smoothed_; }
   /// Integrator state after the last step().
-  double integral() const { return integral_; }
+  double integral() const { return pi_.integral(); }
 
  private:
-  double kp_;
-  double ki_;
   double period_s_;
   double gain_;
   double prev_counts_ = 0.0;
-  std::vector<double> window_;  ///< speed_filter_taps - 1 past samples
-  std::size_t window_len_ = 0;
   double smoothed_ = 0.0;
-  double duty_ = 0.0;
-  double integral_ = 0.0;
+  blocks::MovingAverage filter_;
+  blocks::PidLaw pi_;
 };
 
 }  // namespace iecd::batch

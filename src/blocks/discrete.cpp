@@ -1,7 +1,6 @@
 #include "blocks/discrete.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -225,55 +224,25 @@ mcu::OpCounts DiscreteTransferFnBlock::step_ops(bool fixed_point) const {
 
 DiscretePidBlock::DiscretePidBlock(std::string name, Gains gains,
                                    double out_min, double out_max)
-    : Block(std::move(name), 1, 1),
-      gains_(gains),
-      out_min_(out_min),
-      out_max_(out_max) {
-  if (!(out_max > out_min)) {
-    throw std::invalid_argument(this->name() + ": out_max must exceed out_min");
-  }
-}
+    : Block(std::move(name), 1, 1), law_(gains, out_min, out_max) {}
 
 void DiscretePidBlock::initialize(const SimContext&) {
-  integral_ = 0.0;
-  deriv_state_ = 0.0;
-  prev_error_ = 0.0;
-  unsat_ = 0.0;
-  sat_ = 0.0;
+  law_.reset();
   set_out(0, 0.0);
 }
 
 void DiscretePidBlock::output(const SimContext& ctx) {
   if (ctx.minor) {
-    set_out(0, sat_);
+    set_out(0, law_.last_output());
     return;
   }
   const double T = resolved_period() > 0 ? resolved_period() : ctx.dt;
-  const double e = in(0);
-  // Filtered derivative: d = N*(Kd*e - x); x' = d  (backward Euler).
-  const double n = gains_.derivative_filter;
-  const double d =
-      gains_.kd > 0
-          ? n * (gains_.kd * e - deriv_state_) / (1.0 + n * T)
-          : 0.0;
-  unsat_ = gains_.kp * e + integral_ + d;
-  sat_ = std::clamp(unsat_, out_min_, out_max_);
-  set_out(0, sat_);
+  set_out(0, law_.output(in(0), T));
 }
 
 void DiscretePidBlock::update(const SimContext& ctx) {
   const double T = resolved_period() > 0 ? resolved_period() : ctx.dt;
-  const double e = in(0);
-  // Back-calculation anti-windup: bleed the integrator toward the saturated
-  // output when the actuator limits.
-  const double aw = (sat_ - unsat_) / std::max(gains_.kp, 1e-9);
-  integral_ += gains_.ki * T * (e + aw);
-  if (gains_.kd > 0) {
-    const double n = gains_.derivative_filter;
-    const double d = n * (gains_.kd * e - deriv_state_) / (1.0 + n * T);
-    deriv_state_ += T * d;
-  }
-  prev_error_ = e;
+  law_.update(in(0), T);
 }
 
 mcu::OpCounts DiscretePidBlock::step_ops(bool fixed_point) const {
@@ -300,23 +269,22 @@ std::string DiscretePidBlock::emit_c(const EmitContext& ctx) const {
       "  %s e = %s;  /* DiscretePID %s */\n"
       "  %s u = %s_Kp * e + %sintegral + %s_Kd_term(e, &%sderiv);\n"
       "  %s = clamp(u, %s_MIN, %s_MAX);\n"
-      "  %sintegral += %s_Ki_T * (e + (%s - u));\n"
+      "  %sintegral += %s_Ki_T * (e + (%s - u) / %s_Kp);\n"
       "}\n",
       t, ctx.inputs[0].c_str(), name().c_str(), t, name().c_str(),
       ctx.state_prefix.c_str(), name().c_str(), ctx.state_prefix.c_str(),
       ctx.outputs[0].c_str(), name().c_str(), name().c_str(),
-      ctx.state_prefix.c_str(), name().c_str(), ctx.outputs[0].c_str());
+      ctx.state_prefix.c_str(), name().c_str(), ctx.outputs[0].c_str(),
+      name().c_str());
 }
 
 // --------------------------------------------------------- MovingAverage
 
 MovingAverageBlock::MovingAverageBlock(std::string name, int taps)
-    : Block(std::move(name), 1, 1), taps_(taps) {
-  if (taps < 1) throw std::invalid_argument("MovingAverage: taps >= 1");
-}
+    : Block(std::move(name), 1, 1), average_(taps) {}
 
 void MovingAverageBlock::initialize(const SimContext&) {
-  window_.clear();
+  average_.reset();
   pending_ = 0.0;
 }
 
@@ -326,24 +294,21 @@ void MovingAverageBlock::output(const SimContext& ctx) {
     return;
   }
   pending_ = in(0);
-  double acc = pending_;
-  for (double v : window_) acc += v;
-  set_out(0, acc / static_cast<double>(window_.size() + 1));
+  set_out(0, average_.output(pending_));
 }
 
 void MovingAverageBlock::update(const SimContext&) {
-  window_.push_front(pending_);
-  while (static_cast<int>(window_.size()) >= taps_) window_.pop_back();
+  average_.update(pending_);
 }
 
 std::uint32_t MovingAverageBlock::state_bytes() const {
-  return static_cast<std::uint32_t>(taps_) *
+  return static_cast<std::uint32_t>(average_.taps()) *
          model::storage_bytes(output_type(0));
 }
 
 mcu::OpCounts MovingAverageBlock::step_ops(bool fixed_point) const {
   mcu::OpCounts ops;
-  const auto n = static_cast<std::uint32_t>(taps_);
+  const auto n = static_cast<std::uint32_t>(average_.taps());
   if (fixed_point) {
     ops.alu16 = n;
     ops.alu32 = n;

@@ -12,6 +12,7 @@
 #include "fault/sites.hpp"
 #include "fixpt/autoscale.hpp"
 #include "mcu/mcu.hpp"
+#include "periph/quadrature_decoder.hpp"
 #include "sim/world.hpp"
 
 namespace iecd::core {
@@ -115,7 +116,7 @@ void ServoSystem::build_controller() {
   auto& prev = m.add<UnitDelayBlock>("prev_cnt", 0.0);
   auto& diff = m.add<FunctionBlock>(
       "cnt_diff", 2, [](const std::vector<double>& u, double) {
-        return std::remainder(u[0] - u[1], 65536.0);
+        return periph::count_delta(u[0], u[1]);
       });
   {
     mcu::OpCounts ops;

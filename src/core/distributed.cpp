@@ -6,6 +6,7 @@
 
 #include "cosim/master.hpp"
 #include "cosim/nodes.hpp"
+#include "periph/pwm.hpp"
 #include "util/statistics.hpp"
 
 namespace iecd::core {
@@ -27,6 +28,11 @@ namespace iecd::core {
 // implementation — the distributed regression test locks the metrics to
 // the monolithic goldens bit-for-bit.
 DistributedResult run_distributed_servo(const DistributedConfig& config) {
+  util::DiagnosticList rules;
+  rules.require(std::isfinite(config.duration_s) && config.duration_s >= 0,
+                "duration_s", "finite and >= 0", config.duration_s);
+  cosim::require_valid("distributed servo rig", std::move(rules));
+
   cosim::SharedCanBus bus("can0", config.can_bitrate);
   cosim::WorldComponent rig("plant_rig");
   cosim::WorldComponent ctrl_component("controller");
@@ -90,6 +96,8 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   ctrl_writes.merge(batch::validate(loop_params));
   ctrl_writes.require(std::isfinite(config.setpoint), "setpoint", "finite",
                       config.setpoint);
+  ctrl_writes.require(std::isfinite(config.setpoint_time), "setpoint_time",
+                      "finite", config.setpoint_time);
   cosim::require_valid("distributed controller node", ctrl_project,
                        std::move(ctrl_writes));
   ctrl_project.bind(ctrl_mcu);
@@ -112,8 +120,7 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   ctrl_rx.commit = [&] {
     sim::CanFrame frame;
     frame.id = DistributedConfig::kActuatorFrameId;
-    cosim::put_u16(frame.data, static_cast<std::uint16_t>(
-                                   std::lround(loop.duty() * 65535.0)));
+    cosim::put_u16(frame.data, periph::duty_to_ratio16(loop.duty()));
     frame.data.push_back(ctrl_seq);
     ctrl_can.SendFrame(frame);
   };
@@ -171,7 +178,6 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   std::optional<cosim::TrafficGenNode> chatter;
   if (config.background_frames_per_s != 0.0) {
     cosim::TrafficGenNode::Config traffic;
-    traffic.frame_id = DistributedConfig::kBackgroundFrameId;
     traffic.frames_per_s = config.background_frames_per_s;
     chatter.emplace("chatter", traffic, bus);  // bus node 3
   }

@@ -59,7 +59,6 @@ struct DistributedConfig {
 
   static constexpr std::uint32_t kSensorFrameId = 0x100;
   static constexpr std::uint32_t kActuatorFrameId = 0x200;
-  static constexpr std::uint32_t kBackgroundFrameId = 0x050;  ///< wins arbitration
 };
 
 struct DistributedResult {
@@ -87,8 +86,9 @@ struct DistributedResult {
 
 /// Builds the three-node system, runs it, and reports control quality plus
 /// network statistics.  Deterministic.  Throws std::runtime_error naming
-/// the node for a configuration it rejects (a controller config
-/// batch::validate rejects, or a non-finite setpoint).
+/// the node for a configuration it rejects (a non-finite or negative
+/// duration_s, a controller config batch::validate rejects, or a
+/// non-finite setpoint or setpoint_time).
 DistributedResult run_distributed_servo(const DistributedConfig& config);
 
 }  // namespace iecd::core

@@ -149,7 +149,7 @@ void PwmPeBlock::target_write(const model::SimContext&) {
     pil_output(duty);
     return;
   }
-  pwm_->SetRatio16(static_cast<std::uint16_t>(std::lround(duty * 65535.0)));
+  pwm_->SetRatio16(periph::duty_to_ratio16(duty));
 }
 
 mcu::OpCounts PwmPeBlock::io_ops() const {

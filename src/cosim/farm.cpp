@@ -31,8 +31,6 @@ Topology make_farm_topology(const FarmConfig& config) {
   sup.supervisor.command_period_s = config.command_period_s;
   sup.supervisor.setpoint = config.setpoint;
   sup.supervisor.setpoint_time = config.setpoint_time;
-  sup.supervisor.command_frame_id = config.servo.command_frame_id;
-  sup.supervisor.status_frame_base = config.servo.status_frame_base;
   sup.supervisor.stale_timeout_s = config.stale_timeout_s;
   topo.nodes.push_back(std::move(sup));
   if (config.traffic_frames_per_s != 0.0) {
@@ -48,6 +46,14 @@ Topology make_farm_topology(const FarmConfig& config) {
 
 ServoFarm::ServoFarm(const Topology& topology, const Options& options)
     : options_(options) {
+  const std::size_t servo_total = topology.count(NodeKind::kServo);
+  util::DiagnosticList rules;
+  rules.require(std::isfinite(options_.duration_s) && options_.duration_s >= 0,
+                "duration_s", "finite and >= 0", options_.duration_s);
+  rules.require(servo_total <= kMaxServos, "servo_count", "<= 1280",
+                static_cast<double>(servo_total));
+  require_valid(topology.name, std::move(rules));
+
   std::map<std::string, SharedCanBus*> bus_by_name;
   for (const BusSpec& spec : topology.buses) {
     buses_.push_back(
@@ -56,7 +62,6 @@ ServoFarm::ServoFarm(const Topology& topology, const Options& options)
     bus_by_name[spec.name] = buses_.back().get();
   }
 
-  const std::size_t servo_total = topology.count(NodeKind::kServo);
   fault::FaultInjector* injector = options_.faults;
   std::size_t servo_index = 0;
   for (const NodeSpec& spec : topology.nodes) {

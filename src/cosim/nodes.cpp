@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "mcu/derivative.hpp"
+#include "periph/pwm.hpp"
 
 namespace iecd::cosim {
 
@@ -45,7 +46,7 @@ ServoNode::ServoNode(std::string name, std::size_t index,
                     static_cast<std::int64_t>(config_.encoder_lines), d);
   timer_->set_property("period_s", period_s_, d);
   can_->set_property("acceptance_id",
-                     static_cast<std::int64_t>(config_.command_frame_id), d);
+                     static_cast<std::int64_t>(kCommandFrameId), d);
   can_->set_property("acceptance_mask", std::int64_t{0x7FF}, d);
   require_valid(this->name(), project_, std::move(d));
   loop_.emplace(loop);
@@ -70,14 +71,11 @@ ServoNode::ServoNode(std::string name, std::size_t index,
     return 900;  // read + speed estimate + PI, software floating point
   };
   tick.commit = [this] {
-    pwm_->SetRatio16(
-        static_cast<std::uint16_t>(std::lround(loop_->duty() * 65535.0)));
+    pwm_->SetRatio16(periph::duty_to_ratio16(loop_->duty()));
     ++control_ticks_;
-    if (config_.status_divider > 0 &&
-        control_ticks_ % static_cast<std::uint64_t>(config_.status_divider) ==
-            0) {
+    if (control_ticks_ % kStatusDivider == 0) {
       sim::CanFrame frame;
-      frame.id = config_.status_frame_base + static_cast<std::uint32_t>(index_);
+      frame.id = kStatusFrameBase + static_cast<std::uint32_t>(index_);
       const double bounded = std::clamp(loop_->smoothed(), -1000.0, 1000.0);
       put_u16(frame.data, static_cast<std::uint16_t>(
                               static_cast<std::int16_t>(
@@ -148,7 +146,7 @@ void SupervisorNode::advance_to(sim::SimTime t) {
   while (next_command_ <= t) {
     now_ = next_command_;
     sim::CanFrame frame;
-    frame.id = config_.command_frame_id;
+    frame.id = kCommandFrameId;
     const double sp = sim::to_seconds(now_) >= config_.setpoint_time
                           ? config_.setpoint
                           : 0.0;
@@ -162,9 +160,11 @@ void SupervisorNode::advance_to(sim::SimTime t) {
 }
 
 void SupervisorNode::on_status(const sim::CanFrame& frame, sim::SimTime when) {
-  const std::uint32_t base = config_.status_frame_base;
-  if (frame.id < base || frame.id >= base + last_status_.size()) return;
-  last_status_[frame.id - base] = when;
+  if (frame.id < kStatusFrameBase ||
+      frame.id >= kStatusFrameBase + last_status_.size()) {
+    return;
+  }
+  last_status_[frame.id - kStatusFrameBase] = when;
   ++statuses_seen_;
 }
 
@@ -205,8 +205,8 @@ util::DiagnosticList TrafficGenNode::validate(const Config& c) {
 void TrafficGenNode::advance_to(sim::SimTime t) {
   while (next_send_ != sim::kNever && next_send_ <= t) {
     sim::CanFrame frame;
-    frame.id = config_.frame_id;
-    frame.data.assign(config_.payload_len, config_.fill);
+    frame.id = kChatterFrameId;
+    frame.data.assign(8, 0xAA);
     bus_->can().transmit(port_, frame);
     ++sent_;  // per attempt, as in the monolithic chatter node
     next_send_ += interval_;

@@ -4,16 +4,20 @@
 ///   * ServoNode — full MCU fidelity.  One WorldComponent holding an MCU
 ///     with QDEC + PWM + timer + CAN beans, its local DC motor and
 ///     incremental encoder, and a 1 kHz control ISR that steps the
-///     case-study controller (batch::SpeedPi over kSpeedFilterTaps, the
-///     model's arithmetic) under the MCU's cycle-charged timing; the
-///     set-point arrives over CAN (supervisor command frames) and the node
-///     periodically broadcasts a status frame.
+///     case-study controller (batch::SpeedPi: the block library's moving
+///     average and PI law over kSpeedFilterTaps) under the MCU's
+///     cycle-charged timing; the set-point arrives over CAN (supervisor
+///     command frames) and the node broadcasts a status frame every
+///     kStatusDivider ticks.
 ///   * SupervisorNode — model fidelity (MultiCoSim's lightweight swap): no
 ///     MCU, no world; broadcasts the set-point on a fixed period and
 ///     tracks per-node status freshness (a node whose status stops
 ///     arriving is flagged stale — the farm's node-kill detector).
 ///   * TrafficGenNode — model fidelity: fixed-rate background chatter at a
 ///     high-priority ID, the networked-control "loaded bus" stressor.
+///
+/// The frame plan (command, status and chatter IDs, the status rate) is a
+/// set of constants, not per-node configuration.
 #pragma once
 
 #include <cstdint>
@@ -58,21 +62,29 @@ void require_valid(const std::string& node, util::DiagnosticList diagnostics);
 void require_valid(const std::string& node, beans::BeanProject& project,
                    util::DiagnosticList writes);
 
-/// Frame-ID plan shared by the farm nodes.  Command frames outrank status
-/// frames which outrank nothing; background chatter (TrafficGenNode)
-/// normally outranks everything, matching the E10 convention.
+// Frame-ID plan shared by the farm nodes and the rig's chatter.  Command
+// frames outrank status frames; background chatter (TrafficGenNode)
+// outranks everything, matching the E10 convention.
+
+/// Supervisor set-point broadcast (fixed-point 8.8 rad/s payload).
+inline constexpr std::uint32_t kCommandFrameId = 0x040;
+/// Status frame ID of servo k is kStatusFrameBase + k.
+inline constexpr std::uint32_t kStatusFrameBase = 0x300;
+/// Background chatter; wins arbitration.
+inline constexpr std::uint32_t kChatterFrameId = 0x050;
+/// A servo broadcasts a status frame every this many control ticks.
+inline constexpr std::uint64_t kStatusDivider = 10;
+/// Servos one bus can address: status IDs stay within 11 bits.  Past this,
+/// a masked status ID aliases the command ID (0x840 & 0x7FF == 0x040).
+inline constexpr std::size_t kMaxServos = 0x800 - kStatusFrameBase;
+
+/// One servo node's controller, motor and timing.
 struct ServoNodeConfig {
   double period_s = 0.001;  ///< control period
   double kp = 0.004;
   double ki = 0.12;
   int encoder_lines = 100;
   plant::DcMotorParams motor;
-  /// Supervisor set-point broadcast (fixed-point 8.8 rad/s payload).
-  std::uint32_t command_frame_id = 0x040;
-  /// Status frame ID of node k is status_frame_base + k.
-  std::uint32_t status_frame_base = 0x300;
-  /// Broadcast a status frame every this many control ticks.
-  int status_divider = 10;
   /// Timer-period stretch applied to a degraded node (>= 1).  The node
   /// calibrates its speed estimate from the stretched period (a degraded
   /// CPU runs the same firmware, just slower), so degradation costs
@@ -151,8 +163,6 @@ class SupervisorNode : public Component {
     double command_period_s = 0.01;  ///< set-point rebroadcast period
     double setpoint = 100.0;         ///< [rad/s] after setpoint_time
     double setpoint_time = 0.05;
-    std::uint32_t command_frame_id = 0x040;
-    std::uint32_t status_frame_base = 0x300;
     /// A node is stale when now - last status exceeds this.
     double stale_timeout_s = 0.05;
   };
@@ -196,16 +206,14 @@ class SupervisorNode : public Component {
   std::vector<sim::SimTime> last_status_;
 };
 
-/// Model-fidelity background chatter: transmits one fixed frame at a fixed
-/// rate.  Replicates the E10 monolithic chatter node exactly (first frame
-/// one interval in, then every interval, send counted per attempt).
+/// Model-fidelity background chatter: transmits one fixed frame (ID
+/// kChatterFrameId, eight 0xAA bytes) at a fixed rate.  Replicates the E10
+/// monolithic chatter node exactly (first frame one interval in, then
+/// every interval, send counted per attempt).
 class TrafficGenNode : public Component {
  public:
   struct Config {
-    std::uint32_t frame_id = 0x050;  ///< wins arbitration by default
-    double frames_per_s = 0.0;       ///< 0 = silent (horizon kNever)
-    std::uint8_t fill = 0xAA;
-    std::size_t payload_len = 8;
+    double frames_per_s = 0.0;  ///< 0 = silent (horizon kNever)
   };
 
   /// Throws std::runtime_error naming the node for a config validate()

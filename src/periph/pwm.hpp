@@ -29,6 +29,14 @@ inline double quantize_duty(double ratio, std::int64_t modulo) {
   return std::round(clamped * steps) / steps;
 }
 
+/// The SetRatio16 word for a duty in [0, 1], rounded to nearest (the bean
+/// reads it back as word / 65535).  The PWM block's target write, the farm
+/// node's tick commit and the CAN rig's controller commit convert through
+/// it.
+inline std::uint16_t duty_to_ratio16(double duty) {
+  return static_cast<std::uint16_t>(std::lround(duty * 65535.0));
+}
+
 struct PwmConfig {
   std::uint32_t prescaler = 1;
   std::uint32_t modulo = 1000;     ///< counts per period

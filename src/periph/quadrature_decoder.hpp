@@ -31,6 +31,15 @@ inline std::int16_t angle_to_counts(double angle_rad, double cpr) {
   return static_cast<std::int16_t>(static_cast<std::uint16_t>(wide & 0xFFFF));
 }
 
+/// Counts the register advanced from \p prev to \p now: the difference
+/// wrapped into [-32768, 32768] as 16-bit register arithmetic reads it, so
+/// a position that wraps between two samples reads as the short way
+/// round.  The case-study speed estimate (cnt_diff) and batch::SpeedPi
+/// both take it.
+inline double count_delta(double now, double prev) {
+  return std::remainder(now - prev, 65536.0);
+}
+
 struct QuadDecConfig {
   bool clear_on_index = false;      ///< reset position at the index pulse
   mcu::IrqVector index_vector = -1; ///< <0: no index interrupt

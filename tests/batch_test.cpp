@@ -17,6 +17,8 @@
 #include "batch/servo_batch.hpp"
 #include "batch/speed_pi.hpp"
 #include "campaign/engine.hpp"
+#include "codegen/generator.hpp"
+#include "codegen/signal_buffer.hpp"
 #include "core/case_study.hpp"
 #include "exec/sweep.hpp"
 #include "fault/campaign.hpp"
@@ -407,6 +409,71 @@ TEST(PeLatch, PwmClampsOnlyAtModuloZero) {
               bits(std::clamp(ratio, 0.0, 1.0)))
         << ratio;
   }
+}
+
+// The servo's controller subsystem, as its PIL-variant generated step runs
+// it, and batch::SpeedPi read one scripted decoder-count sequence and must
+// write the same duty bits at every sample.  The script winds the 16-bit
+// register forward past 32767 and back past -32768, and pins the duty on
+// both rails; a closed-loop run never gets there (the default 1 s run
+// peaks near 6,400 counts).
+TEST(SpeedPiParity, GeneratedStepAndKernelWriteTheSameDuty) {
+  const core::ServoConfig cfg;
+  core::ServoSystem sys(cfg);
+  codegen::SignalBuffer buffer;
+  codegen::GeneratorOptions opts;
+  opts.pil = true;
+  opts.pil_buffer = &buffer;
+  codegen::Generator gen;
+  const codegen::GeneratedApplication app =
+      gen.generate(sys.controller(), sys.project(), opts);
+  const auto slot = [](const std::vector<std::string>& names,
+                       const char* name) {
+    return static_cast<std::size_t>(
+        std::find(names.begin(), names.end(), name) - names.begin());
+  };
+  const std::size_t qd = slot(buffer.input_names(), "QD1");
+  const std::size_t pwm = slot(buffer.output_names(), "PWM1");
+  ASSERT_LT(qd, buffer.input_count());
+  ASSERT_LT(pwm, buffer.output_count());
+
+  // Counts per sample: still (the duty climbs to 1), fast forward (0),
+  // fast reverse (1), then slow enough to leave both rails.
+  std::vector<int> deltas;
+  deltas.insert(deltas.end(), 150, 0);
+  deltas.insert(deltas.end(), 40, 3000);
+  deltas.insert(deltas.end(), 80, -3000);
+  deltas.insert(deltas.end(), 200, 6);
+  const double cpr = cfg.encoder_lines * 4.0;
+  batch::SpeedPi pi({cfg.kp, cfg.ki, cfg.period_s, cfg.encoder_lines,
+                     cfg.speed_filter_taps});
+  std::int16_t counts = 0;
+  int wraps_up = 0, wraps_down = 0, at_zero = 0, at_one = 0, inside = 0;
+  for (std::size_t k = 0; k < deltas.size(); ++k) {
+    const std::int16_t next = static_cast<std::int16_t>(
+        static_cast<std::uint16_t>(counts + deltas[k]));
+    wraps_up += deltas[k] > 0 && next < counts;
+    wraps_down += deltas[k] < 0 && next > counts;
+    counts = next;
+
+    const double t = static_cast<double>(k) * cfg.period_s;
+    const model::SimContext ctx{t, cfg.period_s, false};
+    buffer.set_input(qd, angle_of_count(counts, cpr));
+    app.tasks[0].read(ctx);
+    app.tasks[0].compute(ctx);
+    app.tasks[0].write(ctx);
+    pi.step(counts, t >= cfg.setpoint_time ? cfg.setpoint : 0.0);
+    ASSERT_EQ(bits(buffer.output(pwm)), bits(pi.duty()))
+        << "sample " << k << " counts " << counts;
+    at_zero += pi.duty() == 0.0;
+    at_one += pi.duty() == 1.0;
+    inside += pi.duty() > 0.0 && pi.duty() < 1.0;
+  }
+  EXPECT_GT(wraps_up, 0);
+  EXPECT_GT(wraps_down, 0);
+  EXPECT_GT(at_zero, 0);
+  EXPECT_GT(at_one, 0);
+  EXPECT_GT(inside, 0);
 }
 
 // -------------------------------------------------------- batched sweep

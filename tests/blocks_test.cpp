@@ -302,6 +302,20 @@ TEST(Discrete, PidAntiWindupRecoversFast) {
   EXPECT_LT(s.log().sample(0.6), 0.9);
 }
 
+TEST(Discrete, MovingAverageDividesBySamplesSeenUntilFull) {
+  MovingAverage avg(3);
+  EXPECT_EQ(avg.output(6.0), 6.0);
+  avg.update(6.0);
+  EXPECT_EQ(avg.output(3.0), 4.5);
+  avg.update(3.0);
+  EXPECT_EQ(avg.output(0.0), 3.0);
+  avg.update(0.0);
+  EXPECT_EQ(avg.output(9.0), 4.0);  // 6.0 has left the window
+  avg.reset();
+  EXPECT_EQ(avg.output(1.0), 1.0);
+  EXPECT_THROW(MovingAverage{0}, std::invalid_argument);
+}
+
 TEST(Discrete, MovingAverageSmoothsToMean) {
   Model m("t");
   auto& c = m.add<ConstantBlock>("u", 5.0);

@@ -7,6 +7,7 @@
 #include "blocks/sources.hpp"
 #include "codegen/generator.hpp"
 #include "codegen/signal_buffer.hpp"
+#include "core/case_study.hpp"
 #include "core/model_sync.hpp"
 #include "core/pe_blocks.hpp"
 #include "mcu/derivative.hpp"
@@ -193,6 +194,19 @@ TEST(Generator, PilSourcesUseCommBufferAccess) {
   EXPECT_NE(step.find("PIL_ReadInput"), std::string::npos);
   EXPECT_NE(step.find("PIL_WriteOutput"), std::string::npos);
   EXPECT_EQ(step.find("QD1_GetPosition"), std::string::npos);
+}
+
+// The servo's emitted PID states the anti-windup the simulated law runs:
+// the back-calculation term is divided by Kp, on the integrator's line.
+TEST(PidEmission, ServoStepDividesTheAntiWindupByKp) {
+  core::ServoSystem sys{core::ServoConfig{}};
+  const auto build = sys.build_target();
+  ASSERT_TRUE(build.ok()) << build.diagnostics.to_string();
+  const std::string& step = build.app.sources.at("servo.c");
+  const std::size_t at = step.find("integral += pi_Ki_T");
+  ASSERT_NE(at, std::string::npos) << step;
+  const std::string line = step.substr(at, step.find('\n', at) - at);
+  EXPECT_NE(line.find(" - u) / pi_Kp)"), std::string::npos) << line;
 }
 
 TEST(Generator, FixedPointChangesCostProfile) {

@@ -184,9 +184,7 @@ TEST(CosimBus, DeliversAtExactWireTime) {
     deliveries.push_back({frame.id, when});
   });
   TrafficGenNode::Config traffic;
-  traffic.frame_id = 0x123;
   traffic.frames_per_s = 1000.0;
-  traffic.payload_len = 3;
   TrafficGenNode gen("gen", traffic, bus);
 
   Master master;
@@ -195,9 +193,9 @@ TEST(CosimBus, DeliversAtExactWireTime) {
   master.run_until(sim::from_seconds(0.0105));
 
   ASSERT_EQ(deliveries.size(), 10u);
-  const sim::SimTime wire = bus.can().frame_time(3);
+  const sim::SimTime wire = bus.can().frame_time(8);  // 8-byte chatter
   for (std::size_t k = 0; k < deliveries.size(); ++k) {
-    EXPECT_EQ(deliveries[k].first, 0x123u);
+    EXPECT_EQ(deliveries[k].first, kChatterFrameId);
     // Send at (k+1) ms on an idle bus; delivery exactly one wire time
     // later, negotiated across the component boundary.
     EXPECT_EQ(deliveries[k].second,
@@ -544,6 +542,79 @@ TEST(TrafficConfigValidation, SilenceAndAOneNanosecondIntervalAreAccepted) {
     const auto diags = TrafficGenNode::validate(c);
     EXPECT_TRUE(diags.empty()) << rate << ": " << diags.to_string();
   }
+}
+
+// The topology rules of the farm and the rig.  Each bad input stops the
+// run at construction with a diagnostic naming the field: a non-finite
+// duration would reach llround() in sim::from_seconds, a NaN setpoint_time
+// would never step the set-point (t >= NaN is false), and a status ID past
+// 11 bits aliases the command ID under the servos' 0x7FF acceptance mask.
+struct TopologyRule {
+  const char* name;
+  const char* component;
+  std::function<void()> run;
+};
+
+void PrintTo(const TopologyRule& rule, std::ostream* os) { *os << rule.name; }
+
+void build_farm(std::size_t servos, double duration) {
+  const FarmConfig cfg = small_farm(servos, duration);
+  ServoFarm farm(make_farm_topology(cfg),
+                 {duration, cfg.settle_tolerance, nullptr, nullptr});
+}
+
+void run_rig(double duration, double setpoint_time) {
+  core::DistributedConfig rig;
+  rig.duration_s = duration;
+  rig.setpoint_time = setpoint_time;
+  core::run_distributed_servo(rig);
+}
+
+class TopologyRejects : public ::testing::TestWithParam<TopologyRule> {};
+
+TEST_P(TopologyRejects, NamingTheField) {
+  try {
+    GetParam().run();
+    FAIL() << GetParam().name << " ran";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(GetParam().component),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, TopologyRejects,
+    ::testing::Values(
+        TopologyRule{"farm_duration_nan", "duration_s",
+                     [] { build_farm(2, kNaN); }},
+        TopologyRule{"farm_duration_inf", "duration_s",
+                     [] { build_farm(2, kInf); }},
+        TopologyRule{"farm_duration_negative", "duration_s",
+                     [] { build_farm(2, -0.1); }},
+        TopologyRule{"farm_status_ids_past_11_bits", "servo_count",
+                     [] { build_farm(kMaxServos + 1, 0.0); }},
+        TopologyRule{"rig_duration_nan", "duration_s",
+                     [] { run_rig(kNaN, 0.05); }},
+        TopologyRule{"rig_duration_inf", "duration_s",
+                     [] { run_rig(kInf, 0.05); }},
+        TopologyRule{"rig_duration_negative", "duration_s",
+                     [] { run_rig(-0.1, 0.05); }},
+        TopologyRule{"rig_setpoint_time_nan", "setpoint_time",
+                     [] { run_rig(0.01, kNaN); }},
+        TopologyRule{"rig_setpoint_time_inf", "setpoint_time",
+                     [] { run_rig(0.01, kInf); }}),
+    [](const ::testing::TestParamInfo<TopologyRule>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(TopologyRules, ZeroDurationAndTheLastElevenBitStatusIdAreAccepted) {
+  EXPECT_EQ(kStatusFrameBase + kMaxServos - 1, 0x7FFu);
+  EXPECT_NO_THROW(build_farm(kMaxServos, 0.0));
+  EXPECT_NO_THROW(run_rig(0.0, 0.05));
 }
 
 TEST(CosimTopology, UnknownBusAttachmentThrows) {

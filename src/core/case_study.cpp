@@ -294,7 +294,7 @@ ServoSystem::HilResult ServoSystem::run_hil(const HilOptions& options) {
   // Peripheral-level plant coupling.  The fault plan's load torque, if
   // any, is declared first so it outlives the plant reading it.
   std::optional<sim::ZohSignal> torque;
-  plant::DcMotorSim motor(world, config_.motor);
+  plant::DcMotorSim motor(config_.motor);
   auto* pwm_bean = dynamic_cast<beans::PwmBean*>(project_.find("PWM1"));
   motor.drive_from_duty(&pwm_bean->peripheral()->average_output());
   auto* qdec_bean = dynamic_cast<beans::QuadDecBean*>(project_.find("QD1"));

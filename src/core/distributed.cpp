@@ -31,6 +31,7 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   util::DiagnosticList rules;
   rules.require(std::isfinite(config.duration_s) && config.duration_s >= 0,
                 "duration_s", "finite and >= 0", config.duration_s);
+  rules.merge(cosim::SharedCanBus::validate(config.can_bitrate, "can_bitrate"));
   cosim::require_valid("distributed servo rig", std::move(rules));
 
   cosim::SharedCanBus bus("can0", config.can_bitrate);
@@ -168,7 +169,7 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   act_can.set_event_handler("OnReceive", std::move(act_rx));
 
   // --- Plant: motor on the actuator's PWM, encoder on the sensor ------
-  plant::DcMotorSim motor(rig_world, config.motor);
+  plant::DcMotorSim motor(config.motor);
   motor.drive_from_duty(&pwm.peripheral()->average_output());
   plant::IncrementalEncoder encoder(rig_world, motor, *qd.peripheral(),
                                     {config.encoder_lines});

@@ -87,8 +87,9 @@ struct DistributedResult {
 /// Builds the three-node system, runs it, and reports control quality plus
 /// network statistics.  Deterministic.  Throws std::runtime_error naming
 /// the node for a configuration it rejects (a non-finite or negative
-/// duration_s, a controller config batch::validate rejects, or a
-/// non-finite setpoint or setpoint_time).
+/// duration_s, a can_bitrate SharedCanBus::validate rejects, a controller
+/// config batch::validate rejects, or a non-finite setpoint or
+/// setpoint_time).
 DistributedResult run_distributed_servo(const DistributedConfig& config);
 
 }  // namespace iecd::core

@@ -5,6 +5,14 @@ namespace iecd::cosim {
 SharedCanBus::SharedCanBus(std::string name, std::uint32_t bitrate_bps)
     : name_(std::move(name)), can_(world_, bitrate_bps, name_) {}
 
+util::DiagnosticList SharedCanBus::validate(std::uint32_t bitrate_bps,
+                                            std::string field) {
+  util::DiagnosticList d;
+  d.require(bitrate_bps >= 1 && bitrate_bps <= 1000000, std::move(field),
+            "in [1, 1000000] bit/s", bitrate_bps);
+  return d;
+}
+
 sim::CanBus::NodeId SharedCanBus::attach_port(const std::string& port_name,
                                               sim::World& target_world,
                                               DeliverFn deliver) {

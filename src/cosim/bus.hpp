@@ -32,6 +32,7 @@
 #include "periph/can_controller.hpp"
 #include "sim/can_bus.hpp"
 #include "sim/world.hpp"
+#include "util/diagnostics.hpp"
 
 namespace iecd::cosim {
 
@@ -41,6 +42,12 @@ class SharedCanBus : public Component {
   using DeliverFn = std::function<void(const sim::CanFrame&, sim::SimTime)>;
 
   SharedCanBus(std::string name, std::uint32_t bitrate_bps);
+
+  /// The bit-rate rule: classic CAN runs at 1 bit/s up to 1 Mbit/s.  A
+  /// violation is reported against \p field, the caller's name for the
+  /// rate.
+  static util::DiagnosticList validate(std::uint32_t bitrate_bps,
+                                       std::string field);
 
   const std::string& name() const override { return name_; }
 

@@ -1,5 +1,5 @@
 /// \file component.hpp
-/// Co-simulation components.  A cosim::Component is one independently
+/// Co-simulation components.  A Component is one independently
 /// stepped piece of a composed topology — a full MCU board with its local
 /// plant, a lightweight model node, a traffic generator — advanced by the
 /// master's step-negotiation loop (master.hpp).  The contract mirrors an

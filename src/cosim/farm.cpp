@@ -52,6 +52,10 @@ ServoFarm::ServoFarm(const Topology& topology, const Options& options)
                 "duration_s", "finite and >= 0", options_.duration_s);
   rules.require(servo_total <= kMaxServos, "servo_count", "<= 1280",
                 static_cast<double>(servo_total));
+  for (const BusSpec& spec : topology.buses) {
+    rules.merge(SharedCanBus::validate(spec.bitrate_bps,
+                                       spec.name + ".bitrate_bps"));
+  }
   require_valid(topology.name, std::move(rules));
 
   std::map<std::string, SharedCanBus*> bus_by_name;

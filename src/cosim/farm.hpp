@@ -97,7 +97,10 @@ class ServoFarm {
 
   /// Builds the live system in topology order.  Fault sites consulted at
   /// build time (node kill/degrade draws) use site "cosim.<node name>",
-  /// in node order — independent of everything else in the run.
+  /// in node order — independent of everything else in the run.  Throws
+  /// std::runtime_error naming the field for a non-finite or negative
+  /// duration_s, more than kMaxServos servos, or a bus bit rate
+  /// SharedCanBus::validate rejects.
   ServoFarm(const Topology& topology, const Options& options);
 
   Master& master() { return master_; }

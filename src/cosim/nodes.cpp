@@ -54,7 +54,7 @@ ServoNode::ServoNode(std::string name, std::size_t index,
   bus.attach_controller(*can_->peripheral());
   pwm_->Enable();
 
-  motor_ = std::make_unique<plant::DcMotorSim>(world(), config_.motor);
+  motor_ = std::make_unique<plant::DcMotorSim>(config_.motor);
   motor_->drive_from_duty(&pwm_->peripheral()->average_output());
   encoder_ = std::make_unique<plant::IncrementalEncoder>(
       world(), *motor_, *qd_->peripheral(),

@@ -97,11 +97,4 @@ void Cpu::run_background() {
   });
 }
 
-void Cpu::reset() {
-  busy_ = false;
-  busy_time_ = 0;
-  dispatches_ = 0;
-  max_stack_ = main_stack_;
-}
-
 }  // namespace iecd::mcu

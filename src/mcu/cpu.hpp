@@ -65,8 +65,6 @@ class Cpu {
   const CostModel& costs() const { return costs_; }
   const Clock& clock() const { return clock_; }
 
-  void reset();
-
  private:
   void dispatch_next();
   void run_background();

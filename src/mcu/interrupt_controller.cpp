@@ -89,13 +89,4 @@ const IsrHandler& InterruptController::handler(IrqVector vec) const {
   return line->handler;
 }
 
-void InterruptController::reset() {
-  for (auto& l : lines_) {
-    l.pending = false;
-    l.raise_time = 0;
-  }
-  overruns_ = 0;
-  last_raise_time_ = 0;
-}
-
 }  // namespace iecd::mcu

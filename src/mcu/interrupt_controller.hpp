@@ -59,8 +59,6 @@ class InterruptController {
   /// pending (overruns: the ISR could not keep up).
   std::uint64_t overruns() const { return overruns_; }
 
-  void reset();
-
  private:
   struct Line {
     IrqVector vec = -1;

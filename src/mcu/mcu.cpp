@@ -8,22 +8,10 @@ Mcu::Mcu(sim::World& world, const DerivativeSpec& spec, std::string name)
       spec_(spec),
       clock_(spec.clock_hz),
       cpu_(world.queue(), clock_, spec.costs, intc_),
-      memory_(spec.memory) {
-  world.attach(*this);
-}
-
-void Mcu::reset() {
-  intc_.reset();
-  cpu_.reset();
-  for (auto& hook : reset_hooks_) hook();
-}
+      memory_(spec.memory) {}
 
 void Mcu::raise_irq(IrqVector vec) {
   if (intc_.raise(vec, world_.now())) cpu_.kick();
-}
-
-void Mcu::add_reset_hook(std::function<void()> hook) {
-  reset_hooks_.push_back(std::move(hook));
 }
 
 }  // namespace iecd::mcu

@@ -1,12 +1,10 @@
 /// \file mcu.hpp
 /// The simulated microcontroller: clock + interrupt controller + CPU +
 /// memory map, instantiated from a DerivativeSpec and living inside a
-/// co-simulation World.  Peripherals attach themselves to an Mcu.
+/// co-simulation World.  Each peripheral holds a reference to its Mcu.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "mcu/clock.hpp"
 #include "mcu/cpu.hpp"
@@ -17,13 +15,12 @@
 
 namespace iecd::mcu {
 
-class Mcu : public sim::Component {
+class Mcu {
  public:
   Mcu(sim::World& world, const DerivativeSpec& spec,
       std::string name = "mcu");
 
-  const std::string& name() const override { return name_; }
-  void reset() override;
+  const std::string& name() const { return name_; }
 
   const DerivativeSpec& spec() const { return spec_; }
   const Clock& clock() const { return clock_; }
@@ -41,10 +38,6 @@ class Mcu : public sim::Component {
   /// uses to signal an event.
   void raise_irq(IrqVector vec);
 
-  /// Registers a peripheral reset hook (peripherals own their state; the
-  /// MCU just forwards reset()).
-  void add_reset_hook(std::function<void()> hook);
-
  private:
   sim::World& world_;
   std::string name_;
@@ -53,7 +46,6 @@ class Mcu : public sim::Component {
   InterruptController intc_;
   Cpu cpu_;
   MemoryMap memory_;
-  std::vector<std::function<void()>> reset_hooks_;
 };
 
 }  // namespace iecd::mcu

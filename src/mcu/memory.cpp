@@ -47,10 +47,4 @@ std::string MemoryMap::report() const {
          breakdown_;
 }
 
-void MemoryMap::reset() {
-  flash_used_ = 0;
-  ram_used_ = 0;
-  breakdown_.clear();
-}
-
 }  // namespace iecd::mcu

@@ -38,8 +38,6 @@ class MemoryMap {
   /// Human-readable footprint summary.
   std::string report() const;
 
-  void reset();
-
  private:
   MemoryCapacity capacity_;
   std::uint32_t flash_used_ = 0;

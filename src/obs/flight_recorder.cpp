@@ -51,14 +51,6 @@ void FlightRecorder::set_state_provider(
   state_provider_ = std::move(provider);
 }
 
-void FlightRecorder::reset() {
-  dumps_.clear();
-  trigger_counts_.clear();
-  triggers_total_ = 0;
-  suppressed_ = 0;
-  for (auto& p : polled_) p.last = p.counter ? p.counter() : 0;
-}
-
 void FlightRecorder::capture(const std::string& name, sim::SimTime time,
                              const std::string& detail) {
   ++trigger_counts_[name];

@@ -85,8 +85,6 @@ class FlightRecorder {
 
   const Config& config() const { return config_; }
 
-  void reset();
-
  private:
   void capture(const std::string& name, sim::SimTime time,
                const std::string& detail);

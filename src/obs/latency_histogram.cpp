@@ -100,14 +100,6 @@ LatencyHistogram LatencyHistogram::from_raw(Config config,
   return h;
 }
 
-void LatencyHistogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
 std::string LatencyHistogram::summary() const {
   return util::format(
       "n=%llu mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f",

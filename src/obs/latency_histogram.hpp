@@ -88,8 +88,6 @@ class LatencyHistogram {
   /// index-order fold over sweep runs is deterministic.
   bool merge(const LatencyHistogram& other);
 
-  void reset();
-
   const Config& config() const { return config_; }
   std::size_t bucket_count() const { return counts_.size(); }
 

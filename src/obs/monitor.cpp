@@ -29,17 +29,6 @@ void TimingMonitor::merge(const TimingMonitor& other) {
   }
 }
 
-void TimingMonitor::reset() {
-  response_us_.reset();
-  exec_us_.reset();
-  jitter_us_.reset();
-  activations_ = 0;
-  deadline_misses_ = 0;
-  last_miss_time_ = 0;
-  prev_start_ = 0;
-  have_prev_ = false;
-}
-
 std::string TimingMonitor::state_line(const std::string& name) const {
   return util::format(
       "task %s: n=%llu resp_us[p50=%.3f p99=%.3f max=%.3f] exec_us[max=%.3f] "

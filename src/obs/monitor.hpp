@@ -98,8 +98,6 @@ class TimingMonitor {
   /// sequential re-feed of run boundaries.
   void merge(const TimingMonitor& other);
 
-  void reset();
-
   /// One-line state snapshot (flight-recorder dumps, reports).
   std::string state_line(const std::string& name) const;
 

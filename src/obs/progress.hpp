@@ -47,16 +47,6 @@ struct CampaignProgress {
     s.checkpoints = checkpoints.load(std::memory_order_relaxed);
     return s;
   }
-
-  void reset() {
-    runs_total.store(0, std::memory_order_relaxed);
-    runs_completed.store(0, std::memory_order_relaxed);
-    groups_completed.store(0, std::memory_order_relaxed);
-    steals.store(0, std::memory_order_relaxed);
-    steal_attempts.store(0, std::memory_order_relaxed);
-    window_waits.store(0, std::memory_order_relaxed);
-    checkpoints.store(0, std::memory_order_relaxed);
-  }
 };
 
 }  // namespace iecd::obs

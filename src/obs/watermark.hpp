@@ -66,8 +66,6 @@ class WatermarkMonitor {
     samples_ += other.samples_;
   }
 
-  void reset() { *this = WatermarkMonitor{}; }
-
  private:
   double current_ = 0.0;
   double peak_ = 0.0;

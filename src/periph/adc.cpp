@@ -81,10 +81,4 @@ std::uint32_t AdcPeripheral::result(int channel) const {
   return results_.at(static_cast<std::size_t>(channel));
 }
 
-void AdcPeripheral::reset() {
-  busy_ = false;
-  completed_ = 0;
-  std::fill(results_.begin(), results_.end(), 0u);
-}
-
 }  // namespace iecd::periph

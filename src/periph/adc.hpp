@@ -71,8 +71,6 @@ class AdcPeripheral : public Peripheral {
       std::function<std::uint32_t(int channel, std::uint32_t code)>;
   void set_code_fault_hook(CodeFaultHook hook) { fault_hook_ = std::move(hook); }
 
-  void reset() override;
-
  private:
   void finish_conversion(int channel, double sampled_volts);
   std::uint32_t apply_fault(int channel, std::uint32_t code) {

@@ -51,11 +51,4 @@ std::optional<sim::CanFrame> CanController::read() {
   return rx_frame_;
 }
 
-void CanController::reset() {
-  rx_valid_ = false;
-  overruns_ = 0;
-  sent_ = 0;
-  received_ = 0;
-}
-
 }  // namespace iecd::periph

@@ -51,8 +51,6 @@ class CanController : public Peripheral {
   std::uint64_t frames_sent() const { return sent_; }
   std::uint64_t frames_received() const { return received_; }
 
-  void reset() override;
-
  private:
   bool accepts(const sim::CanFrame& frame) const;
   void on_rx(const sim::CanFrame& frame, sim::SimTime when);

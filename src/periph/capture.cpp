@@ -34,11 +34,4 @@ double CapturePeripheral::measured_frequency_hz() const {
   return 1e9 / static_cast<double>(last_interval_);
 }
 
-void CapturePeripheral::reset() {
-  last_level_ = false;
-  last_capture_ = -1;
-  last_interval_ = 0;
-  captures_ = 0;
-}
-
 }  // namespace iecd::periph

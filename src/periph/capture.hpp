@@ -39,8 +39,6 @@ class CapturePeripheral : public Peripheral {
   /// Measured frequency from the last interval [Hz]; 0 if unknown.
   double measured_frequency_hz() const;
 
-  void reset() override;
-
  private:
   bool qualifies(bool level) const;
 

@@ -64,10 +64,6 @@ void GpioPort::set_output_observer(
   output_obs_ = std::move(obs);
 }
 
-void GpioPort::reset() {
-  for (auto& p : pins_) p.level = false;
-}
-
 PushButton::PushButton(GpioPort& port, int pin, bool active_low)
     : port_(port), pin_(pin), active_low_(active_low) {
   port_.set_direction(pin, PinDirection::kInput);

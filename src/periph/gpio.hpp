@@ -44,8 +44,6 @@ class GpioPort : public Peripheral {
   /// Observer for output pin changes (lets tests/plants watch actuation).
   void set_output_observer(std::function<void(int, bool, sim::SimTime)> obs);
 
-  void reset() override;
-
  private:
   struct Pin {
     PinDirection dir = PinDirection::kInput;

@@ -1,6 +1,7 @@
 /// \file peripheral.hpp
-/// Base for on-chip peripherals: owns the back-reference to the MCU and
-/// hooks itself into the MCU reset chain.
+/// Base for on-chip peripherals: owns the back-reference to the MCU whose
+/// event queue and interrupt controller the peripheral drives.  A
+/// peripheral is built with its board and dropped with it.
 #pragma once
 
 #include <string>
@@ -12,10 +13,7 @@ namespace iecd::periph {
 class Peripheral {
  public:
   Peripheral(mcu::Mcu& mcu, std::string name)
-      : mcu_(mcu), name_(std::move(name)) {
-    mcu_.add_reset_hook([this] { reset(); });
-  }
-  virtual ~Peripheral() = default;
+      : mcu_(mcu), name_(std::move(name)) {}
 
   Peripheral(const Peripheral&) = delete;
   Peripheral& operator=(const Peripheral&) = delete;
@@ -24,11 +22,10 @@ class Peripheral {
   mcu::Mcu& mcu() { return mcu_; }
   const mcu::Mcu& mcu() const { return mcu_; }
 
-  virtual void reset() {}
-
  protected:
   sim::EventQueue& queue() { return mcu_.queue(); }
   sim::SimTime now() const { return mcu_.now(); }
+  ~Peripheral() = default;  ///< never deleted through the base
 
  private:
   mcu::Mcu& mcu_;

@@ -133,12 +133,4 @@ void PwmPeripheral::on_period_start() {
   }
 }
 
-void PwmPeripheral::reset() {
-  stop();
-  active_duty_ = 0;
-  pending_duty_ = 0;
-  periods_ = 0;
-  average_ = sim::ZohSignal{0.0};
-}
-
 }  // namespace iecd::periph

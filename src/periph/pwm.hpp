@@ -79,8 +79,6 @@ class PwmPeripheral : public Peripheral {
 
   std::uint64_t periods_elapsed() const;
 
-  void reset() override;
-
  private:
   void on_period_start();
   void latch_pending();

@@ -31,10 +31,4 @@ void QuadDecPeripheral::zero() {
   extended_ = 0;
 }
 
-void QuadDecPeripheral::reset() {
-  zero();
-  index_latch_ = 0;
-  index_pulses_ = 0;
-}
-
 }  // namespace iecd::periph

@@ -95,8 +95,6 @@ class QuadDecPeripheral : public Peripheral {
 
   void zero();
 
-  void reset() override;
-
  private:
   void sync() const {
     if (read_hook_) read_hook_();

@@ -84,9 +84,4 @@ void TimerPeripheral::schedule_next() {
   scheduled_ = true;
 }
 
-void TimerPeripheral::reset() {
-  stop();
-  ticks_ = 0;
-}
-
 }  // namespace iecd::periph

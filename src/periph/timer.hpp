@@ -41,8 +41,6 @@ class TimerPeripheral : public Peripheral {
 
   std::uint64_t ticks() const { return ticks_; }
 
-  void reset() override;
-
  private:
   void schedule_next();
   void arm_recurring();

@@ -73,12 +73,4 @@ std::optional<std::uint8_t> UartPeripheral::read() {
   return rx_data_;
 }
 
-void UartPeripheral::reset() {
-  rx_valid_ = false;
-  overruns_ = 0;
-  bytes_sent_ = 0;
-  bytes_received_ = 0;
-  tx_busy_until_ = 0;
-}
-
 }  // namespace iecd::periph

@@ -55,8 +55,6 @@ class UartPeripheral : public Peripheral {
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t bytes_received() const { return bytes_received_; }
 
-  void reset() override;
-
  private:
   void on_rx_byte(std::uint8_t byte, sim::SimTime when);
   void arm_drain_event();

@@ -40,14 +40,4 @@ void WatchdogPeripheral::refresh() {
   arm();
 }
 
-void WatchdogPeripheral::reset() {
-  if (scheduled_) {
-    queue().cancel(event_);
-    scheduled_ = false;
-  }
-  enabled_ = false;
-  bites_ = 0;
-  refreshes_ = 0;
-}
-
 }  // namespace iecd::periph

@@ -40,8 +40,6 @@ class WatchdogPeripheral : public Peripheral {
   std::uint64_t bites() const { return bites_; }
   std::uint64_t refreshes() const { return refreshes_; }
 
-  void reset() override;
-
  private:
   void arm();
 

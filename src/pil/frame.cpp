@@ -77,12 +77,6 @@ void FrameDecoder::reset_frame() {
   raw_size_ = 0;
 }
 
-void FrameDecoder::reset() {
-  reset_frame();
-  last_frame_time_ = 0;
-  cursor_time_ = 0;
-}
-
 bool FrameDecoder::feed(std::uint8_t byte) { return feed_one(byte) > 0; }
 
 std::size_t FrameDecoder::feed(std::span<const std::uint8_t> data) {

@@ -90,8 +90,6 @@ class FrameDecoder {
   std::uint64_t frames_ok() const { return frames_ok_; }
   std::uint64_t crc_errors() const { return crc_errors_; }
 
-  void reset();
-
  private:
   enum class State { kSync, kType, kSeq, kLen, kPayload, kCrcHi, kCrcLo };
 

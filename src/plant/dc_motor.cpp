@@ -156,8 +156,7 @@ ZohMap zoh_map(const DcMotorParams& p, double h) {
   return map;
 }
 
-DcMotorSim::DcMotorSim(sim::World& world, DcMotorParams params,
-                       std::string name)
+DcMotorSim::DcMotorSim(DcMotorParams params, std::string name)
     : name_(std::move(name)),
       params_(params),
       poll_map_(zoh_map(params, sim::to_seconds(kPollInterval))) {
@@ -175,13 +174,6 @@ DcMotorSim::DcMotorSim(sim::World& world, DcMotorParams params,
     throw std::invalid_argument(
         "DcMotorSim: the motor's step map is not finite");
   }
-  world.attach(*this);
-}
-
-void DcMotorSim::reset() {
-  state_[0] = state_[1] = state_[2] = 0.0;
-  next_poll_ = kPollInterval;
-  duty_.piece = load_.piece = Input{}.piece;
 }
 
 void DcMotorSim::drive_from_duty(const sim::ZohSignal* duty) {

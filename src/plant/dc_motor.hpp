@@ -18,7 +18,7 @@
 #include <functional>
 
 #include "model/block.hpp"
-#include "sim/world.hpp"
+#include "sim/time.hpp"
 #include "sim/zoh_signal.hpp"
 #include "util/diagnostics.hpp"
 
@@ -105,9 +105,9 @@ class DcMotorBlock : public model::Block {
 /// interval and hands its shaft angle to its sampler at every multiple.
 inline constexpr sim::SimTime kPollInterval = sim::microseconds(50);
 
-/// HIL plant: lives in the co-simulation world, integrates lazily up to any
-/// queried time using the PWM's zero-order-hold average output as the
-/// armature voltage (duty * supply) and an optional held load torque.
+/// HIL plant: integrates lazily up to any queried simulated time, using
+/// the PWM's zero-order-hold average output as the armature voltage
+/// (duty * supply) and an optional held load torque.
 ///
 /// The trajectory is fixed by the plant alone.  Both inputs are piecewise
 /// constant, so each step is the motor's exact ZohMap: one step per poll
@@ -118,15 +118,13 @@ inline constexpr sim::SimTime kPollInterval = sim::microseconds(50);
 /// encoder), in time order.  A query between poll instants is answered
 /// from an uncommitted step off that state, so observing the plant never
 /// moves its trajectory.
-class DcMotorSim : public sim::Component {
+class DcMotorSim {
  public:
   /// Throws std::invalid_argument for a motor validate() rejects or whose
   /// poll map is not finite.
-  DcMotorSim(sim::World& world, DcMotorParams params,
-             std::string name = "motor");
+  explicit DcMotorSim(DcMotorParams params, std::string name = "motor");
 
-  const std::string& name() const override { return name_; }
-  void reset() override;
+  const std::string& name() const { return name_; }
 
   /// Voltage source: a ZohSignal whose value is the *duty ratio* in [0, 1];
   /// armature voltage = duty * supply.

@@ -11,27 +11,13 @@ IncrementalEncoder::IncrementalEncoder(sim::World& world, DcMotorSim& motor,
       motor_(motor),
       qdec_(qdec),
       params_(params),
-      name_(std::move(name)) {
-  world.attach(*this);
-}
+      name_(std::move(name)) {}
 
-IncrementalEncoder::~IncrementalEncoder() { detach(); }
-
-void IncrementalEncoder::detach() {
+IncrementalEncoder::~IncrementalEncoder() {
   if (!running_) return;
-  running_ = false;
   motor_.set_sampler(nullptr);
   qdec_.set_read_hook(nullptr);
-  if (index_wakeup_ != 0) {
-    world_.queue().cancel(index_wakeup_);
-    index_wakeup_ = 0;
-  }
-}
-
-void IncrementalEncoder::reset() {
-  detach();
-  last_counts_ = 0;
-  last_index_rev_ = 0;
+  if (index_wakeup_ != 0) world_.queue().cancel(index_wakeup_);
 }
 
 void IncrementalEncoder::start() {

@@ -29,20 +29,19 @@ struct EncoderParams {
   int lines = 100;  ///< optical lines; counts per rev = 4 * lines
 };
 
-class IncrementalEncoder : public sim::Component {
+class IncrementalEncoder {
  public:
   IncrementalEncoder(sim::World& world, DcMotorSim& motor,
                      periph::QuadDecPeripheral& qdec, EncoderParams params,
                      std::string name = "encoder");
 
-  const std::string& name() const override { return name_; }
-  void reset() override;
+  const std::string& name() const { return name_; }
 
   /// Detaches from the plant and the decoder.
-  ~IncrementalEncoder() override;
+  ~IncrementalEncoder();
 
   /// Starts sampling (idempotent): installs the plant's sampler and the
-  /// decoder's read hook, both cleared again by reset() and the destructor.
+  /// decoder's read hook, both cleared again by the destructor.
   void start();
 
   /// Hands every poll up to and including now() to the decoder.  Call it
@@ -65,7 +64,6 @@ class IncrementalEncoder : public sim::Component {
 
  private:
   void sample(double angle);
-  void detach();
 
   sim::World& world_;
   DcMotorSim& motor_;

@@ -40,14 +40,6 @@ CanBus::CanBus(World& world, std::uint32_t bitrate_bps, std::string name)
     frame_times_[static_cast<std::size_t>(dlc)] =
         static_cast<SimTime>(bits * 1e9 / bitrate_ + 0.5);
   }
-  world.attach(*this);
-}
-
-void CanBus::reset() {
-  for (auto& n : nodes_) n.tx_queue.clear();
-  busy_ = false;
-  in_flight_dropped_ = false;
-  stats_ = Stats{};
 }
 
 CanBus::NodeId CanBus::attach_node(std::string node_name, RxCallback on_rx) {

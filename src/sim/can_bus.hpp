@@ -74,7 +74,7 @@ struct CanFrame {
   int dlc() const { return static_cast<int>(data.size()); }
 };
 
-class CanBus : public Component {
+class CanBus {
  public:
   struct Stats {
     std::uint64_t frames_delivered = 0;
@@ -95,8 +95,7 @@ class CanBus : public Component {
 
   CanBus(World& world, std::uint32_t bitrate_bps, std::string name = "can");
 
-  const std::string& name() const override { return name_; }
-  void reset() override;
+  const std::string& name() const { return name_; }
 
   std::uint32_t bitrate() const { return bitrate_; }
 

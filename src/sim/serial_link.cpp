@@ -35,24 +35,6 @@ void SerialChannel::set_fault_hook(ByteFaultHook hook) {
   fault_hook_ = std::move(hook);
 }
 
-void SerialChannel::corrupt_next_byte(std::uint8_t xor_mask) {
-  pending_corruption_ = xor_mask;
-  corrupt_armed_ = true;
-  // Target: the next byte to enter the shift register.  Idle: the next
-  // transmitted byte.  Busy: the byte after the one currently shifting (in
-  // burst mode the shifting byte is located analytically, because wire
-  // progress since burst_t0_ is not reflected in bytes_transferred_ yet).
-  if (!active_) {
-    corrupt_index_ = bytes_transferred_;
-  } else if (on_burst_) {
-    const auto done =
-        static_cast<std::uint64_t>((queue_.now() - burst_t0_) / byte_time());
-    corrupt_index_ = bytes_transferred_ + done + 1;
-  } else {
-    corrupt_index_ = bytes_transferred_ + 1;
-  }
-}
-
 SimTime SerialChannel::wire_free_at() const {
   return std::max(wire_free_at_, queue_.now());
 }
@@ -88,10 +70,6 @@ void SerialChannel::arm_burst_event() {
 
 void SerialChannel::deliver_tick() {
   std::uint8_t byte = buf_[head_];
-  if (corrupt_armed_ && bytes_transferred_ == corrupt_index_) {
-    byte ^= pending_corruption_;
-    corrupt_armed_ = false;
-  }
   bool drop = false;
   bool duplicate = false;
   if (fault_hook_) {
@@ -133,13 +111,6 @@ void SerialChannel::deliver_tick() {
 void SerialChannel::deliver_burst() {
   const std::size_t n = scheduled_;
   const std::size_t first = head_;
-  if (corrupt_armed_ && corrupt_index_ >= bytes_transferred_ &&
-      corrupt_index_ < bytes_transferred_ + n) {
-    buf_[first + static_cast<std::size_t>(corrupt_index_ -
-                                          bytes_transferred_)] ^=
-        pending_corruption_;
-    corrupt_armed_ = false;
-  }
   const SimTime bt = byte_time();
   const SimTime first_done = burst_t0_ + bt;
   head_ += n;
@@ -214,34 +185,10 @@ void SerialChannel::maybe_compact() {
   }
 }
 
-void SerialChannel::reset() {
-  if (active_ && event_ != 0) queue_.cancel(event_);
-  event_ = 0;
-  active_ = false;
-  buf_.clear();
-  head_ = 0;
-  scheduled_ = 0;
-  wire_free_at_ = 0;
-  burst_t0_ = 0;
-  corrupt_armed_ = false;
-  bytes_corrupted_ = 0;
-  bytes_dropped_ = 0;
-  bytes_duplicated_ = 0;
-  bytes_transferred_ = 0;
-  busy_time_ = 0;
-}
-
 SerialLink::SerialLink(World& world, SerialConfig config, std::string name)
     : name_(std::move(name)),
       config_(config),
       a_to_b_(world.queue(), config, name_ + ".a2b"),
-      b_to_a_(world.queue(), config, name_ + ".b2a") {
-  world.attach(*this);
-}
-
-void SerialLink::reset() {
-  a_to_b_.reset();
-  b_to_a_.reset();
-}
+      b_to_a_(world.queue(), config, name_ + ".b2a") {}
 
 }  // namespace iecd::sim

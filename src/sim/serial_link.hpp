@@ -94,10 +94,6 @@ class SerialChannel {
   /// from (first_done, byte_time); they are byte-identical to per-byte mode.
   void set_burst_receiver(BurstCallback on_burst);
 
-  /// Tests inject corruption deterministically: the next byte to enter the
-  /// shift register is XORed with \p xor_mask.
-  void corrupt_next_byte(std::uint8_t xor_mask);
-
   /// Per-byte fault decision, consulted at delivery time for every byte on
   /// the wire (fault-injection campaigns; see src/fault/).
   enum class ByteFaultAction : std::uint8_t {
@@ -133,8 +129,6 @@ class SerialChannel {
   /// Instant the wire finishes everything queued so far (now when idle).
   SimTime wire_free_at() const;
 
-  void reset();
-
  private:
   SimTime byte_time() const;
   void deliver_tick();
@@ -163,10 +157,6 @@ class SerialChannel {
 
   mutable SimTime byte_time_cache_ = 0;
 
-  bool corrupt_armed_ = false;
-  std::uint8_t pending_corruption_ = 0;
-  std::uint64_t corrupt_index_ = 0;  ///< absolute delivery index to corrupt
-
   ByteFaultHook fault_hook_;
   /// Lazily-filled scratch for burst faults: allocated only the first time
   /// a fault actually fires inside a burst, so clean traffic keeps the
@@ -181,15 +171,14 @@ class SerialChannel {
 };
 
 /// Full-duplex point-to-point link: endpoint A <-> endpoint B.
-class SerialLink : public Component {
+class SerialLink {
  public:
   SerialLink(World& world, SerialConfig config, std::string name = "rs232");
 
   SerialChannel& a_to_b() { return a_to_b_; }
   SerialChannel& b_to_a() { return b_to_a_; }
 
-  const std::string& name() const override { return name_; }
-  void reset() override;
+  const std::string& name() const { return name_; }
 
   const SerialConfig& config() const { return config_; }
 

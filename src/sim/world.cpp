@@ -1,8 +1,5 @@
 #include "sim/world.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 #include "trace/trace.hpp"
 
 namespace iecd::sim {
@@ -15,19 +12,6 @@ std::size_t World::run_until(SimTime until) {
   tr->span_complete("sim", "run_until", "world", begin, queue_.now(),
                     static_cast<double>(executed));
   return executed;
-}
-
-void World::attach(Component& component) {
-  if (std::find(components_.begin(), components_.end(), &component) !=
-      components_.end()) {
-    throw std::logic_error("World: component attached twice: " +
-                           component.name());
-  }
-  components_.push_back(&component);
-}
-
-void World::reset_components() {
-  for (Component* c : components_) c->reset();
 }
 
 }  // namespace iecd::sim

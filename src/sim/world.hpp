@@ -1,42 +1,23 @@
 /// \file world.hpp
-/// A co-simulation world: one shared event queue plus the set of components
-/// living in it (MCU boards, plants, serial links, instrument probes).  The
-/// world corresponds to the whole Fig. 6.2 test bench — host PC, simulator
-/// PC and development board share simulated time.
+/// A co-simulation world: the one event queue and clock that MCU boards,
+/// plants, serial links and instrument probes share.  The world corresponds
+/// to the whole Fig. 6.2 test bench — host PC, simulator PC and development
+/// board share simulated time.  A world and the hardware living in it are
+/// built for one run and dropped after it; to start over, build a new one.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
+#include <cstddef>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace iecd::sim {
 
-/// Anything that needs a reset at world start (peripherals, kernels).
-class Component {
- public:
-  virtual ~Component() = default;
-  /// Component name for diagnostics and reports.
-  virtual const std::string& name() const = 0;
-  /// Called once before the event loop starts.
-  virtual void reset() {}
-};
-
 class World {
  public:
   EventQueue& queue() { return queue_; }
   const EventQueue& queue() const { return queue_; }
   SimTime now() const { return queue_.now(); }
-
-  /// Registers a component; the world does NOT take ownership (components
-  /// are usually owned by higher-level sessions that outlive the run).
-  void attach(Component& component);
-
-  /// Resets all attached components.  Call before the first run.
-  void reset_components();
 
   /// Advances simulated time to \p until, executing due events.  When
   /// tracing is active the window is recorded as one "run_until" span on
@@ -48,11 +29,8 @@ class World {
     return run_until(queue_.now() + duration);
   }
 
-  const std::vector<Component*>& components() const { return components_; }
-
  private:
   EventQueue queue_;
-  std::vector<Component*> components_;
 };
 
 }  // namespace iecd::sim

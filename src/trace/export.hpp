@@ -1,10 +1,10 @@
 /// \file export.hpp
 /// Trace exporters.  The Chrome trace-event JSON output loads directly in
-/// Perfetto / chrome://tracing: every trace track (a `sim::Component`, the
-/// CPU, the PIL host...) becomes one "process" row, spans render as slices,
-/// counters as counter tracks and instants as marks.  All formatting is
-/// deterministic — identical runs export byte-identical files, which the
-/// regression tests rely on.
+/// Perfetto / chrome://tracing: every trace track (the world, the event
+/// queue, a CAN bus, the CPU, the PIL host...) becomes one "process" row,
+/// spans render as slices, counters as counter tracks and instants as
+/// marks.  All formatting is deterministic — identical runs export
+/// byte-identical files, which the regression tests rely on.
 #pragma once
 
 #include <ostream>

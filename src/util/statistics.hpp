@@ -36,8 +36,6 @@ class RunningStats {
   /// Merges another accumulator (parallel reduction).
   void merge(const RunningStats& other);
 
-  void reset() { *this = RunningStats{}; }
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;

@@ -17,6 +17,8 @@
 #include "sim/world.hpp"
 #include "util/crc16.hpp"
 
+#include "serial_fault_hook.hpp"
+
 namespace iecd {
 namespace {
 
@@ -135,7 +137,7 @@ TEST(SerialBurst, CorruptionHitsTheNextByte) {
                             sim::SimTime) {
     seen.insert(seen.end(), data.begin(), data.end());
   });
-  ch.corrupt_next_byte(0xFF);
+  ch.set_fault_hook(testhooks::flip_first_byte(0xFF));
   const std::uint8_t data[] = {0x0F, 0x0F};
   ch.transmit(data, sizeof(data));
   world.run_for(sim::milliseconds(1));

@@ -21,6 +21,7 @@
 
 #include "campaign/engine.hpp"
 #include "core/distributed.hpp"
+#include "cosim/bus.hpp"
 #include "cosim/farm.hpp"
 #include "cosim/master.hpp"
 #include "cosim/nodes.hpp"
@@ -547,8 +548,9 @@ TEST(TrafficConfigValidation, SilenceAndAOneNanosecondIntervalAreAccepted) {
 // The topology rules of the farm and the rig.  Each bad input stops the
 // run at construction with a diagnostic naming the field: a non-finite
 // duration would reach llround() in sim::from_seconds, a NaN setpoint_time
-// would never step the set-point (t >= NaN is false), and a status ID past
-// 11 bits aliases the command ID under the servos' 0x7FF acceptance mask.
+// would never step the set-point (t >= NaN is false), a status ID past
+// 11 bits aliases the command ID under the servos' 0x7FF acceptance mask,
+// and classic CAN runs at no bit rate of 0 or above 1 Mbit/s.
 struct TopologyRule {
   const char* name;
   const char* component;
@@ -557,16 +559,20 @@ struct TopologyRule {
 
 void PrintTo(const TopologyRule& rule, std::ostream* os) { *os << rule.name; }
 
-void build_farm(std::size_t servos, double duration) {
-  const FarmConfig cfg = small_farm(servos, duration);
+void build_farm(std::size_t servos, double duration,
+                std::uint32_t bitrate = 500000) {
+  FarmConfig cfg = small_farm(servos, duration);
+  cfg.bitrate_bps = bitrate;
   ServoFarm farm(make_farm_topology(cfg),
                  {duration, cfg.settle_tolerance, nullptr, nullptr});
 }
 
-void run_rig(double duration, double setpoint_time) {
+void run_rig(double duration, double setpoint_time,
+             std::uint32_t bitrate = 500000) {
   core::DistributedConfig rig;
   rig.duration_s = duration;
   rig.setpoint_time = setpoint_time;
+  rig.can_bitrate = bitrate;
   core::run_distributed_servo(rig);
 }
 
@@ -597,6 +603,10 @@ INSTANTIATE_TEST_SUITE_P(
                      [] { build_farm(2, -0.1); }},
         TopologyRule{"farm_status_ids_past_11_bits", "servo_count",
                      [] { build_farm(kMaxServos + 1, 0.0); }},
+        TopologyRule{"farm_bitrate_zero", "can0.bitrate_bps",
+                     [] { build_farm(2, 0.0, 0); }},
+        TopologyRule{"farm_bitrate_above_1M", "can0.bitrate_bps",
+                     [] { build_farm(2, 0.0, 1000001); }},
         TopologyRule{"rig_duration_nan", "duration_s",
                      [] { run_rig(kNaN, 0.05); }},
         TopologyRule{"rig_duration_inf", "duration_s",
@@ -606,7 +616,11 @@ INSTANTIATE_TEST_SUITE_P(
         TopologyRule{"rig_setpoint_time_nan", "setpoint_time",
                      [] { run_rig(0.01, kNaN); }},
         TopologyRule{"rig_setpoint_time_inf", "setpoint_time",
-                     [] { run_rig(0.01, kInf); }}),
+                     [] { run_rig(0.01, kInf); }},
+        TopologyRule{"rig_bitrate_zero", "can_bitrate",
+                     [] { run_rig(0.0, 0.05, 0); }},
+        TopologyRule{"rig_bitrate_above_1M", "can_bitrate",
+                     [] { run_rig(0.0, 0.05, 2000000); }}),
     [](const ::testing::TestParamInfo<TopologyRule>& info) {
       return std::string(info.param.name);
     });
@@ -615,6 +629,14 @@ TEST(TopologyRules, ZeroDurationAndTheLastElevenBitStatusIdAreAccepted) {
   EXPECT_EQ(kStatusFrameBase + kMaxServos - 1, 0x7FFu);
   EXPECT_NO_THROW(build_farm(kMaxServos, 0.0));
   EXPECT_NO_THROW(run_rig(0.0, 0.05));
+}
+
+TEST(TopologyRules, BitRatesFromOneBitToOneMegabitAreAccepted) {
+  for (std::uint32_t bitrate : {1u, 125000u, 1000000u}) {
+    EXPECT_TRUE(SharedCanBus::validate(bitrate, "bitrate_bps").empty());
+    EXPECT_NO_THROW(build_farm(2, 0.0, bitrate)) << bitrate;
+    EXPECT_NO_THROW(run_rig(0.0, 0.05, bitrate)) << bitrate;
+  }
 }
 
 TEST(CosimTopology, UnknownBusAttachmentThrows) {

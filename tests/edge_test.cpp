@@ -10,7 +10,6 @@
 #include "codegen/generator.hpp"
 #include "core/model_sync.hpp"
 #include "core/pe_blocks.hpp"
-#include "mcu/derivative.hpp"
 #include "model/engine.hpp"
 #include "model/subsystem.hpp"
 
@@ -184,20 +183,6 @@ TEST(PeBlockEdge, FidelityToggleSwitchesOutputType) {
   EXPECT_EQ(block.output_type(0), model::DataType::kDouble);
   block.set_hw_fidelity(true);
   EXPECT_EQ(block.output_type(0), model::DataType::kInt16);
-}
-
-TEST(WorldEdge, ResetRestoresPeripheralState) {
-  sim::World world;
-  mcu::Mcu mcu(world, mcu::find_derivative("DSC56F8367"));
-  periph::PwmPeripheral pwm(mcu, periph::PwmConfig{});
-  pwm.set_duty_ratio(0.7);
-  pwm.start();
-  world.run_for(sim::milliseconds(2));
-  EXPECT_GT(pwm.periods_elapsed(), 0u);
-  world.reset_components();  // resets the MCU, which resets peripherals
-  EXPECT_EQ(pwm.periods_elapsed(), 0u);
-  EXPECT_FALSE(pwm.running());
-  EXPECT_DOUBLE_EQ(pwm.duty_ratio(), 0.0);
 }
 
 }  // namespace

@@ -274,20 +274,6 @@ TEST_F(McuFixture, BusyTimeAccumulatesUtilisation) {
   EXPECT_EQ(mcu.cpu().busy_time(), 5 * per_run);
 }
 
-TEST_F(McuFixture, ResetClearsRuntimeState) {
-  IsrHandler h;
-  h.name = "x";
-  h.body = []() -> std::uint64_t { return 100; };
-  mcu.intc().register_vector(1, 0, std::move(h));
-  world.queue().schedule_at(1, [&] { mcu.raise_irq(1); });
-  world.run_for(sim::milliseconds(1));
-  EXPECT_GT(mcu.cpu().dispatches(), 0u);
-  mcu.reset();
-  EXPECT_EQ(mcu.cpu().dispatches(), 0u);
-  EXPECT_EQ(mcu.cpu().busy_time(), 0);
-  EXPECT_FALSE(mcu.intc().any_pending());
-}
-
 TEST(MemoryMap, ChargesAndValidates) {
   MemoryMap mem({1000, 100});
   mem.charge_flash(600, "code");

@@ -13,6 +13,8 @@
 #include "rt/runtime.hpp"
 #include "sim/world.hpp"
 
+#include "serial_fault_hook.hpp"
+
 namespace iecd::pil {
 namespace {
 
@@ -125,7 +127,7 @@ TEST(PilSessionTest, CorruptionCausesBoundedFrameLossAndRecovery) {
   // Depending on which byte it hits, the frame dies via CRC check or via
   // lost sync; either way the damage is bounded and the stream recovers.
   rig.world.queue().schedule_at(sim::milliseconds(5), [&] {
-    session.link().a_to_b().corrupt_next_byte(0x40);
+    session.link().a_to_b().set_fault_hook(testhooks::flip_first_byte(0x40));
   });
   const auto report = session.run();
   EXPECT_LT(report.frames_processed, report.exchanges);
@@ -142,11 +144,11 @@ TEST(PilSessionTest, PayloadCorruptionIsCaughtByCrc) {
   session.set_plant(
       [](std::vector<double>& out) { out.push_back(1.0); },
       [](const std::vector<double>&) {}, [](double) {});
-  rig.world.queue().schedule_at(sim::milliseconds(5) + sim::microseconds(300),
-                                [&] {
-                                  session.link().a_to_b().corrupt_next_byte(
-                                      0x01);
-                                });
+  rig.world.queue().schedule_at(
+      sim::milliseconds(5) + sim::microseconds(300), [&] {
+        session.link().a_to_b().set_fault_hook(
+            testhooks::flip_first_byte(0x01));
+      });
   const auto report = session.run();
   EXPECT_GE(report.crc_errors, 1u);
   EXPECT_GT(report.frames_processed, 150u);

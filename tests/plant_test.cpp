@@ -148,8 +148,7 @@ TEST(DcMotorBlock, ExactStepMatchesDcMotorSimAtEveryPeriod) {
   const auto duty_at = [](int k) { return 0.5 + 0.4 * std::sin(0.1 * k); };
   const auto torque_at = [](int k) { return 0.004 * std::cos(0.07 * k); };
 
-  sim::World world;
-  DcMotorSim sim_motor(world, params);
+  DcMotorSim sim_motor(params);
   sim::ZohSignal duty(duty_at(0));
   sim::ZohSignal torque(torque_at(0));
   for (int k = 1; k < kPeriods; ++k) {
@@ -188,8 +187,7 @@ TEST(DcMotorBlock, ExactStepMatchesDcMotorSimAtEveryPeriod) {
 TEST(DcMotorSim, MatchesBlockDynamics) {
   // The event-world integrator and the model block must agree.
   DcMotorParams params;
-  sim::World world;
-  DcMotorSim sim_motor(world, params);
+  DcMotorSim sim_motor(params);
   sim::ZohSignal duty(0.5);
   sim_motor.drive_from_duty(&duty);
 
@@ -208,8 +206,7 @@ TEST(DcMotorSim, MatchesBlockDynamics) {
 }
 
 TEST(DcMotorSim, RespondsToDutyChanges) {
-  sim::World world;
-  DcMotorSim motor(world, DcMotorParams{});
+  DcMotorSim motor(DcMotorParams{});
   sim::ZohSignal duty(0.0);
   motor.drive_from_duty(&duty);
   EXPECT_NEAR(motor.speed_at(sim::milliseconds(100)), 0.0, 1e-9);
@@ -221,8 +218,7 @@ TEST(DcMotorSim, RespondsToDutyChanges) {
 TEST(DcMotorSim, StepRuleGivesTheDefaultMotorOneStepPerPoll) {
   DcMotorParams broken;
   broken.inertia = 0.0;
-  sim::World world;
-  EXPECT_THROW(DcMotorSim(world, broken), std::invalid_argument);
+  EXPECT_THROW(DcMotorSim{broken}, std::invalid_argument);
 }
 
 TEST(DcMotorSim, RejectsNonFiniteMotorConstants) {
@@ -251,21 +247,18 @@ TEST(DcMotorSim, RejectsNonFiniteMotorConstants) {
     ASSERT_EQ(d.size(), 1u) << bad.component;
     EXPECT_EQ(d.items()[0].severity, util::Severity::kError);
     EXPECT_EQ(d.items()[0].component, bad.component);
-    sim::World world;
-    EXPECT_THROW(DcMotorSim(world, params), std::invalid_argument)
+    EXPECT_THROW(DcMotorSim{params}, std::invalid_argument)
         << bad.component;
   }
   // Valid constants whose matrix overflows: R / L is inf.
   DcMotorParams overflow;
   overflow.inductance = 1e-320;
   EXPECT_TRUE(validate(overflow).empty());
-  sim::World world;
-  EXPECT_THROW(DcMotorSim(world, overflow), std::invalid_argument);
+  EXPECT_THROW(DcMotorSim{overflow}, std::invalid_argument);
 }
 
 TEST(DcMotorSim, QueryBehindCommittedStateThrows) {
-  sim::World world;
-  DcMotorSim motor(world, DcMotorParams{});
+  DcMotorSim motor(DcMotorParams{});
   sim::ZohSignal duty(0.5);
   motor.drive_from_duty(&duty);
   // Reaching 1 ms commits the state at the last poll before it, 950 us.
@@ -283,8 +276,7 @@ TEST(DcMotorSim, StiffMotorStaysFiniteAtItsOwnStep) {
   // stable at any step.
   DcMotorParams params;
   params.inductance = 2.5e-5;
-  sim::World world;
-  DcMotorSim motor(world, params);
+  DcMotorSim motor(params);
   sim::ZohSignal duty(0.5);
   motor.drive_from_duty(&duty);
   const double w = motor.speed_at(sim::milliseconds(300));
@@ -336,8 +328,7 @@ TEST(DcMotorSim, TransientMatchesExactSolution) {
   // From rest at 12 V the plant's exact step agrees with the fine
   // reference to rounding, inside the fast electrical transient too.
   DcMotorParams params;
-  sim::World world;
-  DcMotorSim motor(world, params);
+  DcMotorSim motor(params);
   sim::ZohSignal duty(0.5);
   motor.drive_from_duty(&duty);
   const auto twelve_volts = [](double) { return 12.0; };
@@ -354,8 +345,7 @@ TEST(DcMotorSim, ShortDutyPulseIsIntegratedExactly) {
   // A 7 us full-duty pulse between poll instants: the plant's step ends
   // at both duty changes, so the pulse is neither missed nor stretched.
   DcMotorParams params;
-  sim::World world;
-  DcMotorSim motor(world, params);
+  DcMotorSim motor(params);
   sim::ZohSignal duty(0.0);
   motor.drive_from_duty(&duty);
   duty.set(sim::microseconds(60), 1.0);
@@ -373,8 +363,7 @@ TEST(DcMotorSim, TorquePulseBetweenPollsIsIntegratedExactly) {
   // plant's step ends at both torque changes, so the pulse is neither
   // missed nor stretched.
   DcMotorParams params;
-  sim::World world;
-  DcMotorSim motor(world, params);
+  DcMotorSim motor(params);
   sim::ZohSignal torque(0.0);
   motor.load_from(&torque);
   torque.set(sim::microseconds(60), 0.5);
@@ -392,7 +381,7 @@ TEST(Encoder, CountsMatchRevolutions) {
   sim::World world;
   mcu::Mcu mcu(world, mcu::find_derivative("DSC56F8367"));
   periph::QuadDecPeripheral qdec(mcu, periph::QuadDecConfig{});
-  DcMotorSim motor(world, DcMotorParams{});
+  DcMotorSim motor(DcMotorParams{});
   sim::ZohSignal duty(0.5);
   motor.drive_from_duty(&duty);
   IncrementalEncoder encoder(world, motor, qdec, {100});
@@ -410,7 +399,7 @@ TEST(Encoder, TracksReversal) {
   sim::World world;
   mcu::Mcu mcu(world, mcu::find_derivative("DSC56F8367"));
   periph::QuadDecPeripheral qdec(mcu, periph::QuadDecConfig{});
-  DcMotorSim motor(world, DcMotorParams{});
+  DcMotorSim motor(DcMotorParams{});
   sim::ZohSignal duty(0.5);
   motor.drive_from_duty(&duty);
   // From 0.5 s a load of 0.5 N m, beyond the 0.3 N m the half-duty motor
@@ -444,7 +433,7 @@ TEST(Encoder, IndexInterruptIsRaisedAtItsPollInstant) {
   handler.commit = [] {};
   mcu.intc().register_vector(kVec, 0, std::move(handler));
   periph::QuadDecPeripheral qdec(mcu, periph::QuadDecConfig{false, kVec});
-  DcMotorSim motor(world, DcMotorParams{});
+  DcMotorSim motor(DcMotorParams{});
   sim::ZohSignal duty(0.5);
   motor.drive_from_duty(&duty);
   IncrementalEncoder encoder(world, motor, qdec, {100});
@@ -453,8 +442,7 @@ TEST(Encoder, IndexInterruptIsRaisedAtItsPollInstant) {
 
   // The poll instants at which the shaft enters a new revolution, from an
   // unobserved twin plant read at those instants.
-  sim::World twin_world;
-  DcMotorSim twin(twin_world, DcMotorParams{});
+  DcMotorSim twin(DcMotorParams{});
   twin.drive_from_duty(&duty);
   std::vector<sim::SimTime> expected;
   double rev = 0.0;
@@ -469,11 +457,11 @@ TEST(Encoder, IndexInterruptIsRaisedAtItsPollInstant) {
   EXPECT_EQ(qdec.index_pulses(), expected.size());
 }
 
-TEST(Encoder, DestructorAndResetDetachFromPlantAndDecoder) {
+TEST(Encoder, DestructorDetachesFromPlantAndDecoder) {
   sim::World world;
   mcu::Mcu mcu(world, mcu::find_derivative("DSC56F8367"));
   periph::QuadDecPeripheral qdec(mcu, periph::QuadDecConfig{});
-  DcMotorSim motor(world, DcMotorParams{});
+  DcMotorSim motor(DcMotorParams{});
   sim::ZohSignal duty(0.5);
   motor.drive_from_duty(&duty);
   auto first = std::make_unique<IncrementalEncoder>(world, motor, qdec,
@@ -494,9 +482,6 @@ TEST(Encoder, DestructorAndResetDetachFromPlantAndDecoder) {
   world.run_for(sim::milliseconds(10));
   const auto live = qdec.extended_position();
   EXPECT_GT(live, held);
-  second.reset();
-  world.run_for(sim::milliseconds(10));
-  EXPECT_EQ(qdec.extended_position(), live);
 }
 
 // A servo loop on the HIL coupling: PWM average output -> plant -> encoder
@@ -509,7 +494,7 @@ std::vector<std::uint64_t> servo_rig_trace(bool observe) {
   mcu::Mcu mcu(world, mcu::find_derivative("DSC56F8367"));
   periph::QuadDecPeripheral qdec(mcu, periph::QuadDecConfig{});
   periph::PwmPeripheral pwm(mcu, periph::PwmConfig{});  // 60 kHz
-  DcMotorSim motor(world, DcMotorParams{});
+  DcMotorSim motor(DcMotorParams{});
   motor.drive_from_duty(&pwm.average_output());
   IncrementalEncoder encoder(world, motor, qdec, {100});
   encoder.start();

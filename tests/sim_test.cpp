@@ -10,6 +10,8 @@
 #include "sim/world.hpp"
 #include "sim/zoh_signal.hpp"
 
+#include "serial_fault_hook.hpp"
+
 namespace iecd::sim {
 namespace {
 
@@ -107,17 +109,6 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   EXPECT_EQ(q.next_time(), 20);
 }
 
-class NamedComponent : public Component {
- public:
-  explicit NamedComponent(std::string n) : name_(std::move(n)) {}
-  const std::string& name() const override { return name_; }
-  void reset() override { ++resets; }
-  int resets = 0;
-
- private:
-  std::string name_;
-};
-
 TEST(EventQueue, ScheduleEveryFiresAtExactPeriodMultiples) {
   EventQueue q;
   std::vector<SimTime> fired;
@@ -175,18 +166,6 @@ TEST(EventQueue, RecurringInterleavesFifoWithOneShots) {
   EXPECT_EQ(order[0], "recurring");  // t=10
   EXPECT_EQ(order[1], "oneshot");    // t=20: scheduled before the re-arm
   EXPECT_EQ(order[2], "recurring");  // t=20: re-armed at t=10
-}
-
-TEST(World, AttachRejectsDuplicatesAndResetsAll) {
-  World w;
-  NamedComponent c1("a");
-  NamedComponent c2("b");
-  w.attach(c1);
-  w.attach(c2);
-  EXPECT_THROW(w.attach(c1), std::logic_error);
-  w.reset_components();
-  EXPECT_EQ(c1.resets, 1);
-  EXPECT_EQ(c2.resets, 1);
 }
 
 TEST(ZohSignal, ReadBehindThePrunedHorizonThrows) {
@@ -262,7 +241,7 @@ TEST(SerialLink, CorruptionInjectionFlipsExactlyOneByte) {
   SerialLink link(w, SerialConfig{});
   std::vector<std::uint8_t> rx;
   link.a_to_b().set_receiver([&](std::uint8_t b, SimTime) { rx.push_back(b); });
-  link.a_to_b().corrupt_next_byte(0xFF);
+  link.a_to_b().set_fault_hook(testhooks::flip_first_byte(0xFF));
   link.a_to_b().transmit(0x0F);
   link.a_to_b().transmit(0x0F);
   w.run_for(seconds_i(1));

@@ -111,6 +111,9 @@ class ServoNode : public WorldComponent {
 
   /// Fault seam: the node's encoder (site "encoder.<node name>").
   plant::IncrementalEncoder& encoder() { return *encoder_; }
+  /// The node's quadrature decoder and motor, for probes.
+  periph::QuadDecPeripheral& decoder() { return *qd_->peripheral(); }
+  const plant::DcMotorSim& motor() const { return *motor_; }
 
   /// Observability seam: activations recorded as (release, start, end)
   /// per control tick.

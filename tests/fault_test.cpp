@@ -547,6 +547,28 @@ TEST(FaultDeterminismTest, EmptyPlanHilRunIsBitIdentical) {
   EXPECT_EQ(baseline.second, wired.second);
 }
 
+// The encoder-glitch site draws once per 50 us poll instant of the run,
+// the final instant included, whenever the decoder happens to be read:
+// both counts are pinned.
+TEST(FaultSites, HilEncoderGlitchDrawsOncePerPoll) {
+  core::ServoConfig cfg;
+  cfg.duration_s = 0.15;
+  cfg.setpoint_time = 0.02;
+  core::ServoSystem servo(cfg);
+  FaultPlan plan;
+  plan.encoder_glitch_rate = 0.01;
+  plan.encoder_glitch_counts = 3;
+  FaultInjector injector(11, plan);
+  core::ServoSystem::HilOptions opts;
+  opts.faults = &injector;
+  const auto result = servo.run_hil(opts);
+  const FaultInjector::Site* site = injector.find_site("encoder.encoder");
+  ASSERT_NE(site, nullptr);
+  EXPECT_EQ(site->opportunities(), 3000u);  // 0.15 s / 50 us
+  EXPECT_EQ(site->injected(), 26u);
+  EXPECT_TRUE(std::isfinite(result.iae));
+}
+
 // --------------------------------------------------------------- campaign
 
 /// Shared campaign scenario: the case-study servo under PIL on a fast link

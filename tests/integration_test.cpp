@@ -3,7 +3,10 @@
 
 #include "beans/watchdog_bean.hpp"
 #include "core/case_study.hpp"
+#include "core/distributed.hpp"
+#include "cosim/farm.hpp"
 #include "mcu/derivative.hpp"
+#include "model/metrics.hpp"
 
 namespace iecd::core {
 namespace {
@@ -29,6 +32,59 @@ TEST(SoakRun, TenSimulatedSecondsStaysHealthy) {
     worst = std::max(worst, std::abs(hil.speed.value_at(i) - cfg.setpoint));
   }
   EXPECT_LT(worst, 5.0);
+}
+
+// One scenario, every harness: the default ServoConfig (1 s) through MIL,
+// HIL, the CAN rig (default DistributedConfig) and a one-node farm.  Each
+// row's IAE and final speed must stay within a stated tolerance of MIL's,
+// and the tolerance names what legitimately differs from MIL there.
+TEST(CrossHarness, DefaultServoRowsStayNearMil) {
+  const ServoConfig cfg;
+  ServoSystem servo(cfg);
+  const auto mil = servo.run_mil();
+  const auto hil = servo.run_hil();
+  const auto rig = run_distributed_servo(DistributedConfig{});
+
+  cosim::FarmConfig farm_cfg;
+  farm_cfg.servo_count = 1;
+  farm_cfg.duration_s = cfg.duration_s;
+  farm_cfg.setpoint = cfg.setpoint;
+  farm_cfg.setpoint_time = cfg.setpoint_time;
+  cosim::ServoFarm farm(cosim::make_farm_topology(farm_cfg),
+                        {farm_cfg.duration_s, farm_cfg.settle_tolerance,
+                         nullptr, nullptr});
+  cosim::ServoNode& node = *farm.servos().front();
+  model::SampleLog farm_speed;
+  node.world().queue().schedule_every(sim::from_seconds(cfg.period_s), [&] {
+    farm_speed.record(sim::to_seconds(node.world().now()),
+                      node.current_speed());
+  });
+  farm.run();
+  const double farm_iae =
+      model::integral_absolute_error(farm_speed, cfg.setpoint);
+
+  struct Row {
+    const char* harness;
+    double iae;
+    double final_speed;
+    double iae_tol;    ///< relative to MIL's IAE
+    double speed_tol;  ///< [rad/s]
+    const char* cause;
+  };
+  const Row rows[] = {
+      {"HIL", hil.iae, hil.speed.last_value(), 0.03, 0.05,
+       "MCU timing: ISR latency and the PWM latch delay"},
+      {"CAN rig", rig.iae, rig.speed.last_value(), 0.03, 0.05,
+       "CAN latency: sensor and actuator frames on the bus"},
+      {"one-node farm", farm_iae, farm_speed.last_value(), 0.01, 0.05,
+       "CAN latency: the set-point arrives in a command frame"},
+  };
+  for (const Row& row : rows) {
+    EXPECT_NEAR(row.iae, mil.iae, row.iae_tol * mil.iae)
+        << row.harness << ": " << row.cause;
+    EXPECT_NEAR(row.final_speed, mil.speed.last_value(), row.speed_tol)
+        << row.harness << ": " << row.cause;
+  }
 }
 
 TEST(FixedPointEndToEnd, PilWithFixedPointController) {

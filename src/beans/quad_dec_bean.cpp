@@ -61,10 +61,6 @@ std::int16_t QuadDecBean::GetPosition() const {
   return qdec_ ? qdec_->position() : 0;
 }
 
-std::int64_t QuadDecBean::GetExtendedPosition() const {
-  return qdec_ ? qdec_->extended_position() : 0;
-}
-
 void QuadDecBean::ResetPosition() {
   if (qdec_) qdec_->zero();
 }

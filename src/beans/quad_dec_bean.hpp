@@ -25,7 +25,6 @@ class QuadDecBean : public Bean {
 
   // --- Runtime methods ---
   std::int16_t GetPosition() const;
-  std::int64_t GetExtendedPosition() const;
   void ResetPosition();
 
   /// Encoder counts per mechanical revolution (lines * 4).

@@ -131,11 +131,10 @@ void wire_encoder(FaultInjector& injector,
   FaultInjector::Site& site = injector.site("encoder." + encoder.name());
   const double rate = plan.encoder_glitch_rate;
   const std::int32_t counts = plan.encoder_glitch_counts;
-  encoder.set_count_fault_hook(
-      [&site, rate, counts](std::int32_t delta) -> std::int32_t {
-        if (!site.fire(rate)) return delta;
-        return delta + ((site.next_u64() & 1u) ? counts : -counts);
-      });
+  encoder.set_count_fault_hook([&site, rate, counts]() -> std::int32_t {
+    if (!site.fire(rate)) return 0;
+    return (site.next_u64() & 1u) ? counts : -counts;
+  });
 }
 
 namespace {

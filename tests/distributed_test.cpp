@@ -96,20 +96,22 @@ TEST(DistributedServo, DeterministicAcrossRuns) {
 // us split of each poll interval, again when the plant's step became the
 // motor's exact zero-order-hold map, and again when the controller node
 // began stepping the model's 8-tap controller (batch::SpeedPi) instead of
-// a 4-tap copy.  events_executed is
+// a 4-tap copy, and again when the plant stepped only at input changes
+// and reads, and a decoder read began to see the count at its own instant
+// instead of at the last 50 us poll before it.  events_executed is
 // deliberately excluded — cross-world frame deliveries are separate queue
 // events, so the scheduler-pressure counter legitimately differs.
 // ---------------------------------------------------------------------------
 
 TEST(CosimDistributedRegression, HealthyBusMatchesMonolithicGoldens) {
   const auto r = run_distributed_servo(quick());
-  expect_bits(r.iae, 6.225690532054507, "iae");
+  expect_bits(r.iae, 6.2261227394870335, "iae");
   expect_bits(r.loop_latency_us_mean, 359.70000000000334,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 359.69999999999999, "loop_latency_us_max");
   expect_bits(r.loop_latency_us_p99, 359.69999999999999, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.34182933333333332, "bus_utilisation");
-  expect_bits(r.speed.last_value(), 100.01171046942481, "final speed");
+  expect_bits(r.speed.last_value(), 100.01171046942581, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);
   EXPECT_EQ(r.loop_deadline_misses, 0u);
   EXPECT_EQ(r.sensor_frames, 599u);
@@ -125,13 +127,13 @@ TEST(CosimDistributedRegression, SaturatedBusMatchesMonolithicGoldens) {
   auto cfg = quick();
   cfg.can_bitrate = 100000;
   const auto r = run_distributed_servo(cfg);
-  expect_bits(r.iae, 96.56858806503456, "iae");
+  expect_bits(r.iae, 96.56858806503486, "iae");
   expect_bits(r.loop_latency_us_mean, 124385.30000000008,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 253753.30000000002, "loop_latency_us_max");
   expect_bits(r.loop_latency_us_p99, 248761.30000000002, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.9986666666666667, "bus_utilisation");
-  expect_bits(r.speed.last_value(), 469.6036289168109, "final speed");
+  expect_bits(r.speed.last_value(), 469.603628916812, "final speed");
   EXPECT_EQ(r.loop_samples, 101u);
   EXPECT_EQ(r.loop_deadline_misses, 101u);
   EXPECT_EQ(r.sensor_frames, 599u);
@@ -144,13 +146,13 @@ TEST(CosimDistributedRegression, LoadedBusMatchesMonolithicGoldens) {
   auto cfg = quick();
   cfg.background_frames_per_s = 1500.0;
   const auto r = run_distributed_servo(cfg);
-  expect_bits(r.iae, 6.233168802733253, "iae");
+  expect_bits(r.iae, 6.235948611900207, "iae");
   expect_bits(r.loop_latency_us_mean, 491.95383973289086,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 624.79899999999998, "loop_latency_us_max");
   expect_bits(r.loop_latency_us_p99, 624.79302000000007, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.74218399999999995, "bus_utilisation");
-  expect_bits(r.speed.last_value(), 99.98343882145765, "final speed");
+  expect_bits(r.speed.last_value(), 99.97792041573322, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);
   EXPECT_EQ(r.background_frames, 899u);
   EXPECT_EQ(r.frames_delivered, 2097u);

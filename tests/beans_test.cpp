@@ -444,7 +444,9 @@ TEST_F(BoundFixture, QuadDecBeanCountsAndScale) {
   project.validate();
   project.bind(mcu);
   EXPECT_EQ(qd.counts_per_rev(), 400);
-  qd.peripheral()->add_counts(400);
+  std::int64_t edges = 0;
+  qd.peripheral()->set_read_hook([&] { return edges; });
+  edges += 400;
   EXPECT_EQ(qd.GetPosition(), 400);
   qd.ResetPosition();
   EXPECT_EQ(qd.GetPosition(), 0);

@@ -65,7 +65,7 @@ void fill_workload(trace::TraceRecorder& rec, trace::MetricsRegistry& m,
   auto& s = m.stats("exec_us");
   for (int i = 0; i < 256; ++i) s.add(10.0 + (i % 13));
   auto& series = m.series("rtt_us");
-  for (int i = 0; i < 256; ++i) series.add(800.0 + (i % 37));
+  for (int i = 0; i < 256; ++i) series.record(800.0 + (i % 37));
 }
 
 std::vector<std::uint8_t> build_artifact(const trace::TraceRecorder& rec,

@@ -69,7 +69,7 @@ void sweep_point(std::size_t index, trace::MetricsRegistry& metrics) {
     metrics.stats("sweep.settling_ms").add(quality.settling_time * 1e3);
   }
   metrics.stats("sweep.overshoot_pct").add(quality.overshoot_percent);
-  metrics.series("sweep.steady_error").add(quality.steady_state_error);
+  metrics.series("sweep.steady_error").record(quality.steady_state_error);
 }
 
 }  // namespace

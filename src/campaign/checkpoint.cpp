@@ -12,54 +12,17 @@ namespace iecd::campaign {
 namespace {
 
 using evidence::PayloadCursor;
+using evidence::read_histogram;
 using evidence::store_f64;
+using evidence::store_histogram;
 using evidence::store_le;
 using evidence::store_str;
 
 /// Version of the opaque state blob inside the checkpoint record; bumped
 /// whenever the layout below changes (the record's own schema version
-/// covers only the outer framing).
-constexpr std::uint16_t kStateVersion = 1;
-
-// -------------------------------------------------------- histogram codec
-
-void encode_histogram(std::vector<std::uint8_t>& out,
-                      const obs::LatencyHistogram& h) {
-  store_le<std::int32_t>(out, h.config().sub_bucket_bits);
-  store_le<std::int32_t>(out, h.config().min_exp);
-  store_le<std::int32_t>(out, h.config().max_exp);
-  const auto& counts = h.bucket_counts();
-  store_le<std::uint32_t>(out, static_cast<std::uint32_t>(counts.size()));
-  for (std::uint64_t c : counts) store_le<std::uint64_t>(out, c);
-  store_le<std::uint64_t>(out, h.count());
-  store_f64(out, h.sum());
-  store_f64(out, h.min());
-  store_f64(out, h.max());
-}
-
-bool decode_histogram(PayloadCursor& cur, obs::LatencyHistogram& out) {
-  obs::LatencyHistogram::Config config;
-  std::uint32_t n = 0;
-  if (!cur.read(config.sub_bucket_bits) || !cur.read(config.min_exp) ||
-      !cur.read(config.max_exp) || !cur.read(n)) {
-    return false;
-  }
-  std::vector<std::uint64_t> counts(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!cur.read(counts[i])) return false;
-  }
-  std::uint64_t count = 0;
-  double sum = 0, min = 0, max = 0;
-  if (!cur.read(count) || !cur.read_f64(sum) || !cur.read_f64(min) ||
-      !cur.read_f64(max)) {
-    return false;
-  }
-  out = obs::LatencyHistogram::from_raw(config, std::move(counts), count,
-                                        sum, min, max);
-  // from_raw yields an empty histogram on a bucket-count mismatch; treat
-  // that as corruption rather than silently dropping samples.
-  return out.count() == count;
-}
+/// covers only the outer framing).  Version 2 writes histograms in
+/// format.hpp's shared codec.
+constexpr std::uint16_t kStateVersion = 2;
 
 // ---------------------------------------------------------- monitor codec
 
@@ -68,9 +31,9 @@ void encode_timing(std::vector<std::uint8_t>& out,
   const obs::TimingMonitor::RawState s = m.raw();
   store_f64(out, s.config.period_s);
   store_f64(out, s.config.deadline_s);
-  encode_histogram(out, s.response_us);
-  encode_histogram(out, s.exec_us);
-  encode_histogram(out, s.jitter_us);
+  store_histogram(out, s.response_us);
+  store_histogram(out, s.exec_us);
+  store_histogram(out, s.jitter_us);
   store_le<std::uint64_t>(out, s.activations);
   store_le<std::uint64_t>(out, s.deadline_misses);
   store_le<std::int64_t>(out, s.last_miss_time);
@@ -82,9 +45,9 @@ bool decode_timing(PayloadCursor& cur, obs::TimingMonitor& out) {
   obs::TimingMonitor::RawState s;
   std::uint8_t have_prev = 0;
   if (!cur.read_f64(s.config.period_s) || !cur.read_f64(s.config.deadline_s) ||
-      !decode_histogram(cur, s.response_us) ||
-      !decode_histogram(cur, s.exec_us) ||
-      !decode_histogram(cur, s.jitter_us) || !cur.read(s.activations) ||
+      !read_histogram(cur, s.response_us) ||
+      !read_histogram(cur, s.exec_us) ||
+      !read_histogram(cur, s.jitter_us) || !cur.read(s.activations) ||
       !cur.read(s.deadline_misses) || !cur.read(s.last_miss_time) ||
       !cur.read(s.prev_start) || !cur.read(have_prev)) {
     return false;

@@ -9,18 +9,20 @@
 ///     merged state and, when per-run artifacts are on, sealed on disk,
 ///   * the merged MetricsRegistry as ordinary metric records (the
 ///     reader's exact raw-state round trip: counter values, RunningStats
-///     {count, mean, m2, sum, min, max}, series samples and histogram bins
+///     {count, mean, m2, sum, min, max} and each series' histogram buckets
 ///     all travel as little-endian integers / IEEE-754 bit patterns),
 ///   * an opaque state blob carrying what the metric records cannot: the
-///     merged obs::HealthReport (full TimingMonitor / WatermarkMonitor /
-///     LatencyHistogram raw state, including the jitter seam) plus the
-///     unrecovered-run indices and their retained health reports.
+///     merged obs::HealthReport (full TimingMonitor / WatermarkMonitor
+///     raw state, histograms in the same codec as the series records,
+///     including the jitter seam) plus the unrecovered-run indices and
+///     their retained health reports.
 ///
 /// Because every field round-trips bit-exactly, a campaign resumed from a
 /// checkpoint produces a merged report — and an evidence manifest — that
 /// is byte-identical to the uninterrupted run's (the kill/resume suite
-/// locks this).  Checkpoint size is O(sites + histograms + unrecovered),
-/// never O(runs).
+/// locks this).  Checkpoint size is O(sites + histogram buckets +
+/// unrecovered), never O(runs): a series folds every run's samples into
+/// one histogram (Checkpoint.SizeDoesNotGrowWithFoldedRuns pins this).
 ///
 /// The config hash covers everything that determines per-run RESULTS
 /// (name, seed, run count, lane-batch width, every FaultPlan field as its

@@ -7,7 +7,7 @@
 #include "cosim/master.hpp"
 #include "cosim/nodes.hpp"
 #include "periph/pwm.hpp"
-#include "util/statistics.hpp"
+#include "util/latency_histogram.hpp"
 
 namespace iecd::core {
 
@@ -61,8 +61,12 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   bus.attach_controller(*sensor_can.peripheral());  // bus node 0
 
   // Latency instrumentation (simulation-side, not application code).
+  // A loop misses when it takes longer than one sampling period; misses
+  // are counted as they are recorded, so the count stays exact.
   std::map<std::uint8_t, sim::SimTime> sample_sent_at;
-  util::SampleSeries loop_latency_us;
+  util::LatencyHistogram loop_latency_us;
+  const double deadline_us = config.period_s * 1e6;
+  std::uint64_t loop_deadline_misses = 0;
 
   std::uint8_t sensor_seq = 0;
   std::int16_t sensor_pos = 0;
@@ -162,7 +166,9 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
     pwm.SetRatio16(duty_raw);
     const auto it = sample_sent_at.find(act_seq);
     if (it != sample_sent_at.end()) {
-      loop_latency_us.add(sim::to_microseconds(rig_world.now() - it->second));
+      const double us = sim::to_microseconds(rig_world.now() - it->second);
+      loop_latency_us.record(us);
+      if (us > deadline_us) ++loop_deadline_misses;
       sample_sent_at.erase(it);
     }
   };
@@ -217,10 +223,7 @@ DistributedResult run_distributed_servo(const DistributedConfig& config) {
   result.loop_latency_us_max = loop_latency_us.max();
   result.loop_latency_us_p99 = loop_latency_us.percentile(99.0);
   result.loop_samples = loop_latency_us.count();
-  const double deadline_us = config.period_s * 1e6;
-  for (double us : loop_latency_us.samples()) {
-    if (us > deadline_us) ++result.loop_deadline_misses;
-  }
+  result.loop_deadline_misses = loop_deadline_misses;
   return result;
 }
 

@@ -228,11 +228,19 @@ bool EvidenceReader::decode_record(std::uint16_t schema_id,
       if (byte_len % 8 != 0) return false;
       const std::uint8_t* raw = nullptr;
       if (!cur.read_bytes(raw, byte_len)) return false;
+      // Retired kind: the samples of an old artifact fold into the
+      // series' histogram.
       auto& series = metrics_.series(name);
-      series.reserve(byte_len / 8);
       for (std::uint32_t i = 0; i < byte_len; i += 8) {
-        series.add(load_f64(raw + i));
+        series.record(load_f64(raw + i));
       }
+      return true;
+    }
+    case kSchemaMetricLatencyHistogram: {
+      std::string name;
+      util::LatencyHistogram h;
+      if (!cur.read_str(name) || !read_histogram(cur, h)) return false;
+      metrics_.series(name).merge(h);
       return true;
     }
     case kSchemaMetricHistogram: {

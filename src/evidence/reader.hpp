@@ -128,8 +128,9 @@ class EvidenceReader {
   /// (skipped, per the evolution rules).
   std::uint64_t unknown_records() const { return unknown_records_; }
   /// Records of a retired schema the registry still lists so old
-  /// artifacts verify (id 7, metric_histogram: no registry fills that
-  /// kind any more).  Parsed with full bounds checks, then skipped.
+  /// artifacts verify (id 7, the fixed-bin metric_histogram).  Parsed with
+  /// full bounds checks, then skipped.  (Retired id 6, metric_series, is
+  /// not skipped: its samples fold into the series' histogram.)
   std::uint64_t retired_records() const { return retired_records_; }
 
   /// Rebuilds a TraceRecorder holding the artifact's events (capacity

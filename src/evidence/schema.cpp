@@ -89,11 +89,13 @@ const SchemaRegistry& SchemaRegistry::builtin() {
             {FT::kF64, "sum"},
             {FT::kF64, "min"},
             {FT::kF64, "max"}}});
+    // Retired (series travel as metric_latency_histogram now), still
+    // registered and read: an old artifact's samples fold into the
+    // series' histogram.
     r.add({kSchemaMetricSeries, 1, "metric_series",
            {{FT::kString, "name"}, {FT::kBytes, "samples_f64"}}});
-    // Retired (no registry fills histograms any more), still registered:
-    // the embedded schema section, and so every artifact's sha256, stays
-    // unchanged, and old artifacts carrying the kind still verify.
+    // Retired (the fixed-bin kind; registry histograms are id 13), still
+    // registered so old artifacts carrying the kind still verify.
     r.add({kSchemaMetricHistogram, 1, "metric_histogram",
            {{FT::kString, "name"},
             {FT::kF64, "lo"},
@@ -129,6 +131,14 @@ const SchemaRegistry& SchemaRegistry::builtin() {
             {FT::kU64, "total_runs"},
             {FT::kU64, "watermark"},
             {FT::kBytes, "state"}}});
+    r.add({kSchemaMetricLatencyHistogram, 1, "metric_latency_histogram",
+           {{FT::kString, "name"},
+            {FT::kU32, "first_bucket"},
+            {FT::kBytes, "counts_u64"},
+            {FT::kU64, "count"},
+            {FT::kF64, "sum"},
+            {FT::kF64, "min"},
+            {FT::kF64, "max"}}});
     return r;
   }();
   return registry;

@@ -94,10 +94,8 @@ void EvidenceWriter::record_metrics(const trace::MetricsRegistry& metrics) {
   for (const auto& [name, series] : metrics.all_series()) {
     std::vector<std::uint8_t> p;
     store_str(p, name);
-    store_le<std::uint32_t>(
-        p, static_cast<std::uint32_t>(series.samples().size() * 8));
-    for (double x : series.samples()) store_f64(p, x);
-    append_record(kSchemaMetricSeries, 1, p);
+    store_histogram(p, series);
+    append_record(kSchemaMetricLatencyHistogram, 1, p);
   }
 }
 

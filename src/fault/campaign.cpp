@@ -16,13 +16,6 @@ namespace {
 using util::json_escape;
 using util::json_number;
 
-void json_histogram(std::ostream& os, const obs::LatencyHistogram& h) {
-  os << "{\"n\":" << h.count() << ",\"min\":" << json_number(h.min())
-     << ",\"mean\":" << json_number(h.mean()) << ",\"p50\":" << json_number(h.p50())
-     << ",\"p90\":" << json_number(h.p90()) << ",\"p99\":" << json_number(h.p99())
-     << ",\"p999\":" << json_number(h.p999()) << ",\"max\":" << json_number(h.max()) << "}";
-}
-
 constexpr const char kSitePrefix[] = "fault.";
 constexpr const char kInjectedSuffix[] = ".injected";
 
@@ -167,7 +160,7 @@ std::string CampaignReport::to_json() const {
   if (it != health.tasks.end()) {
     os << "{\"recovered\":" << it->second.activations()
        << ",\"latency_us\":";
-    json_histogram(os, it->second.response_us());
+    util::json_histogram(os, it->second.response_us());
     os << "}";
   } else {
     os << "null";

@@ -13,9 +13,15 @@
 #include <vector>
 
 #include "mcu/cost_model.hpp"
-#include "mcu/memory.hpp"
 
 namespace iecd::mcu {
+
+/// Flash and RAM of a derivative; codegen's MemoryEstimate is checked
+/// against it (the PIL phase's "memory and stack requirements").
+struct MemoryCapacity {
+  std::uint32_t flash_bytes = 0;
+  std::uint32_t ram_bytes = 0;
+};
 
 struct DerivativeSpec {
   std::string name;

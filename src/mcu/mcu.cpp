@@ -7,8 +7,7 @@ Mcu::Mcu(sim::World& world, const DerivativeSpec& spec, std::string name)
       name_(std::move(name)),
       spec_(spec),
       clock_(spec.clock_hz),
-      cpu_(world.queue(), clock_, spec.costs, intc_),
-      memory_(spec.memory) {}
+      cpu_(world.queue(), clock_, spec.costs, intc_) {}
 
 void Mcu::raise_irq(IrqVector vec) {
   if (intc_.raise(vec, world_.now())) cpu_.kick();

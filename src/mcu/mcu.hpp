@@ -1,6 +1,6 @@
 /// \file mcu.hpp
-/// The simulated microcontroller: clock + interrupt controller + CPU +
-/// memory map, instantiated from a DerivativeSpec and living inside a
+/// The simulated microcontroller: clock + interrupt controller + CPU,
+/// instantiated from a DerivativeSpec and living inside a
 /// co-simulation World.  Each peripheral holds a reference to its Mcu.
 #pragma once
 
@@ -10,7 +10,6 @@
 #include "mcu/cpu.hpp"
 #include "mcu/derivative.hpp"
 #include "mcu/interrupt_controller.hpp"
-#include "mcu/memory.hpp"
 #include "sim/world.hpp"
 
 namespace iecd::mcu {
@@ -27,8 +26,6 @@ class Mcu {
   Cpu& cpu() { return cpu_; }
   const Cpu& cpu() const { return cpu_; }
   InterruptController& intc() { return intc_; }
-  MemoryMap& memory() { return memory_; }
-  const MemoryMap& memory() const { return memory_; }
 
   sim::World& world() { return world_; }
   sim::EventQueue& queue() { return world_.queue(); }
@@ -45,7 +42,6 @@ class Mcu {
   Clock clock_;
   InterruptController intc_;
   Cpu cpu_;
-  MemoryMap memory_;
 };
 
 }  // namespace iecd::mcu

@@ -14,14 +14,6 @@ namespace {
 using util::json_escape;
 using util::json_number;
 
-void json_histogram(std::ostream& os, const char* key,
-                    const LatencyHistogram& h) {
-  os << "\"" << key << "\":{\"n\":" << h.count() << ",\"min\":" << json_number(h.min())
-     << ",\"mean\":" << json_number(h.mean()) << ",\"p50\":" << json_number(h.p50())
-     << ",\"p90\":" << json_number(h.p90()) << ",\"p99\":" << json_number(h.p99())
-     << ",\"p999\":" << json_number(h.p999()) << ",\"max\":" << json_number(h.max()) << "}";
-}
-
 }  // namespace
 
 std::uint64_t HealthReport::anomaly_count() const {
@@ -118,11 +110,12 @@ std::string HealthReport::to_json() const {
        << ",\"deadline_misses\":" << mon.deadline_misses()
        << ",\"period_s\":" << json_number(mon.config().period_s)
        << ",\"deadline_s\":" << json_number(mon.config().deadline_s) << ",";
-    json_histogram(os, "response_us", mon.response_us());
-    os << ",";
-    json_histogram(os, "exec_us", mon.exec_us());
-    os << ",";
-    json_histogram(os, "jitter_us", mon.jitter_us());
+    os << "\"response_us\":";
+    util::json_histogram(os, mon.response_us());
+    os << ",\"exec_us\":";
+    util::json_histogram(os, mon.exec_us());
+    os << ",\"jitter_us\":";
+    util::json_histogram(os, mon.jitter_us());
     os << "}";
   }
   os << "}";

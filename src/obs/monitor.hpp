@@ -17,9 +17,9 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/latency_histogram.hpp"
 #include "obs/watermark.hpp"
 #include "sim/time.hpp"
+#include "util/latency_histogram.hpp"
 
 namespace iecd::sim {
 class World;
@@ -80,11 +80,11 @@ class TimingMonitor {
   }
 
   const Config& config() const { return config_; }
-  const LatencyHistogram& response_us() const { return response_us_; }
-  const LatencyHistogram& exec_us() const { return exec_us_; }
+  const util::LatencyHistogram& response_us() const { return response_us_; }
+  const util::LatencyHistogram& exec_us() const { return exec_us_; }
   /// |inter-activation interval - nominal period| in us (empty when the
   /// monitor is aperiodic).
-  const LatencyHistogram& jitter_us() const { return jitter_us_; }
+  const util::LatencyHistogram& jitter_us() const { return jitter_us_; }
 
   std::uint64_t activations() const { return activations_; }
   std::uint64_t deadline_misses() const { return deadline_misses_; }
@@ -106,9 +106,9 @@ class TimingMonitor {
   /// fold is bit-identical to an uninterrupted one).
   struct RawState {
     Config config;
-    LatencyHistogram response_us;
-    LatencyHistogram exec_us;
-    LatencyHistogram jitter_us;
+    util::LatencyHistogram response_us;
+    util::LatencyHistogram exec_us;
+    util::LatencyHistogram jitter_us;
     std::uint64_t activations = 0;
     std::uint64_t deadline_misses = 0;
     sim::SimTime last_miss_time = 0;
@@ -137,9 +137,9 @@ class TimingMonitor {
 
  private:
   Config config_;
-  LatencyHistogram response_us_;
-  LatencyHistogram exec_us_;
-  LatencyHistogram jitter_us_;
+  util::LatencyHistogram response_us_;
+  util::LatencyHistogram exec_us_;
+  util::LatencyHistogram jitter_us_;
   std::uint64_t activations_ = 0;
   std::uint64_t deadline_misses_ = 0;
   sim::SimTime last_miss_time_ = 0;

@@ -151,7 +151,7 @@ void HostEndpoint::on_frame(const Frame& frame) {
   double rtt_us = 0.0;
   if (found) {
     rtt_us = sim::to_microseconds(arrival - sent);
-    if (rtt_us_) rtt_us_->add(rtt_us);
+    if (rtt_us_) rtt_us_->record(rtt_us);
     // Per-sequence RTT monitor: release == service start == the send
     // instant; completion is the decoded arrival.
     if (rtt_monitor_) rtt_monitor_->record(sent, sent, arrival);
@@ -169,7 +169,7 @@ void HostEndpoint::on_frame(const Frame& frame) {
     if (pending_retransmits_ > 0) {
       ++recoveries_;
       if (recovery_us_) {
-        recovery_us_->add(sim::to_microseconds(arrival - pending_sent_));
+        recovery_us_->record(sim::to_microseconds(arrival - pending_sent_));
       }
       if (recovery_monitor_) {
         recovery_monitor_->record(pending_sent_, pending_sent_, arrival);

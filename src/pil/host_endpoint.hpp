@@ -19,7 +19,7 @@
 #include "pil/frame.hpp"
 #include "sim/serial_link.hpp"
 #include "sim/world.hpp"
-#include "util/statistics.hpp"
+#include "util/latency_histogram.hpp"
 
 namespace iecd::pil {
 
@@ -76,13 +76,13 @@ class HostEndpoint {
   void stop() { running_ = false; }
 
   /// Where the latency samples land, in microseconds: every matched
-  /// response appends its round trip (send -> decoded arrival) to
+  /// response records its round trip (send -> decoded arrival) into
   /// \p round_trip_us, every recovered exchange its outage (original send
-  /// -> matched response) to \p recovery_us.  The series belong to the
+  /// -> matched response) into \p recovery_us.  The series belong to the
   /// caller (PilSession points them at its report's "pil.round_trip_us" /
   /// "pil.recovery_us"); null drops the samples.
-  void set_latency_series(util::SampleSeries* round_trip_us,
-                          util::SampleSeries* recovery_us) {
+  void set_latency_series(util::LatencyHistogram* round_trip_us,
+                          util::LatencyHistogram* recovery_us) {
     rtt_us_ = round_trip_us;
     recovery_us_ = recovery_us;
   }
@@ -141,7 +141,7 @@ class HostEndpoint {
   sim::EventId exchange_event_ = 0;
   bool awaiting_response_ = false;
   std::uint8_t seq_ = 0;
-  util::SampleSeries* rtt_us_ = nullptr;
+  util::LatencyHistogram* rtt_us_ = nullptr;
   std::uint64_t exchanges_ = 0;
   std::uint64_t deadline_misses_ = 0;
   obs::TimingMonitor* rtt_monitor_ = nullptr;
@@ -150,7 +150,7 @@ class HostEndpoint {
   std::uint64_t retransmits_ = 0;
   std::uint64_t recoveries_ = 0;
   std::uint64_t abandoned_ = 0;
-  util::SampleSeries* recovery_us_ = nullptr;
+  util::LatencyHistogram* recovery_us_ = nullptr;
   obs::TimingMonitor* recovery_monitor_ = nullptr;
   TxFaultHook tx_fault_hook_;
   std::uint8_t pending_seq_ = 0;        ///< seq the timeout watches

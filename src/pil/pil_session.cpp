@@ -4,9 +4,9 @@
 
 namespace iecd::pil {
 
-const util::SampleSeries& PilReport::round_trip_us() const {
-  static const util::SampleSeries kEmpty;
-  const util::SampleSeries* s = metrics.find_series("pil.round_trip_us");
+const util::LatencyHistogram& PilReport::round_trip_us() const {
+  static const util::LatencyHistogram kEmpty;
+  const util::LatencyHistogram* s = metrics.find_series("pil.round_trip_us");
   return s != nullptr ? *s : kEmpty;
 }
 
@@ -120,7 +120,7 @@ void PilSession::set_monitors(obs::MonitorHub* hub) {
 }
 
 PilReport PilSession::run() {
-  // The registry is the report's source of truth: the host appends its
+  // The registry is the report's source of truth: the host records its
   // latency samples straight into the report's series during the run; the
   // counters and gauges follow, then the scalar convenience mirrors.
   PilReport report;

@@ -37,9 +37,9 @@ struct PilReport {
   std::uint32_t observed_stack_bytes = 0;
 
   /// Per-exchange round trip [us]: a view of the "pil.round_trip_us"
-  /// series in `metrics`, the one place the samples are stored (empty
+  /// series in `metrics`, the one place the distribution is stored (empty
   /// when the series is absent).
-  const util::SampleSeries& round_trip_us() const;
+  const util::LatencyHistogram& round_trip_us() const;
 
   /// Records the observed stack in both the registry and the mirror field.
   void set_observed_stack_bytes(std::uint32_t bytes);

@@ -18,7 +18,7 @@ util::RunningStats& MetricsRegistry::stats(const std::string& name) {
   return stats_[name];
 }
 
-util::SampleSeries& MetricsRegistry::series(const std::string& name) {
+util::LatencyHistogram& MetricsRegistry::series(const std::string& name) {
   return series_[name];
 }
 
@@ -39,7 +39,7 @@ const util::RunningStats* MetricsRegistry::find_stats(
   return it == stats_.end() ? nullptr : &it->second;
 }
 
-const util::SampleSeries* MetricsRegistry::find_series(
+const util::LatencyHistogram* MetricsRegistry::find_series(
     const std::string& name) const {
   const auto it = series_.find(name);
   return it == series_.end() ? nullptr : &it->second;
@@ -63,10 +63,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
   for (const auto& [name, g] : other.gauges_) gauges_[name] = g;
   for (const auto& [name, s] : other.stats_) stats_[name].merge(s);
-  for (const auto& [name, s] : other.series_) {
-    auto& mine = series_[name];
-    for (double x : s.samples()) mine.add(x);
-  }
+  for (const auto& [name, s] : other.series_) series_[name].merge(s);
 }
 
 std::string MetricsRegistry::report() const {
@@ -85,9 +82,9 @@ std::string MetricsRegistry::report() const {
   }
   for (const auto& [name, s] : series_) {
     out += util::format(
-        "%-36s n=%-7zu mean %.4g  p50 %.4g  p99 %.4g  max %.4g\n",
-        name.c_str(), s.count(), s.mean(), s.percentile(50), s.percentile(99),
-        s.max());
+        "%-36s n=%-7llu mean %.4g  p50 %.4g  p99 %.4g  max %.4g\n",
+        name.c_str(), static_cast<unsigned long long>(s.count()), s.mean(),
+        s.percentile(50), s.percentile(99), s.max());
   }
   return out;
 }
@@ -114,9 +111,10 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
   }
   for (const auto& [name, s] : series_) {
     std::snprintf(line, sizeof line,
-                  "%s,series,%zu,,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n",
-                  name.c_str(), s.count(), s.mean(), s.stddev(), s.min(),
-                  s.max(), s.percentile(50), s.percentile(99));
+                  "%s,series,%llu,,%.9g,,%.9g,%.9g,%.9g,%.9g\n",
+                  name.c_str(), static_cast<unsigned long long>(s.count()),
+                  s.mean(), s.min(), s.max(), s.percentile(50),
+                  s.percentile(99));
     os << line;
   }
 }

@@ -1,9 +1,11 @@
 /// \file metrics.hpp
 /// MetricsRegistry: one named home for the counters, gauges, running stats
-/// and sample series that `pil::PilReport`, the campaigns and the benches
-/// record.  Per-dispatch timing lives in obs::TimingMonitor instead.  Storage is `std::map`-backed so references
-/// handed out stay stable and every rendering (text report, CSV) iterates
-/// in deterministic name order.
+/// and series that `pil::PilReport`, the campaigns and the benches record.
+/// A series is a util::LatencyHistogram (default Config), so it costs
+/// O(buckets) however many samples it folds, and merging registries adds
+/// buckets.  Per-dispatch timing lives in obs::TimingMonitor instead.
+/// Storage is `std::map`-backed so references handed out stay stable and
+/// every rendering (text report, CSV) iterates in deterministic name order.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +13,7 @@
 #include <ostream>
 #include <string>
 
+#include "util/latency_histogram.hpp"
 #include "util/statistics.hpp"
 
 namespace iecd::trace {
@@ -28,25 +31,26 @@ class MetricsRegistry {
   Counter& counter(const std::string& name);
   double& gauge(const std::string& name);
   util::RunningStats& stats(const std::string& name);
-  util::SampleSeries& series(const std::string& name);
+  util::LatencyHistogram& series(const std::string& name);
 
   // ------------------------------------------------------- const lookups
   const Counter* find_counter(const std::string& name) const;
   const double* find_gauge(const std::string& name) const;
   const util::RunningStats* find_stats(const std::string& name) const;
-  const util::SampleSeries* find_series(const std::string& name) const;
+  const util::LatencyHistogram* find_series(const std::string& name) const;
 
   bool empty() const;
   void clear();
 
   /// Folds another registry in (parallel or phase-wise collection).
-  /// Counters add, gauges overwrite, stats merge, series concatenate.
+  /// Counters add, gauges overwrite, stats merge, series add buckets.
   void merge(const MetricsRegistry& other);
 
   /// Deterministic human-readable report, one line per metric, sorted.
   std::string report() const;
 
   /// Deterministic CSV: metric,kind,count,value,mean,stddev,min,max,p50,p99
+  /// (a series row leaves stddev empty: a histogram keeps no second moment).
   void write_csv(std::ostream& os) const;
   std::string to_csv() const;
 
@@ -55,7 +59,7 @@ class MetricsRegistry {
   const std::map<std::string, util::RunningStats>& all_stats() const {
     return stats_;
   }
-  const std::map<std::string, util::SampleSeries>& all_series() const {
+  const std::map<std::string, util::LatencyHistogram>& all_series() const {
     return series_;
   }
 
@@ -63,7 +67,7 @@ class MetricsRegistry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, double> gauges_;
   std::map<std::string, util::RunningStats> stats_;
-  std::map<std::string, util::SampleSeries> series_;
+  std::map<std::string, util::LatencyHistogram> series_;
 };
 
 }  // namespace iecd::trace

@@ -53,57 +53,4 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-const std::vector<double>& SampleSeries::sorted() const {
-  if (!sorted_valid_ || sorted_.size() != samples_.size()) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-  return sorted_;
-}
-
-double SampleSeries::mean() const {
-  if (samples_.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : samples_) s += x;
-  return s / static_cast<double>(samples_.size());
-}
-
-double SampleSeries::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double s = 0.0;
-  for (double x : samples_) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(samples_.size()));
-}
-
-double SampleSeries::min() const {
-  return samples_.empty() ? 0.0 : sorted().front();
-}
-
-double SampleSeries::max() const {
-  return samples_.empty() ? 0.0 : sorted().back();
-}
-
-double SampleSeries::percentile(double p) const {
-  if (std::isnan(p)) return std::numeric_limits<double>::quiet_NaN();
-  if (samples_.empty()) return 0.0;
-  const auto& s = sorted();
-  if (s.size() == 1) return s[0];
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const double pos = clamped / 100.0 * static_cast<double>(s.size() - 1);
-  const auto idx = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(idx);
-  if (idx + 1 >= s.size()) return s.back();
-  return s[idx] * (1.0 - frac) + s[idx + 1] * frac;
-}
-
-double SampleSeries::peak_deviation() const {
-  if (samples_.empty()) return 0.0;
-  const double m = mean();
-  double peak = 0.0;
-  for (double x : samples_) peak = std::max(peak, std::abs(x - m));
-  return peak;
-}
-
 }  // namespace iecd::util

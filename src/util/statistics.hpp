@@ -1,12 +1,11 @@
 /// \file statistics.hpp
-/// Streaming and batch statistics used by the PIL report, the campaigns and
-/// every benchmark: running mean/stddev (Welford), min/max and percentiles.
-/// Online latency histograms live in obs::LatencyHistogram.
+/// Streaming moments used by the PIL report, the campaigns and every
+/// benchmark: running mean/stddev (Welford) and min/max.  Distributions
+/// with percentiles live in util::LatencyHistogram.
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace iecd::util {
 
@@ -43,39 +42,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Batch sample container with percentile queries.  Keeps all samples;
-/// intended for per-run profiling where sample counts are modest (<1e7).
-class SampleSeries {
- public:
-  void add(double x) { samples_.push_back(x); }
-  void reserve(std::size_t n) { samples_.reserve(n); }
-
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-
-  double mean() const;
-  double stddev() const;
-  double min() const;
-  double max() const;
-
-  /// Linear-interpolated percentile; p is clamped to [0, 100], so p=0 is
-  /// the minimum and p=100 the maximum.  An empty series yields 0.0 (the
-  /// same convention as mean()/min()/max()); a NaN p yields NaN.
-  double percentile(double p) const;
-
-  /// Max |x - mean|; a simple jitter figure for periodic activations.
-  double peak_deviation() const;
-
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
-
-  const std::vector<double>& sorted() const;
 };
 
 }  // namespace iecd::util

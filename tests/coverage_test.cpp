@@ -17,7 +17,6 @@
 #include "model/engine.hpp"
 #include "periph/uart.hpp"
 #include "plant/dc_motor.hpp"
-#include "util/statistics.hpp"
 #include "util/strings.hpp"
 
 namespace iecd {
@@ -151,16 +150,6 @@ TEST(StringsFormatting, LongFormatDoesNotTruncate) {
   const std::string out = util::format("%s:%d", long_name.c_str(), 7);
   EXPECT_EQ(out.size(), 302u);
   EXPECT_EQ(out.substr(300), ":7");
-}
-
-TEST(SampleSeriesEdge, SingleAndEmptyBehaviour) {
-  util::SampleSeries s;
-  EXPECT_EQ(s.percentile(50), 0.0);
-  EXPECT_EQ(s.mean(), 0.0);
-  s.add(3.0);
-  EXPECT_EQ(s.percentile(0), 3.0);
-  EXPECT_EQ(s.percentile(100), 3.0);
-  EXPECT_EQ(s.stddev(), 0.0);
 }
 
 TEST(PwmBeanTolerance, TightToleranceRejectsOddFrequency) {

@@ -121,7 +121,7 @@ void scenario_run(std::size_t index, iecd::trace::MetricsRegistry& metrics) {
   metrics.counter("scenario.events").increment(200);
   metrics.gauge("scenario.acc") = acc;
   metrics.stats("scenario.when_mod").add(acc / 200.0);
-  metrics.series("scenario.index").add(static_cast<double>(index));
+  metrics.series("scenario.index").record(static_cast<double>(index));
 }
 
 TEST(SweepDeterminismTest, ParallelMergeIsByteIdenticalToSequential) {

@@ -98,7 +98,11 @@ TEST(DistributedServo, DeterministicAcrossRuns) {
 // began stepping the model's 8-tap controller (batch::SpeedPi) instead of
 // a 4-tap copy, and again when the plant stepped only at input changes
 // and reads, and a decoder read began to see the count at its own instant
-// instead of at the last 50 us poll before it.  events_executed is
+// instead of at the last 50 us poll before it.  The loop_latency_us_p99
+// goldens were re-pinned once more when the rig's latencies moved from a
+// sorted sample copy into a util::LatencyHistogram, whose percentiles are
+// bucket-interpolated (each within relative_error_bound(), 1/32, of the
+// exact value; the healthy bus's equal samples stay exact).  events_executed is
 // deliberately excluded — cross-world frame deliveries are separate queue
 // events, so the scheduler-pressure counter legitimately differs.
 // ---------------------------------------------------------------------------
@@ -131,7 +135,7 @@ TEST(CosimDistributedRegression, SaturatedBusMatchesMonolithicGoldens) {
   expect_bits(r.loop_latency_us_mean, 124385.30000000008,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 253753.30000000002, "loop_latency_us_max");
-  expect_bits(r.loop_latency_us_p99, 248761.30000000002, "loop_latency_us_p99");
+  expect_bits(r.loop_latency_us_p99, 247808.0, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.9986666666666667, "bus_utilisation");
   expect_bits(r.speed.last_value(), 469.603628916812, "final speed");
   EXPECT_EQ(r.loop_samples, 101u);
@@ -150,7 +154,7 @@ TEST(CosimDistributedRegression, LoadedBusMatchesMonolithicGoldens) {
   expect_bits(r.loop_latency_us_mean, 491.95383973289086,
               "loop_latency_us_mean");
   expect_bits(r.loop_latency_us_max, 624.79899999999998, "loop_latency_us_max");
-  expect_bits(r.loop_latency_us_p99, 624.79302000000007, "loop_latency_us_p99");
+  expect_bits(r.loop_latency_us_p99, 624.79899999999998, "loop_latency_us_p99");
   expect_bits(r.bus_utilisation, 0.74218399999999995, "bus_utilisation");
   expect_bits(r.speed.last_value(), 99.97792041573322, "final speed");
   EXPECT_EQ(r.loop_samples, 599u);

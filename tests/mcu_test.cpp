@@ -274,21 +274,5 @@ TEST_F(McuFixture, BusyTimeAccumulatesUtilisation) {
   EXPECT_EQ(mcu.cpu().busy_time(), 5 * per_run);
 }
 
-TEST(MemoryMap, ChargesAndValidates) {
-  MemoryMap mem({1000, 100});
-  mem.charge_flash(600, "code");
-  mem.charge_ram(40, "arena");
-  util::DiagnosticList diags;
-  mem.validate(diags);
-  EXPECT_FALSE(diags.has_errors());
-  EXPECT_DOUBLE_EQ(mem.flash_utilisation(), 0.6);
-  EXPECT_DOUBLE_EQ(mem.ram_utilisation(), 0.4);
-
-  mem.charge_ram(100, "stack");
-  mem.validate(diags);
-  EXPECT_TRUE(diags.has_errors());
-  EXPECT_NE(mem.report().find("arena"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace iecd::mcu

@@ -192,7 +192,7 @@ TEST(HostEndpointTest, CountsMissWhenResponseNeverComes) {
   HostEndpoint::Options opts;
   opts.period = sim::milliseconds(1);
   HostEndpoint host(world, link.a_to_b(), link.b_to_a(), opts);
-  util::SampleSeries round_trip_us;
+  util::LatencyHistogram round_trip_us;
   host.set_latency_series(&round_trip_us, nullptr);
   host.set_plant(
       [](std::vector<double>& out) { out.push_back(1.0); },

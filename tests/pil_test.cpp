@@ -204,6 +204,49 @@ TEST(HostEndpointTest, CountsMissWhenResponseNeverComes) {
   EXPECT_EQ(round_trip_us.count(), 0u);
 }
 
+TEST(HostEndpointTest, RetransmitTimeoutDoublesUpToTheIntervalThenAbandons) {
+  // One unanswered exchange with recovery on: the retransmit timeout
+  // starts at Recovery.timeout, doubles per copy, is capped at the
+  // exchange interval, and the exchange is abandoned one timeout after
+  // the last of max_retransmits copies.  stop() right after the first
+  // exchange keeps the next one from superseding the recovery.
+  sim::World world;
+  sim::SerialLink link(world, sim::SerialConfig::rs232(1000000));
+  HostEndpoint::Options opts;
+  opts.period = sim::milliseconds(1);
+  opts.recovery.enabled = true;
+  opts.recovery.timeout = sim::microseconds(100);
+  opts.recovery.max_retransmits = 6;
+  HostEndpoint host(world, link.a_to_b(), link.b_to_a(), opts);
+  std::vector<sim::SimTime> sends;
+  host.set_tx_fault_hook([&](std::size_t) {
+    sends.push_back(world.now());
+    return HostEndpoint::TxFault{};
+  });
+  host.set_plant(
+      [](std::vector<double>& out) { out.push_back(1.0); },
+      [](const std::vector<double>&) {}, [](double) {});
+  host.start();  // nobody answers on the other end
+  world.run_until(sim::microseconds(1500));
+  host.stop();
+  world.run_until(sim::microseconds(5499));
+  EXPECT_EQ(host.exchanges_abandoned(), 0u);
+  world.run_until(sim::milliseconds(20));
+
+  // Original send at 1 ms, then copies 100, 200, 400, 800 µs apart, and
+  // 1000 µs (the interval) from there on.
+  const std::vector<sim::SimTime> expected = {
+      sim::microseconds(1000), sim::microseconds(1100),
+      sim::microseconds(1300), sim::microseconds(1700),
+      sim::microseconds(2500), sim::microseconds(3500),
+      sim::microseconds(4500)};
+  EXPECT_EQ(sends, expected);
+  EXPECT_EQ(host.exchanges(), 1u);
+  EXPECT_EQ(host.retransmits(), 6u);
+  EXPECT_EQ(host.exchanges_abandoned(), 1u);
+  EXPECT_EQ(host.recovered_exchanges(), 0u);
+}
+
 TEST(TargetAgentTest, IgnoresActuatorTypeFrames) {
   PilRig rig;
   TargetAgent agent(*rig.runtime, *rig.serial, rig.buffer);

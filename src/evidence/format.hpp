@@ -32,7 +32,6 @@
 ///            32 B SHA-256 of bytes [0, footer_start), u32 end magic
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -189,17 +188,13 @@ class PayloadCursor {
 };
 
 // ------------------------------------------------------- histogram codec
-/// One util::LatencyHistogram (default Config): u32 first bucket, the
-/// counts of the non-empty bucket range [first, last] as u32 byte length
-/// + u64 each, then u64 count, f64 sum, min, max.  An empty histogram
-/// writes an empty range at 0.  Sparse because the default 1,921 buckets
-/// would take 15 KB written densely, while a run's latencies fill a few
-/// dozen.  No Config travels: the reader rebuilds a default one, so any
-/// other Config would come back re-bucketed.
+/// One util::LatencyHistogram: u32 first bucket, the counts of the
+/// non-empty bucket range [first, last] as u32 byte length + u64 each,
+/// then u64 count, f64 sum, min, max.  An empty histogram writes an empty
+/// range at 0.  Sparse because the 1,921 buckets would take 15 KB written
+/// densely, while a run's latencies fill a few dozen.
 inline void store_histogram(std::vector<std::uint8_t>& out,
                             const util::LatencyHistogram& h) {
-  assert(h.config() == util::LatencyHistogram::Config{} &&
-         "the histogram codec carries the default Config only");
   const std::vector<std::uint64_t>& counts = h.bucket_counts();
   std::size_t first = 0;
   std::size_t end = counts.size();
@@ -217,7 +212,8 @@ inline void store_histogram(std::vector<std::uint8_t>& out,
 
 /// Reads what store_histogram wrote; false on a short payload or a state
 /// util::LatencyHistogram::from_raw rejects (range past the bucket count,
-/// counts not summing to count, min > max).
+/// counts not summing to count, min > max, min or max outside the
+/// non-empty buckets).
 inline bool read_histogram(PayloadCursor& cur, util::LatencyHistogram& out) {
   std::uint32_t first = 0;
   std::uint32_t byte_len = 0;

@@ -4,21 +4,9 @@
 
 namespace iecd::obs {
 
-FlightRecorder::FlightRecorder() : FlightRecorder(Config{}) {}
-
-FlightRecorder::FlightRecorder(Config config) : config_(config) {}
-
 void FlightRecorder::trigger(const std::string& name, sim::SimTime time,
                              const std::string& detail) {
   capture(name, time, detail);
-}
-
-void FlightRecorder::add_trigger(const std::string& name,
-                                 std::function<bool()> predicate) {
-  Polled p;
-  p.name = name;
-  p.predicate = std::move(predicate);
-  polled_.push_back(std::move(p));
 }
 
 void FlightRecorder::add_counter_trigger(
@@ -34,14 +22,11 @@ void FlightRecorder::add_counter_trigger(
 
 void FlightRecorder::poll(sim::SimTime now) {
   for (auto& p : polled_) {
-    if (p.counter) {
-      const std::uint64_t value = p.counter();
-      if (value > p.last) {
-        capture(p.name, now, '+' + std::to_string(value - p.last));
-        p.last = value;
-      }
-    } else if (p.predicate && p.predicate()) {
-      capture(p.name, now, {});
+    if (!p.counter) continue;
+    const std::uint64_t value = p.counter();
+    if (value > p.last) {
+      capture(p.name, now, '+' + std::to_string(value - p.last));
+      p.last = value;
     }
   }
 }
@@ -55,7 +40,7 @@ void FlightRecorder::capture(const std::string& name, sim::SimTime time,
                              const std::string& detail) {
   ++trigger_counts_[name];
   ++triggers_total_;
-  if (dumps_.size() >= config_.max_dumps) {
+  if (dumps_.size() >= kMaxDumps) {
     ++suppressed_;
     return;
   }
@@ -70,8 +55,7 @@ void FlightRecorder::capture(const std::string& name, sim::SimTime time,
   // the dump survives the recorder (and its interning table) being cleared.
   if (const trace::TraceRecorder* rec = trace::recorder()) {
     const std::size_t live = rec->size();
-    const std::size_t skip =
-        live > config_.trail_depth ? live - config_.trail_depth : 0;
+    const std::size_t skip = live > kTrailDepth ? live - kTrailDepth : 0;
     dump.events.reserve(live - skip);
     std::size_t i = 0;
     rec->for_each([&](const trace::Event& ev) {

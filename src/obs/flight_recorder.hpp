@@ -2,11 +2,11 @@
 /// Post-mortem capture for anomalies that would otherwise vanish unless a
 /// human replays a Chrome trace: deadline misses, frame-decoder
 /// resynchronizations, FIFO overruns, trace-ring drops.  Components (or
-/// polled counter predicates) trigger the recorder; each trigger snapshots
-/// the trailing N events of the active trace::TraceRecorder — with names
-/// resolved to strings, so the dump outlives the recorder — plus a state
-/// line per registered monitor.  Dumps are bounded; triggers beyond the
-/// bound are still counted per trigger name.
+/// polled monotonic counters) trigger the recorder; each trigger snapshots
+/// the trailing kTrailDepth (32) events of the active trace::TraceRecorder
+/// — with names resolved to strings, so the dump outlives the recorder —
+/// plus a state line per registered monitor.  The first kMaxDumps (8)
+/// dumps are kept; later triggers are still counted per trigger name.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +22,10 @@ namespace iecd::obs {
 
 class FlightRecorder {
  public:
-  struct Config {
-    std::size_t trail_depth = 32;  ///< trace events captured per dump
-    std::size_t max_dumps = 8;     ///< dumps retained; later triggers count only
-  };
+  /// Trace events captured per dump.
+  static constexpr std::size_t kTrailDepth = 32;
+  /// Dumps kept; later triggers are only counted.
+  static constexpr std::size_t kMaxDumps = 8;
 
   /// One trailing trace event, resolved to strings at capture time.
   struct DumpEvent {
@@ -49,17 +49,10 @@ class FlightRecorder {
     std::vector<std::string> monitor_state;  ///< one line per monitor
   };
 
-  FlightRecorder();
-  explicit FlightRecorder(Config config);
-
   /// Push-style trigger: an instrumentation site reports the anomaly the
   /// moment it happens (tightest possible trailing-event window).
   void trigger(const std::string& name, sim::SimTime time,
                const std::string& detail = {});
-
-  /// Polled predicate: evaluated at every poll(); a true return triggers
-  /// once per poll.
-  void add_trigger(const std::string& name, std::function<bool()> predicate);
 
   /// Polled monotonic counter: triggers whenever the counter increased
   /// since the previous poll (detail carries the increment), e.g. UART
@@ -67,7 +60,7 @@ class FlightRecorder {
   void add_counter_trigger(const std::string& name,
                            std::function<std::uint64_t()> counter);
 
-  /// Evaluates all polled triggers, in registration order.
+  /// Evaluates all counter triggers, in registration order.
   void poll(sim::SimTime now);
 
   /// Snapshot provider for monitor states (set by MonitorHub): fills one
@@ -76,14 +69,12 @@ class FlightRecorder {
       std::function<void(std::vector<std::string>&)> provider);
 
   const std::vector<Dump>& dumps() const { return dumps_; }
-  /// Triggers observed per anomaly name (including ones past max_dumps).
+  /// Triggers observed per anomaly name (including ones past kMaxDumps).
   const std::map<std::string, std::uint64_t>& trigger_counts() const {
     return trigger_counts_;
   }
   std::uint64_t triggers_total() const { return triggers_total_; }
   std::uint64_t suppressed() const { return suppressed_; }
-
-  const Config& config() const { return config_; }
 
  private:
   void capture(const std::string& name, sim::SimTime time,
@@ -91,12 +82,10 @@ class FlightRecorder {
 
   struct Polled {
     std::string name;
-    std::function<bool()> predicate;            ///< or
-    std::function<std::uint64_t()> counter;     ///< counter-delta form
+    std::function<std::uint64_t()> counter;
     std::uint64_t last = 0;
   };
 
-  Config config_;
   std::vector<Polled> polled_;
   std::vector<Dump> dumps_;
   std::map<std::string, std::uint64_t> trigger_counts_;

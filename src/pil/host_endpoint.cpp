@@ -1,5 +1,7 @@
 #include "pil/host_endpoint.hpp"
 
+#include <algorithm>
+
 #include "trace/trace.hpp"
 
 namespace iecd::pil {
@@ -98,12 +100,7 @@ void HostEndpoint::on_timeout(std::uint64_t generation) {
   ++pending_retransmits_;
   ++retransmits_;
   transmit_faulted(tx_bytes_);
-  current_timeout_ = static_cast<sim::SimTime>(
-      static_cast<double>(current_timeout_) * options_.recovery.backoff);
-  const sim::SimTime cap = options_.recovery.backoff_cap > 0
-                               ? options_.recovery.backoff_cap
-                               : exchange_interval();
-  if (current_timeout_ > cap) current_timeout_ = cap;
+  current_timeout_ = std::min(2 * current_timeout_, exchange_interval());
   if (auto* tr = trace::recorder()) {
     tr->instant("pil", "retransmit", "pil_host", world_.now(),
                 static_cast<double>(pending_seq_));
@@ -188,12 +185,10 @@ void HostEndpoint::start() {
   if (running_) return;
   running_ = true;
   if (exchange_event_ != 0) world_.queue().cancel(exchange_event_);
-  const sim::SimTime interval =
-      options_.period * static_cast<sim::SimTime>(options_.batch);
+  const sim::SimTime interval = exchange_interval();
   // One recurring event carries every exchange for the whole session.
   exchange_event_ = world_.queue().schedule_every(
-      options_.start + interval - world_.now(), interval,
-      [this] { exchange(); });
+      interval - world_.now(), interval, [this] { exchange(); });
 }
 
 void HostEndpoint::exchange() {

@@ -31,7 +31,7 @@ class HostEndpoint {
   /// an exchange that has not been answered within \p timeout is
   /// retransmitted with the SAME sequence number (the board's duplicate
   /// cache replays its response without re-stepping the controller), the
-  /// timeout backing off exponentially up to \p backoff_cap.  After
+  /// timeout doubling with each copy up to the exchange interval.  After
   /// \p max_retransmits unanswered copies the exchange is abandoned: the
   /// plant holds the last applied actuator output (safe state) until the
   /// next exchange or a late response supersedes it.
@@ -45,13 +45,10 @@ class HostEndpoint {
     bool enabled = false;
     sim::SimTime timeout = 0;      ///< first timeout; 0 = interval / 2
     int max_retransmits = 2;       ///< copies after the original send
-    double backoff = 2.0;          ///< timeout multiplier per retransmit
-    sim::SimTime backoff_cap = 0;  ///< ceiling; 0 = the exchange interval
   };
 
   struct Options {
     sim::SimTime period = sim::milliseconds(1);  ///< control period
-    sim::SimTime start = 0;
     /// Control steps per frame.  1 = classic per-period exchange
     /// (bit-identical to the unbatched protocol); N packs N samples into
     /// one frame and fires the exchange every N periods.
@@ -156,7 +153,7 @@ class HostEndpoint {
   std::uint8_t pending_seq_ = 0;        ///< seq the timeout watches
   sim::SimTime pending_sent_ = 0;       ///< original send instant
   int pending_retransmits_ = 0;         ///< copies sent for this exchange
-  sim::SimTime current_timeout_ = 0;    ///< next timeout delay (backoff)
+  sim::SimTime current_timeout_ = 0;    ///< next timeout delay
   sim::EventId timeout_event_ = 0;
   std::uint64_t exchange_generation_ = 0;  ///< guards stale timeout events
 

@@ -1,8 +1,10 @@
 /// \file serial_link.hpp
 /// Byte-timed asynchronous serial line (the RS232 connection of Fig. 6.2).
-/// Each byte occupies start + data + stop bits at the configured baud rate;
-/// transmission is serialized per direction (a UART cannot start the next
-/// byte before the previous one left the shift register).
+/// Each byte is an 8N1 frame — start bit, 8 data bits, no parity, one stop
+/// bit: 10 bits at the configured baud rate (8 clocks on a synchronous,
+/// SPI-style line); transmission is serialized per direction (a UART
+/// cannot start the next byte before the previous one left the shift
+/// register).
 ///
 /// Two delivery modes, chosen by which receiver the endpoint installs:
 ///
@@ -35,20 +37,14 @@ namespace iecd::sim {
 
 struct SerialConfig {
   std::uint32_t baud_rate = 115200;  ///< bit clock (SPI: the SCK frequency)
-  int data_bits = 8;
-  int stop_bits = 1;
-  bool parity = false;
   /// Synchronous (SPI-style) transfer: a clock line replaces start/stop
-  /// framing, so a byte costs exactly data_bits clocks.  The paper's
+  /// framing, so a byte costs exactly its 8 data clocks.  The paper's
   /// future-work item — "a support for new communications (e.g. SPI)".
   bool synchronous = false;
 
-  /// Bits on the wire per byte (async: start + data + parity + stop;
-  /// synchronous: data only).
-  int bits_per_byte() const {
-    if (synchronous) return data_bits;
-    return 1 + data_bits + (parity ? 1 : 0) + stop_bits;
-  }
+  /// Bits on the wire per byte (8N1 async: start + 8 data + stop;
+  /// synchronous: the 8 data bits only).
+  int bits_per_byte() const { return synchronous ? 8 : 10; }
 
   /// Wire time of a single byte.
   SimTime byte_time() const;

@@ -8,35 +8,28 @@
 
 namespace iecd::util {
 
-LatencyHistogram::LatencyHistogram() : LatencyHistogram(Config{}) {}
-
-LatencyHistogram::LatencyHistogram(Config config) : config_(config) {
-  const std::size_t sub = std::size_t{1} << config_.sub_bucket_bits;
-  const std::size_t octaves =
-      static_cast<std::size_t>(config_.max_exp - config_.min_exp);
-  counts_.assign(1 + octaves * sub, 0);  // [0] = zero/underflow
-}
+namespace {
+constexpr std::size_t kSub = std::size_t{1} << LatencyHistogram::kSubBucketBits;
+}  // namespace
 
 // Octave o of bucket 1 + o*S + s holds values whose frexp exponent is
-// min_exp + o + 1, i.e. v in [2^(min_exp+o), 2^(min_exp+o+1)); sub-bucket s
-// spans [base * (1 + s/S), base * (1 + (s+1)/S)) with base = 2^(min_exp+o).
-double LatencyHistogram::bucket_lo(std::size_t i) const {
+// kMinExp + o + 1, i.e. v in [2^(kMinExp+o), 2^(kMinExp+o+1)); sub-bucket s
+// spans [base * (1 + s/S), base * (1 + (s+1)/S)) with base = 2^(kMinExp+o).
+double LatencyHistogram::bucket_lo(std::size_t i) {
   if (i == 0) return 0.0;
-  const std::size_t sub = std::size_t{1} << config_.sub_bucket_bits;
-  const std::size_t octave = (i - 1) >> config_.sub_bucket_bits;
-  const std::size_t s = (i - 1) & (sub - 1);
-  return std::ldexp(1.0 + static_cast<double>(s) / static_cast<double>(sub),
-                    config_.min_exp + static_cast<int>(octave));
+  const std::size_t octave = (i - 1) >> kSubBucketBits;
+  const std::size_t s = (i - 1) & (kSub - 1);
+  return std::ldexp(1.0 + static_cast<double>(s) / static_cast<double>(kSub),
+                    kMinExp + static_cast<int>(octave));
 }
 
-double LatencyHistogram::bucket_hi(std::size_t i) const {
-  if (i == 0) return std::ldexp(1.0, config_.min_exp);
-  const std::size_t sub = std::size_t{1} << config_.sub_bucket_bits;
-  const std::size_t octave = (i - 1) >> config_.sub_bucket_bits;
-  const std::size_t s = (i - 1) & (sub - 1);
+double LatencyHistogram::bucket_hi(std::size_t i) {
+  if (i == 0) return std::ldexp(1.0, kMinExp);
+  const std::size_t octave = (i - 1) >> kSubBucketBits;
+  const std::size_t s = (i - 1) & (kSub - 1);
   return std::ldexp(
-      1.0 + static_cast<double>(s + 1) / static_cast<double>(sub),
-      config_.min_exp + static_cast<int>(octave));
+      1.0 + static_cast<double>(s + 1) / static_cast<double>(kSub),
+      kMinExp + static_cast<int>(octave));
 }
 
 double LatencyHistogram::percentile(double p) const {
@@ -80,9 +73,8 @@ double LatencyHistogram::percentile(double p) const {
   return max_;
 }
 
-bool LatencyHistogram::merge(const LatencyHistogram& other) {
-  if (!(config_ == other.config_)) return false;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  for (std::size_t i = 0; i < kBucketCount; ++i) {
     counts_[i] += other.counts_[i];
   }
   if (other.count_ > 0) {
@@ -90,20 +82,19 @@ bool LatencyHistogram::merge(const LatencyHistogram& other) {
       min_ = other.min_;
       max_ = other.max_;
     } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
+      // std::min/max keep a NaN of this side; take one of the other's.
+      min_ = std::isnan(other.min_) ? other.min_ : std::min(min_, other.min_);
+      max_ = std::isnan(other.max_) ? other.max_ : std::max(max_, other.max_);
     }
   }
   sum_ += other.sum_;
   count_ += other.count_;
-  return true;
 }
 
 std::optional<LatencyHistogram> LatencyHistogram::from_raw(
     std::size_t first, std::span<const std::uint64_t> counts,
     std::uint64_t count, double sum, double min, double max) {
-  LatencyHistogram h;
-  if (first > h.counts_.size() || counts.size() > h.counts_.size() - first) {
+  if (first > kBucketCount || counts.size() > kBucketCount - first) {
     return std::nullopt;
   }
   std::uint64_t total = 0;
@@ -114,7 +105,23 @@ std::optional<LatencyHistogram> LatencyHistogram::from_raw(
   if (total != count || min > max) {
     return std::nullopt;
   }
+  LatencyHistogram h;
   std::copy(counts.begin(), counts.end(), h.counts_.begin() + first);
+  if (count > 0) {
+    // The exact min and max must sit in non-empty buckets that bound every
+    // sample above the underflow bucket, which alone also holds NaNs.  A
+    // NaN min or max (a NaN first sample) bounds nothing.
+    const std::size_t lo = std::isnan(min) ? 0 : bucket_index(min);
+    const std::size_t hi = std::isnan(max) ? kBucketCount - 1 : bucket_index(max);
+    if ((!std::isnan(min) && h.counts_[lo] == 0) ||
+        (!std::isnan(max) && h.counts_[hi] == 0)) {
+      return std::nullopt;
+    }
+    for (std::size_t i = std::max<std::size_t>(first, 1);
+         i < first + counts.size(); ++i) {
+      if (h.counts_[i] != 0 && (i < lo || i > hi)) return std::nullopt;
+    }
+  }
   h.count_ = count;
   h.sum_ = sum;
   h.min_ = min;

@@ -1,9 +1,8 @@
 /// \file latency_histogram.hpp
 /// HDR-style log-bucketed histogram, the repo's one distribution type:
-/// fixed memory chosen at construction, allocation-free on the record
-/// path, exact min/max/count/sum, and interpolated quantiles whose relative
-/// error is bounded by the sub-bucket resolution (1/32 per octave by
-/// default).
+/// one fixed layout of 1,921 buckets, allocation-free on the record path,
+/// exact min/max/count/sum, and interpolated quantiles whose relative
+/// error is bounded by the sub-bucket resolution (1/32 per octave).
 ///
 /// The paper's PIL phase surfaces "execution times of the implemented
 /// controller code, interrupts response times, sampling jitters"; this is
@@ -14,9 +13,9 @@
 /// every evidence artifact and in every campaign checkpoint.
 ///
 /// Bucketing: a positive value v = m * 2^e (frexp, m in [0.5, 1)) lands in
-/// octave (e - min_exp), sub-bucket floor((m - 0.5) * 2 * S).  Bucket
-/// widths therefore grow geometrically while each octave is split into S
-/// linear sub-buckets — the classic HDR layout.  Zero and values below the
+/// octave (e - kMinExp), sub-bucket floor((m - 0.5) * 2 * S) with S = 32.
+/// Bucket widths therefore grow geometrically while each octave is split
+/// into S linear sub-buckets — the classic HDR layout.  Zero and values below the
 /// tracked range land in the dedicated underflow bucket; values above it
 /// saturate into the last bucket.  Exact min/max are tracked separately, so
 /// quantile answers are always clamped into the true observed range.
@@ -34,21 +33,22 @@ namespace iecd::util {
 
 class LatencyHistogram {
  public:
-  struct Config {
-    /// log2 of the sub-buckets per octave; 5 -> 32 sub-buckets -> worst
-    /// relative quantile error ~3.1%.
-    int sub_bucket_bits = 5;
-    /// Smallest tracked binary exponent: 2^min_exp is the resolution
-    /// floor.  -20 ~ 1e-6 (sub-microsecond when recording microseconds).
-    int min_exp = -20;
-    /// Largest tracked exponent: values >= 2^max_exp saturate.  40 ~ 1e12.
-    int max_exp = 40;
+  /// log2 of the sub-buckets per octave: 32 sub-buckets, so the worst
+  /// relative quantile error is ~3.1%.
+  static constexpr int kSubBucketBits = 5;
+  /// Smallest tracked binary exponent: 2^kMinExp ~ 1e-6 is the resolution
+  /// floor (sub-microsecond when recording microseconds).
+  static constexpr int kMinExp = -20;
+  /// Largest tracked exponent: values >= 2^kMaxExp ~ 1e12 saturate.
+  static constexpr int kMaxExp = 40;
+  /// The underflow bucket plus 32 sub-buckets per octave: 1,921.
+  static constexpr std::size_t kBucketCount =
+      1 + (static_cast<std::size_t>(kMaxExp - kMinExp) << kSubBucketBits);
+  /// Upper bound of the worst-case relative quantile error: one sub-bucket
+  /// width relative to its octave base.
+  static constexpr double kRelativeErrorBound = 1.0 / (1 << kSubBucketBits);
 
-    bool operator==(const Config&) const = default;
-  };
-
-  LatencyHistogram();
-  explicit LatencyHistogram(Config config);
+  LatencyHistogram() : counts_(kBucketCount, 0) {}
 
   /// Records one sample.  Allocation-free: bucket arithmetic plus a
   /// handful of scalar updates.  Negative values are clamped to 0 (they
@@ -91,16 +91,13 @@ class LatencyHistogram {
   double p99() const { return percentile(99.0); }
   double p999() const { return percentile(99.9); }
 
-  /// Bin-wise merge; both histograms must share a Config (returns false
-  /// and leaves this untouched otherwise).  Merging is associative and
-  /// commutative up to floating-point addition order of sum_, so an
-  /// index-order fold over sweep runs is deterministic.
-  bool merge(const LatencyHistogram& other);
+  /// Bin-wise merge.  Merging is associative and commutative up to
+  /// floating-point addition order of sum_, so an index-order fold over
+  /// sweep runs is deterministic.  A NaN min or max on either side stays
+  /// NaN in the result, as a NaN first sample leaves it under record().
+  void merge(const LatencyHistogram& other);
 
-  const Config& config() const { return config_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-
-  /// Raw-state equality: config, every bucket, count, sum, min and max.
+  /// Raw-state equality: every bucket, count, sum, min and max.
   bool operator==(const LatencyHistogram&) const = default;
 
   /// Raw bucket counts (the evidence codec serializes their non-empty
@@ -108,49 +105,44 @@ class LatencyHistogram {
   /// histogram's full state).
   const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
 
-  /// Rebuilds a default-Config histogram from raw state previously read
-  /// off bucket_counts()/count()/sum()/min()/max(): \p counts fills the
+  /// Rebuilds a histogram from raw state previously read off
+  /// bucket_counts()/count()/sum()/min()/max(): \p counts fills the
   /// buckets from \p first on, every other bucket is empty.  Evidence
   /// records and checkpoints are untrusted input, so a state no histogram
-  /// can have yields nullopt: a range past bucket_count(), counts that do
-  /// not sum to \p count, or min > max.  Every state record() can leave
-  /// is accepted, so a non-finite sum (an inf or NaN sample) and a NaN
-  /// min/max read back as written.
+  /// can have yields nullopt: a range past kBucketCount, counts that do
+  /// not sum to \p count, min > max, a non-NaN min or max whose own
+  /// bucket is empty, or a non-empty bucket above the underflow bucket
+  /// outside [bucket(min), bucket(max)].  Every state record() and merge()
+  /// can leave is accepted, so a non-finite sum (an inf or NaN sample), a
+  /// NaN min/max and NaN samples in the underflow bucket read back as
+  /// written.
   static std::optional<LatencyHistogram> from_raw(
       std::size_t first, std::span<const std::uint64_t> counts,
       std::uint64_t count, double sum, double min, double max);
 
-  /// Upper bound of the worst-case relative quantile error: one sub-bucket
-  /// width relative to its octave base.
-  double relative_error_bound() const {
-    return 1.0 / static_cast<double>(std::size_t{1} << config_.sub_bucket_bits);
-  }
-
  private:
   /// Bucket selection by IEEE-754 bit extraction — identical result to the
-  /// frexp formulation (v = m * 2^e, m in [0.5, 1): octave e - 1 - min_exp,
+  /// frexp formulation (v = m * 2^e, m in [0.5, 1): octave e - 1 - kMinExp,
   /// sub-bucket floor((m - 0.5) * 2 * S)) but without the libm call: for a
   /// normal double, e == biased_exponent - 1022 and (m - 0.5) * 2 * S is
-  /// exactly mantissa >> (52 - sub_bucket_bits).
-  std::size_t bucket_index(double value) const {
+  /// exactly mantissa >> (52 - kSubBucketBits).
+  static std::size_t bucket_index(double value) {
     if (!(value > 0.0)) return 0;  // zero, negative, NaN -> underflow bucket
     const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
     const int biased = static_cast<int>(bits >> 52);  // sign known positive
-    if (biased == 0) return 0;  // subnormal: below any sane min_exp
+    if (biased == 0) return 0;  // subnormal: below kMinExp
     const int e = biased - 1022;
-    if (e <= config_.min_exp) return 0;
-    if (e > config_.max_exp) return counts_.size() - 1;  // saturate (and inf)
-    const std::size_t sub = std::size_t{1} << config_.sub_bucket_bits;
-    const auto octave = static_cast<std::size_t>(e - 1 - config_.min_exp);
-    const std::size_t s = (bits & ((std::uint64_t{1} << 52) - 1)) >>
-                          (52 - config_.sub_bucket_bits);
-    return 1 + octave * sub + s;
+    if (e <= kMinExp) return 0;
+    if (e > kMaxExp) return kBucketCount - 1;  // saturate (and inf)
+    const auto octave = static_cast<std::size_t>(e - 1 - kMinExp);
+    const std::size_t s =
+        (bits & ((std::uint64_t{1} << 52) - 1)) >> (52 - kSubBucketBits);
+    return 1 + (octave << kSubBucketBits) + s;
   }
   /// Inclusive lower / exclusive upper value bound of bucket \p i.
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
+  static double bucket_lo(std::size_t i);
+  static double bucket_hi(std::size_t i);
 
-  Config config_;
   std::vector<std::uint64_t> counts_;  ///< [underflow, octaves * sub-buckets]
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

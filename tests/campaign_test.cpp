@@ -321,6 +321,41 @@ TEST(Checkpoint, TruncatedHealthBlobIsRejected) {
   }
 }
 
+TEST(Checkpoint, HistogramBoundsOutsideTheirSamplesAreRejected) {
+  // One task whose response histogram holds 281, 282 and 290 us (buckets
+  // 900 and 901).  Rewriting its stored min and max so that their buckets
+  // hold no sample must fail the decode, as the evidence reader fails such
+  // a record; bounds inside the same buckets still decode.
+  obs::HealthReport h;
+  h.source = "campaign_test";
+  auto& t = h.tasks["ctl.work"];
+  t.record_response_us(281.0, 0);
+  t.record_response_us(282.0, 1000);
+  t.record_response_us(290.0, 2000);
+  std::vector<std::uint8_t> bytes;
+  encode_health_report(bytes, h);
+  std::vector<std::uint8_t> bounds;
+  evidence::store_f64(bounds, 281.0);
+  evidence::store_f64(bounds, 290.0);
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), bounds.begin(), bounds.end());
+  ASSERT_NE(at, bytes.end());
+  const auto decodes = [&](double min, double max) {
+    std::vector<std::uint8_t> patched(bytes.begin(), at);
+    evidence::store_f64(patched, min);
+    evidence::store_f64(patched, max);
+    patched.insert(patched.end(), at + 16, bytes.end());
+    obs::HealthReport out;
+    evidence::PayloadCursor cur(patched.data(), patched.size());
+    return decode_health_report(cur, out) && cur.done();
+  };
+  EXPECT_TRUE(decodes(281.0, 290.0));
+  EXPECT_TRUE(decodes(280.0, 295.5));   // the same two buckets
+  EXPECT_FALSE(decodes(5.0, 15.0));     // no sample near either bound
+  EXPECT_FALSE(decodes(270.0, 290.0));  // min's bucket is empty
+  EXPECT_FALSE(decodes(281.0, 300.0));  // max's bucket is empty
+}
+
 CheckpointState populated_state() {
   CheckpointState s;
   s.name = "resume_campaign";

@@ -61,15 +61,6 @@ TEST(SerialTiming, ByteTimeHandComputed8N1) {
   EXPECT_EQ(sim::SerialConfig::rs232(9600).byte_time(), 1041667);
 }
 
-TEST(SerialTiming, ParityAndStopBitsExtendTheFrame) {
-  sim::SerialConfig cfg = sim::SerialConfig::rs232(9600);
-  cfg.parity = true;
-  cfg.stop_bits = 2;
-  // start + 8 data + parity + 2 stop = 12 bits at 104166.6 ns each.
-  EXPECT_EQ(cfg.bits_per_byte(), 12);
-  EXPECT_EQ(cfg.byte_time(), 1250000);
-}
-
 TEST(SerialTiming, SynchronousByteIsDataBitsOnly) {
   // SPI at 1 MHz: 8 clocks of 1 us, no framing bits.
   const sim::SerialConfig cfg = sim::SerialConfig::spi(1000000);

@@ -101,7 +101,7 @@ TEST(DistributedServo, DeterministicAcrossRuns) {
 // instead of at the last 50 us poll before it.  The loop_latency_us_p99
 // goldens were re-pinned once more when the rig's latencies moved from a
 // sorted sample copy into a util::LatencyHistogram, whose percentiles are
-// bucket-interpolated (each within relative_error_bound(), 1/32, of the
+// bucket-interpolated (each within kRelativeErrorBound, 1/32, of the
 // exact value; the healthy bus's equal samples stay exact).  events_executed is
 // deliberately excluded — cross-world frame deliveries are separate queue
 // events, so the scheduler-pressure counter legitimately differs.

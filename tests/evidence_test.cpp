@@ -486,26 +486,56 @@ TEST(EvidenceTamper, ImpossibleHistogramStateIsCorrupt) {
     EvidenceReader r;
     return r.parse(w.bytes());
   };
-  const std::size_t buckets = util::LatencyHistogram().bucket_count();
+  const std::size_t buckets = util::LatencyHistogram::kBucketCount;
   const auto last = static_cast<std::uint32_t>(buckets - 1);
-  EXPECT_EQ(record(900, {2, 1}, 3, 30.0, 5.0, 15.0), Status::kOk);
-  EXPECT_EQ(record(last, {3}, 3, 30.0, 5.0, 15.0), Status::kOk);
+  // Bucket 900 holds [280, 288), bucket 901 [288, 296); the last bucket
+  // everything from 2^40 on, inf included.
+  EXPECT_EQ(record(900, {2, 1}, 3, 853.0, 281.0, 290.0), Status::kOk);
+  EXPECT_EQ(record(last, {3}, 3, HUGE_VAL, 0x1p41, HUGE_VAL), Status::kOk);
   // The range runs past the last bucket.
-  EXPECT_EQ(record(last, {2, 1}, 3, 30.0, 5.0, 15.0), Status::kCorruptRecord);
-  EXPECT_EQ(record(0xFFFFFFFFu, {3}, 3, 30.0, 5.0, 15.0),
+  EXPECT_EQ(record(last, {2, 1}, 3, 853.0, 281.0, 290.0),
+            Status::kCorruptRecord);
+  EXPECT_EQ(record(0xFFFFFFFFu, {3}, 3, 853.0, 281.0, 290.0),
             Status::kCorruptRecord);
   // The bucket counts do not sum to count, or wrap around to it.
-  EXPECT_EQ(record(900, {2, 1}, 4, 30.0, 5.0, 15.0), Status::kCorruptRecord);
-  EXPECT_EQ(record(900, {~std::uint64_t{0}, 4}, 3, 30.0, 5.0, 15.0),
+  EXPECT_EQ(record(900, {2, 1}, 4, 853.0, 281.0, 290.0),
+            Status::kCorruptRecord);
+  EXPECT_EQ(record(900, {~std::uint64_t{0}, 4}, 3, 853.0, 281.0, 290.0),
             Status::kCorruptRecord);
   // min > max.
-  EXPECT_EQ(record(900, {2, 1}, 3, 30.0, 15.0, 5.0), Status::kCorruptRecord);
+  EXPECT_EQ(record(900, {2, 1}, 3, 853.0, 290.0, 281.0),
+            Status::kCorruptRecord);
+  // min and max outside the samples: percentile would clamp every answer
+  // into [5, 15] although no sample lies there.
+  EXPECT_EQ(record(900, {2, 1}, 3, 30.0, 5.0, 15.0), Status::kCorruptRecord);
+  // A min or max whose own bucket is empty.
+  EXPECT_EQ(record(900, {2, 1}, 3, 853.0, 270.0, 290.0),
+            Status::kCorruptRecord);
+  EXPECT_EQ(record(900, {2, 1}, 3, 853.0, 281.0, 300.0),
+            Status::kCorruptRecord);
+  // A sample bucket below min's or above max's.
+  EXPECT_EQ(record(899, {1, 1, 1}, 3, 853.0, 281.0, 290.0),
+            Status::kCorruptRecord);
+  EXPECT_EQ(record(900, {1, 1, 1}, 3, 853.0, 281.0, 290.0),
+            Status::kCorruptRecord);
   // A non-finite sum and a NaN min/max are states record() leaves after an
-  // inf or NaN sample, so they read back rather than fail.
-  EXPECT_EQ(record(900, {2, 1}, 3, std::nan(""), 5.0, 15.0), Status::kOk);
-  EXPECT_EQ(record(900, {2, 1}, 3, HUGE_VAL, 5.0, HUGE_VAL), Status::kOk);
-  EXPECT_EQ(record(0, {3}, 3, std::nan(""), std::nan(""), std::nan("")),
+  // inf or NaN sample, so they read back rather than fail.  A NaN sample
+  // counts in the underflow bucket, below a finite min.
+  EXPECT_EQ(record(0, {1}, 1, std::nan(""), std::nan(""), std::nan("")),
             Status::kOk);
+  std::vector<std::uint64_t> nan_then_290(902, 0);
+  nan_then_290.front() = 1;
+  nan_then_290.back() = 1;
+  EXPECT_EQ(record(0, nan_then_290, 2, std::nan(""), std::nan(""),
+                   std::nan("")),
+            Status::kOk);
+  nan_then_290.at(900) = 1;
+  EXPECT_EQ(record(0, nan_then_290, 3, std::nan(""), 281.0, 290.0),
+            Status::kOk);
+  std::vector<std::uint64_t> to_inf(buckets - 900, 0);
+  to_inf.front() = 2;
+  to_inf.back() = 1;
+  EXPECT_EQ(record(900, to_inf, 3, HUGE_VAL, 281.0, HUGE_VAL), Status::kOk);
 }
 
 TEST(EvidenceRoundTrip, NonFiniteSeriesReadsBackAsWritten) {
@@ -518,6 +548,14 @@ TEST(EvidenceRoundTrip, NonFiniteSeriesReadsBackAsWritten) {
   m.series("nan_first").record(2.0);
   m.series("nan_last").record(2.0);
   m.series("nan_last").record(std::nan(""));   // sum NaN
+  // A NaN-first series merged into a clean one leaves NaN bounds, as
+  // record() does, so a fold's state reads back too.
+  m.series("merged").record(1000.0);
+  trace::MetricsRegistry nan_run;
+  nan_run.series("merged").record(std::nan(""));
+  nan_run.series("merged").record(5.0);
+  m.merge(nan_run);
+  EXPECT_TRUE(std::isnan(m.find_series("merged")->min()));
   EvidenceWriter w;
   w.record_metrics(m);
   w.finish();
@@ -528,7 +566,7 @@ TEST(EvidenceRoundTrip, NonFiniteSeriesReadsBackAsWritten) {
   EXPECT_EQ(*r.metrics().find_series("inf"), *m.find_series("inf"));
   // NaN never compares equal, so compare the raw state bit for bit.
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  for (const char* name : {"nan_first", "nan_last"}) {
+  for (const char* name : {"nan_first", "nan_last", "merged"}) {
     const auto* got = r.metrics().find_series(name);
     const auto* want = m.find_series(name);
     ASSERT_NE(got, nullptr) << name;

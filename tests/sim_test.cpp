@@ -191,9 +191,6 @@ TEST(SerialConfig, ByteTimeMatchesBaud) {
   EXPECT_EQ(cfg.bits_per_byte(), 10);  // 8N1
   // 10 bits at 115200 baud = 86.805... us.
   EXPECT_NEAR(static_cast<double>(cfg.byte_time()), 86805.0, 1.0);
-  cfg.parity = true;
-  cfg.stop_bits = 2;
-  EXPECT_EQ(cfg.bits_per_byte(), 12);
 }
 
 TEST(SerialLink, DeliversBytesInOrderWithWireTiming) {

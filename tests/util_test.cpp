@@ -78,7 +78,8 @@ TEST(LatencyHistogram, PercentilesAreOrdered) {
   EXPECT_DOUBLE_EQ(h.percentile(100), 100.0);
   // The exact linear-rank median is 50.5; the histogram's answer lies
   // within its bucket resolution of it.
-  EXPECT_NEAR(h.percentile(50), 50.5, 50.5 * h.relative_error_bound());
+  EXPECT_NEAR(h.percentile(50), 50.5,
+              50.5 * util::LatencyHistogram::kRelativeErrorBound);
   EXPECT_LE(h.percentile(25), h.percentile(75));
 }
 
@@ -104,8 +105,9 @@ TEST(LatencyHistogram, PercentileEdgeCases) {
   // The p50 rank (0.5) falls between the two samples, which sit in
   // different buckets: the answer interpolates between them, as the exact
   // percentile (15) does, within the bucket resolution.
-  EXPECT_NEAR(pair.percentile(50), 15.0, 15.0 * pair.relative_error_bound());
-  EXPECT_NEAR(pair.percentile(90), 19.0, 19.0 * pair.relative_error_bound());
+  constexpr double kBound = util::LatencyHistogram::kRelativeErrorBound;
+  EXPECT_NEAR(pair.percentile(50), 15.0, 15.0 * kBound);
+  EXPECT_NEAR(pair.percentile(90), 19.0, 19.0 * kBound);
   // Out-of-range p clamps rather than indexing out of bounds.
   EXPECT_DOUBLE_EQ(pair.percentile(-10), 10.0);
   EXPECT_DOUBLE_EQ(pair.percentile(250), 20.0);
